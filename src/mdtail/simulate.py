@@ -174,11 +174,28 @@ def _chunk_sizes(reps: int, n: int) -> list[int]:
     return sizes
 
 
-def _run_chunks(chunk_fn, n_chunks: int, workers: int) -> list:
+def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
+    """Run chunk_fn(rng, rows) on every chunk and add its partial sums in chunk order.
+
+    Chunk k holds sizes[k] of the reps rows of n draws, draws from its own
+    stream (seed, k) and returns a tuple of partial sums; adding them in
+    chunk order keeps the totals independent of how chunks are scheduled
+    across workers.
+    """
+    sizes = _chunk_sizes(reps, n)
+
+    def one_chunk(k: int):
+        return chunk_fn(_rng_stream(seed, k), sizes[k])
+
     if workers <= 1:
-        return [chunk_fn(k) for k in range(n_chunks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(chunk_fn, range(n_chunks)))
+        parts = [one_chunk(k) for k in range(len(sizes))]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(one_chunk, range(len(sizes))))
+    totals = [0] * len(parts[0])
+    for part in parts:
+        totals = [t + v for t, v in zip(totals, part)]
+    return totals
 
 
 def _finish_estimate(
@@ -209,6 +226,16 @@ def _finish_estimate(
     )
 
 
+def _hit_frequency(
+    count_hits, reps: int, seed: int, workers: int, n: int, x: float, G: float
+) -> Estimate:
+    """Binomial estimate from per-chunk hit counts: p_hat = hits/reps and its stderr."""
+    (hits,) = _chunked_sums(count_hits, reps, n, seed, workers)
+    p_hat = hits / reps
+    stderr = math.sqrt(p_hat * (1.0 - p_hat) / reps)
+    return _finish_estimate(p_hat, stderr, n, x, G, "crude", reps)
+
+
 def crude_mc(
     model: TailModel,
     g: ScaleFunction,
@@ -222,17 +249,12 @@ def crude_mc(
     n, reps = _validate_mc_args(n, reps, x)
     G = _scale_at_n(g, n)
     threshold = n * model.mu + x * math.sqrt(n * G)
-    sizes = _chunk_sizes(reps, n)
 
-    def one_chunk(k: int) -> int:
-        rng = _rng_stream(seed, k)
-        draws = model.sampler(rng, sizes[k] * n).reshape(sizes[k], n)
-        return int(np.count_nonzero(draws.sum(axis=1) > threshold))
+    def count_hits(rng, rows: int) -> tuple[int]:
+        draws = model.sampler(rng, rows * n).reshape(rows, n)
+        return (int(np.count_nonzero(draws.sum(axis=1) > threshold)),)
 
-    hits = sum(_run_chunks(one_chunk, len(sizes), workers))
-    p_hat = hits / reps
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / reps)
-    return _finish_estimate(p_hat, stderr, n, x, G, "crude", reps)
+    return _hit_frequency(count_hits, reps, seed, workers, n, x, G)
 
 
 def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationScheme:
@@ -327,6 +349,63 @@ def _solve_tilt(values: np.ndarray, log_masses: np.ndarray, target: float) -> fl
     )
 
 
+def _alias_table(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Walker alias table (prob, alias) for the law proportional to masses.
+
+    A draw picks column c uniformly, keeps cell c with probability prob[c]
+    and takes cell alias[c] otherwise.  Built by the prefix-sum form of the
+    sweeping construction, without a loop over cells: with q = K*p, light
+    cells (q < 1) take their deficits 1 - q, in order, from the excesses
+    q - 1 of heavy cells, in order.  A light cell aliases to the heavy cell
+    whose excess prefix is the first to pass the light cell's deficit
+    prefix.  A heavy cell keeps the residual 1 + E_j - D, where E_j is its
+    excess prefix and D the prefix of the deficits paid so far, and aliases
+    to the next heavy cell, which pays the rest.
+    """
+    cells = len(masses)
+    q = masses * (cells / masses.sum())
+    heavy = q >= 1.0
+    heavy[np.argmax(q)] = True  # rounding can leave every q just below 1
+    light = np.flatnonzero(~heavy)
+    heavy = np.flatnonzero(heavy)
+    # paid[i]: total deficit of the light cells before light cell i
+    paid = np.concatenate(([0.0], np.cumsum(1.0 - q[light])))
+    excess = np.cumsum(q[heavy] - 1.0)
+    prob = np.empty(cells)
+    alias = np.empty(cells, dtype=np.intp)
+    prob[light] = q[light]
+    donor = np.searchsorted(excess, paid[:-1], side="right")
+    alias[light] = heavy[np.minimum(donor, len(heavy) - 1)]
+    settled = np.searchsorted(paid[:-1], excess, side="left")
+    prob[heavy] = np.clip(1.0 + excess - paid[settled], 0.0, 1.0)
+    prob[heavy[-1]] = 1.0  # the last heavy cell absorbs the rounding
+    alias[heavy] = np.append(heavy[1:], heavy[-1])
+    return prob, alias
+
+
+def _alias_sample(rng, size: int, prob: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """size draws from an alias table, one uniform each.
+
+    outcomes holds each column's own value followed by its alias's value.
+    The uniform u picks column c = floor(u*K) and its fraction u*K - c is
+    the coin.  u <= 1 - 2**-53 and K < 2**53, so u*K rounds below K and c
+    stays in range.
+    """
+    cells = len(prob)
+    s = rng.random(size)
+    s *= cells
+    c = s.astype(np.intp)
+    s -= c
+    c += cells * (s >= prob[c])
+    return outcomes[c]
+
+
+# Elements per alias-table draw: a block of whole rows this size keeps the
+# uniforms, column indices and drawn values in cache.  Consecutive calls to
+# rng.random continue one stream, so results do not depend on it.
+_BLOCK_ELEMS = 1 << 16
+
+
 def _tilted_sum_estimate(
     values: np.ndarray,
     masses: np.ndarray,
@@ -344,27 +423,22 @@ def _tilted_sum_estimate(
     theta = _solve_tilt(values, log_masses, target_sum / n)
     K, _ = _cumulant(values, log_masses, theta)
     z = theta * values + log_masses
-    tilted = np.exp(z - z.max())
-    tilted /= tilted.sum()
-    cum = np.cumsum(tilted)
-    cum[-1] = 1.0
+    prob, alias = _alias_table(np.exp(z - z.max()))
+    outcomes = np.concatenate((values, values[alias]))
     log_offset = n * K
-    sizes = _chunk_sizes(reps, n)
+    block_rows = max(1, _BLOCK_ELEMS // n)
 
-    def one_chunk(k: int) -> tuple[float, float, int]:
-        rng = _rng_stream(seed, k)
-        idx = np.searchsorted(cum, rng.random(sizes[k] * n), side="right")
-        idx = np.minimum(idx, len(values) - 1)
-        T = values[idx].reshape(sizes[k], n).sum(axis=1)
-        hit = T > target_sum
-        log_w = log_offset - theta * T
-        y = np.where(hit, np.exp(np.minimum(log_w, 700.0)), 0.0)
-        return float(y.sum()), float((y * y).sum()), int(np.count_nonzero(hit))
+    def weight_sums(rng, rows: int) -> tuple[float, float]:
+        T = np.empty(rows)
+        for r0 in range(0, rows, block_rows):
+            r1 = min(rows, r0 + block_rows)
+            draws = _alias_sample(rng, (r1 - r0) * n, prob, outcomes)
+            T[r0:r1] = draws.reshape(r1 - r0, n).sum(axis=1)
+        # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
+        w = np.exp(log_offset - theta * T[T > target_sum])
+        return float(w.sum()), float((w * w).sum())
 
-    s1 = s2 = 0.0
-    for part in _run_chunks(one_chunk, len(sizes), workers):
-        s1 += part[0]
-        s2 += part[1]
+    s1, s2 = _chunked_sums(weight_sums, reps, n, seed, workers)
     p_hat = s1 / reps
     var = max(s2 - reps * p_hat * p_hat, 0.0) / max(reps - 1, 1)
     return p_hat, math.sqrt(var / reps)
@@ -384,8 +458,9 @@ def tilted_mc_truncated(
     """Estimate P(sum of truncated, recentered summands > (x - eps)*sqrt(n*g(log n))).
 
     The truncated law is discretized on a regular grid (atoms kept exact),
-    exponentially tilted so the target becomes typical, and reweighted by
-    the likelihood ratio, which keeps the estimator unbiased.
+    exponentially tilted so the target becomes typical, sampled from an
+    alias table in O(1) per draw, and reweighted by the likelihood ratio,
+    which keeps the estimator unbiased.
     """
     n, reps = _validate_mc_args(n, reps, x)
     if eps is None:
@@ -501,17 +576,12 @@ def bounded_array_mc(
     if any(t2 > t1 + 1e-15 for t1, t2 in zip(taus[:-1], taus[1:])) or not taus[-1] < taus[0]:
         raise ValueError("tau must decrease toward zero along growing n")
     threshold = r * math.sqrt(n * G)
-    sizes = _chunk_sizes(reps, n)
 
-    def one_chunk(k: int) -> int:
-        rng = _rng_stream(seed, k)
-        heads = rng.binomial(n, 0.5, size=sizes[k])
-        return int(np.count_nonzero(b * (2.0 * heads - n) > threshold))
+    def count_hits(rng, rows: int) -> tuple[int]:
+        heads = rng.binomial(n, 0.5, size=rows)
+        return (int(np.count_nonzero(b * (2.0 * heads - n) > threshold)),)
 
-    hits = sum(_run_chunks(one_chunk, len(sizes), workers))
-    p_hat = hits / reps
-    stderr = math.sqrt(p_hat * (1.0 - p_hat) / reps)
-    return _finish_estimate(p_hat, stderr, n, r, G, "crude", reps)
+    return _hit_frequency(count_hits, reps, seed, workers, n, r, G)
 
 
 def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:
@@ -712,8 +782,7 @@ def max_lower_bound_sweep(p_values, n_values) -> tuple[bool, int]:
         raise ValueError("p must be probabilities and n positive")
     lhs = np.minimum(1.0, n * p) / 2.0
     with np.errstate(divide="ignore"):
-        rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-np.minimum(p, 1.0 - 1e-17))))
-    rhs = np.where(p >= 1.0, 1.0, rhs)
+        rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-p)))
     failures = int(np.count_nonzero(lhs > rhs))
     return failures == 0, failures
 

@@ -140,7 +140,9 @@ def test_cli_run_success(tmp_path, capsys):
     assert (tmp_path / "out" / "manifest.json").exists()
 
 
-def test_cli_validation_failures(tmp_path, capsys):
+def test_cli_validation_failures(tmp_path, capsys, monkeypatch):
+    # a config that fails to load leaves error.json in the default out dir
+    monkeypatch.setenv("MDTAIL_OUT_DIR", str(tmp_path / "out"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert report.main(["run", str(bad)]) == 1
@@ -149,6 +151,7 @@ def test_cli_validation_failures(tmp_path, capsys):
     assert report.main(["verify"]) == 1
     err = capsys.readouterr().err
     assert "error:" in err
+    assert (tmp_path / "out" / "error.json").exists()
 
 
 def test_cli_estimator_failure_writes_error_artifact(tmp_path):

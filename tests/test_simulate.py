@@ -1,6 +1,7 @@
 """Monte Carlo estimators, truncation plan, exact inequality checks."""
 
 import math
+import warnings
 from fractions import Fraction as F
 from itertools import product
 
@@ -120,6 +121,95 @@ def test_tilted_target_beyond_support_raises():
     with pytest.raises(S.TiltingError):
         S.tilted_mc_truncated(TWO_POINT, G1, n=10, x=2.5, reps=2000, seed=1, eps=0.1)
     assert issubclass(S.TiltingError, S.EstimatorError)
+
+
+def test_tilted_weights_do_not_overflow_under_a_long_left_tail():
+    # lambda_minus = 0.2: a slowly decaying left tail, so rows far below the
+    # target would carry huge likelihood ratios; only hit rows are weighted
+    m = md.make_designed_tail(2.0, 0.2, G1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = S.tilted_mc_truncated(m, G1, n=100, x=4.0, reps=5000, seed=3)
+    assert 0.0 < est.p_hat < 1.0 and math.isfinite(est.stderr)
+
+
+def test_tilted_results_do_not_depend_on_the_block_size(monkeypatch):
+    def run():
+        return S.tilted_mc_truncated(md.gaussian(), G1, n=300, x=2.0, reps=3000, seed=4)
+
+    base = run()
+    for block in (1, 1000, 1 << 20):
+        monkeypatch.setattr(S, "_BLOCK_ELEMS", block)
+        est = run()
+        assert (est.p_hat, est.stderr) == (base.p_hat, base.stderr), block
+
+
+# ------------------------------------------------------------ alias table
+
+
+def _rebuilt_law(prob, alias):
+    mass = prob.copy()
+    np.add.at(mass, alias, 1.0 - prob)
+    return mass / len(prob)
+
+
+def _check_alias_table(masses):
+    masses = np.asarray(masses, dtype=float)
+    prob, alias = S._alias_table(masses)
+    assert prob.shape == alias.shape == masses.shape
+    assert np.all((prob >= 0.0) & (prob <= 1.0))
+    assert np.all((alias >= 0) & (alias < len(masses)))
+    law = masses / masses.sum()
+    np.testing.assert_allclose(_rebuilt_law(prob, alias), law, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [
+        [0.7],
+        [0.25, 0.75],
+        [1.0, 1.0],
+        [0.1] * 1000,
+        [1e-9] * 20 + [1.0] + [1e-9] * 20,
+        np.logspace(-300, 0, 301),
+        np.random.default_rng(1).random(32769),
+    ],
+    ids=["K=1", "K=2", "K=2 equal", "all equal", "dominant", "1e-300..1", "K=32769"],
+)
+def test_alias_table_rebuilds_the_law(masses):
+    _check_alias_table(masses)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-300.0, 0.0), min_size=1, max_size=200))
+def test_alias_table_rebuilds_any_law(log10_masses):
+    _check_alias_table(10.0 ** np.asarray(log10_masses))
+
+
+def test_alias_column_stays_below_the_cell_count():
+    u_max = 1.0 - 2.0**-53  # the largest value Generator.random returns
+    cells = np.concatenate((np.arange(1, 100_000), [2**31 - 1, 2**40 + 3, 2**53 - 1]))
+    assert np.all(np.floor(u_max * cells.astype(float)) < cells)
+
+    class TopRng:
+        def random(self, size):
+            return np.full(size, u_max)
+
+    for K in (1, 2, 32769):
+        prob, alias = S._alias_table(np.ones(K))
+        draws = S._alias_sample(TopRng(), 3, prob, np.arange(2 * K))
+        assert np.all(draws == K - 1), K
+
+
+def test_alias_draws_match_the_law():
+    law = np.array([0.05, 0.4, 0.01, 0.3, 0.24])
+    prob, alias = S._alias_table(law)
+    outcomes = np.concatenate((np.arange(5), alias))
+    draws = 400_000
+    idx = S._alias_sample(np.random.default_rng(2024), draws, prob, outcomes)
+    counts = np.bincount(idx, minlength=5)
+    sd = np.sqrt(draws * law * (1.0 - law))
+    assert np.all(np.abs(counts - draws * law) <= 5.0 * sd), counts
 
 
 # ------------------------------------------------------------ split bounds

@@ -12,7 +12,7 @@ import mdtail as md
 
 
 def describe(model, n_samples=200_000, seed=0):
-    xs = md.sample(model, seed=seed, n=n_samples)
+    xs = model.sample(seed=seed, n=n_samples)
     mean_mc = xs.mean()
     print(f"{model.label}")
     print(f"  recorded mu={model.mu:.4f} sigma2={model.sigma2}")

@@ -26,7 +26,7 @@ print()
 # empirical route needs a lot of samples before the top of the grid has
 # enough exceedances to say anything
 for n in (10**5, 10**6):
-    xs = md.sample(md.pareto(3.0), seed=7, n=n)
+    xs = md.pareto(3.0).sample(seed=7, n=n)
     emp = md.empirical_exponents(xs, g)
     e = emp.exps
     print(f"pareto(3), {n:>8d} draws: lam1 window ({e.lam1_bar:.3f}, {e.lam1_under:.3f})"

@@ -34,6 +34,6 @@ cases = [
 print("classifier:")
 for name, sigma2, matches, (b, u) in cases:
     exps = md.TailExponents(b, u, b, u, b, u)
-    regime = md.classify(sigma2, matches, exps, rho=1.0)
+    regime = md.classify(sigma2, matches, exps)
     print(f"  {name:24s} -> {regime.name}")
-assert md.classify(1.0, True, md.TailExponents(*[1.0] * 6), rho=1.0) is Regime.BOUNDED_NONZERO_LIMINF_TOO
+assert md.classify(1.0, True, md.TailExponents(*[1.0] * 6)) is Regime.BOUNDED_NONZERO_LIMINF_TOO

@@ -24,8 +24,8 @@ print("maximum lower bound (1 and n*p)/2 <= 1-(1-p)^n on a few corners:")
 for p, n in ((0.0, 10), (1e-9, 10**6), (0.5, 1), (1.0, 3)):
     r = S.max_lower_bound_check(p=p, n=n)
     print(f"  p={p:<8g} n={n:<8d} lhs={r.lhs:.6g} rhs={r.rhs:.6g} passed={r.passed}")
-ok, failures = S.max_lower_bound_sweep([k / 100 for k in range(101)], range(1, 501))
-print(f"  grid sweep: ok={ok} with {failures} failures")
+failures = S.max_lower_bound_sweep([k / 100 for k in range(101)], range(1, 501))
+print(f"  grid sweep: {failures} failures")
 print()
 
 # the exponential envelopes around a concrete bounded sign array

@@ -5,172 +5,26 @@ The package studies P(S_n - n*mu > x*sqrt(n*g(log n))) for i.i.d. sums:
 catalog with analytically known tails, `exponents` the windowed tail
 exponents on the g-scale, `rate` the limit values and regime classifier,
 `simulate` the Monte Carlo estimators and exact inequality verifiers, and
-`report` the config-driven experiment runner and CLI.
+`report` the config-driven experiment runner and CLI.  The package exports
+exactly the names each module lists in its own `__all__`.
 """
 
 __version__ = "0.1.0"
 
-from .scale import (
-    HalfIndexLimit,
-    RegularVariationReport,
-    ScaleFunction,
-    check_regular_variation,
-    half_index_limit,
-    log_scale,
-    power_log_scale,
-    power_scale,
-    scale_from_spec,
-    scale_preset_names,
-    scaled_threshold,
-    truncation_level,
-)
-from .tails import (
-    CatalogEntry,
-    TailModel,
-    catalog,
-    gaussian,
-    make_designed_tail,
-    make_oscillating_tail,
-    model_from_spec,
-    model_preset_names,
-    moments,
-    pareto,
-    sample,
-    survival,
-    two_point,
-)
-from .exponents import (
-    GridSpec,
-    LAMBDA_MAX,
-    EmpiricalExponents,
-    ScaledTailPredictions,
-    TailExponents,
-    default_grid,
-    default_r_grid,
-    empirical_exponents,
-    exponents_from_tail,
-    exponents_sup_form,
-    scaled_tail_predictions,
-)
-from .rate import (
-    RateSpec,
-    Regime,
-    classify,
-    rate_curve_csv,
-    rate_liminf,
-    rate_limsup,
-)
-from .simulate import (
-    CHUNK_TARGET,
-    Estimate,
-    EstimatorError,
-    LevyCheckResult,
-    MaxBoundResult,
-    SplitEstimate,
-    TiltingError,
-    Trajectory,
-    TrajectoryPoint,
-    TriangularSignArray,
-    TruncationScheme,
-    bounded_array_mc,
-    convergence_trajectory,
-    crude_mc,
-    kolmogorov_lower,
-    kolmogorov_upper,
-    levy_maximal_check,
-    levy_maximal_sweep,
-    max_lower_bound_check,
-    max_lower_bound_sweep,
-    plan_truncation,
-    split_estimate,
-    tilted_mc_truncated,
-    unit_sign_array,
-)
-from .report import (
-    ConfigError,
-    ExperimentConfig,
-    load_config,
-    run_experiment,
-    verify_suite,
-)
+from . import exponents, rate, report, scale, simulate, tails
+from .scale import *
+from .tails import *
+from .exponents import *
+from .rate import *
+from .simulate import *
+from .report import *
 
 __all__ = [
     "__version__",
-    # scale
-    "ScaleFunction",
-    "RegularVariationReport",
-    "HalfIndexLimit",
-    "power_scale",
-    "log_scale",
-    "power_log_scale",
-    "scale_preset_names",
-    "scale_from_spec",
-    "check_regular_variation",
-    "scaled_threshold",
-    "truncation_level",
-    "half_index_limit",
-    # tails
-    "TailModel",
-    "CatalogEntry",
-    "gaussian",
-    "two_point",
-    "pareto",
-    "make_designed_tail",
-    "make_oscillating_tail",
-    "survival",
-    "sample",
-    "moments",
-    "catalog",
-    "model_preset_names",
-    "model_from_spec",
-    # exponents
-    "TailExponents",
-    "GridSpec",
-    "LAMBDA_MAX",
-    "EmpiricalExponents",
-    "ScaledTailPredictions",
-    "default_grid",
-    "default_r_grid",
-    "exponents_from_tail",
-    "exponents_sup_form",
-    "scaled_tail_predictions",
-    "empirical_exponents",
-    # rate
-    "RateSpec",
-    "Regime",
-    "rate_limsup",
-    "rate_liminf",
-    "rate_curve_csv",
-    "classify",
-    # simulate
-    "CHUNK_TARGET",
-    "Estimate",
-    "SplitEstimate",
-    "TruncationScheme",
-    "TriangularSignArray",
-    "Trajectory",
-    "TrajectoryPoint",
-    "EstimatorError",
-    "TiltingError",
-    "LevyCheckResult",
-    "MaxBoundResult",
-    "crude_mc",
-    "tilted_mc_truncated",
-    "split_estimate",
-    "plan_truncation",
-    "bounded_array_mc",
-    "unit_sign_array",
-    "kolmogorov_upper",
-    "kolmogorov_lower",
-    "levy_maximal_check",
-    "levy_maximal_sweep",
-    "max_lower_bound_check",
-    "max_lower_bound_sweep",
-    "convergence_trajectory",
-    # report
-    "ExperimentConfig",
-    "ConfigError",
-    "load_config",
-    "run_experiment",
-    "verify_suite",
+    *scale.__all__,
+    *tails.__all__,
+    *exponents.__all__,
+    *rate.__all__,
+    *simulate.__all__,
+    *report.__all__,
 ]

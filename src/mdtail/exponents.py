@@ -46,6 +46,11 @@ LAMBDA_MAX = 50.0
 _LN10 = math.log(10.0)
 
 
+def _window_start(points: int) -> int:
+    """First index of the trailing window, the last third of the points."""
+    return (2 * points) // 3
+
+
 @dataclass(frozen=True)
 class TailExponents:
     """The exponent sextuple; "bar" is the negated limsup, "under" the negated liminf.
@@ -123,7 +128,7 @@ class GridSpec:
         return np.geomspace(self.u_min, self.u_max, self.points)
 
     def window_start(self) -> int:
-        return (2 * self.points) // 3
+        return _window_start(self.points)
 
     def window_slice(self) -> slice:
         return slice(self.window_start(), None)
@@ -148,6 +153,20 @@ def _clamp(value: float) -> float:
     return float(max(value, 0.0))
 
 
+def _raw_limits(y: np.ndarray) -> tuple[float, float]:
+    """(negated limsup, negated liminf) as the min and max of the window values.
+
+    Values at or above LAMBDA_MAX, and +inf, read as divergence: a window
+    with no smaller value gives (inf, inf), one with some gives (min, inf).
+    """
+    finite = np.isfinite(y)
+    if not finite.any() or np.all(y[finite] >= LAMBDA_MAX):
+        return (math.inf, math.inf)
+    if not finite.all() or np.any(y >= LAMBDA_MAX):
+        return (_clamp(float(np.min(y[finite]))), math.inf)
+    return (_clamp(float(np.min(y))), _clamp(float(np.max(y))))
+
+
 def _window_limits(y: np.ndarray, gu: np.ndarray) -> tuple[float, float]:
     """Read (negated limsup, negated liminf) from the trailing-window values.
 
@@ -160,21 +179,16 @@ def _window_limits(y: np.ndarray, gu: np.ndarray) -> tuple[float, float]:
     tails fail that gate and fall back to the raw window min/max.
     """
     y = np.asarray(y, dtype=float)
-    finite = np.isfinite(y)
-    if not finite.any() or np.all(y[finite] >= LAMBDA_MAX):
-        return (math.inf, math.inf)
-    if not finite.all() or np.any(y >= LAMBDA_MAX):
-        low = float(np.min(y[finite]))
-        return (_clamp(low), math.inf)
-    z = 1.0 / gu
-    design = np.column_stack([np.ones_like(z), z])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    a, b = float(coef[0]), float(coef[1])
-    resid = y - (a + b * z)
-    if float(np.max(np.abs(resid))) <= max(0.01, 0.02 * abs(a)):
-        v = _clamp(a)
-        return (v, v)
-    return (_clamp(float(np.min(y))), _clamp(float(np.max(y))))
+    if np.all(np.isfinite(y)) and np.all(y < LAMBDA_MAX):
+        z = 1.0 / gu
+        design = np.column_stack([np.ones_like(z), z])
+        coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+        a, b = float(coef[0]), float(coef[1])
+        resid = y - (a + b * z)
+        if float(np.max(np.abs(resid))) <= max(0.01, 0.02 * abs(a)):
+            v = _clamp(a)
+            return (v, v)
+    return _raw_limits(y)
 
 
 def _side_log_tails(model: "TailModel", u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -299,14 +313,13 @@ class ScaledTailPredictions:
     """Predicted limits of log(n * P(X > s*threshold(n))) / g(log n).
 
     Both threshold shapes sqrt(t * g(log t)) and sqrt(t / g(log t)) share the
-    same pair of limits: the right-tail exponents divided by 2**rho, negated.
-    Values are extended reals; an infinite exponent predicts -inf.
+    same pair of limits, so one pair serves both: the right-tail exponents
+    divided by 2**rho, negated.  Values are extended reals; an infinite
+    exponent predicts -inf.
     """
 
     sqrt_tg_limsup: float
     sqrt_tg_liminf: float
-    sqrt_t_over_g_limsup: float
-    sqrt_t_over_g_liminf: float
 
 
 def scaled_tail_predictions(exps: TailExponents, rho: float) -> ScaledTailPredictions:
@@ -317,13 +330,9 @@ def scaled_tail_predictions(exps: TailExponents, rho: float) -> ScaledTailPredic
     def limit(lam: float) -> float:
         return -math.inf if math.isinf(lam) else -lam / scale
 
-    up = limit(exps.lam1_bar)
-    low = limit(exps.lam1_under)
     return ScaledTailPredictions(
-        sqrt_tg_limsup=up,
-        sqrt_tg_liminf=low,
-        sqrt_t_over_g_limsup=up,
-        sqrt_t_over_g_liminf=low,
+        sqrt_tg_limsup=limit(exps.lam1_bar),
+        sqrt_tg_liminf=limit(exps.lam1_under),
     )
 
 
@@ -377,24 +386,10 @@ def empirical_exponents(sample, g: ScaleFunction, points: int = 25) -> Empirical
             log_s = np.log(surv)
         return np.where(surv == 0.0, math.inf, -(2.0 * u + log_s) / gu)
 
-    y_r = side_y(surv_r)
-    y_l = side_y(surv_l)
-    y_a = side_y(surv_r + surv_l)
-    start = (2 * u.size) // 3
-    win = slice(start, None)
-
-    def raw_limits(y: np.ndarray) -> tuple[float, float]:
-        yw = y[win]
-        finite = np.isfinite(yw)
-        if not finite.any() or np.all(yw[finite] >= LAMBDA_MAX):
-            return (math.inf, math.inf)
-        if not finite.all() or np.any(yw >= LAMBDA_MAX):
-            return (_clamp(float(np.min(yw[finite]))), math.inf)
-        return (_clamp(float(np.min(yw))), _clamp(float(np.max(yw))))
-
-    r_bar, r_under = raw_limits(y_r)
-    l_bar, l_under = raw_limits(y_l)
-    a_bar, a_under = raw_limits(y_a)
+    win = slice(_window_start(u.size), None)
+    r_bar, r_under = _raw_limits(side_y(surv_r)[win])
+    l_bar, l_under = _raw_limits(side_y(surv_l)[win])
+    a_bar, a_under = _raw_limits(side_y(surv_r + surv_l)[win])
     exceed = int(round((surv_r[-1] + surv_l[-1]) * n))
     flags = []
     if exceed < 100:

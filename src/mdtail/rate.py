@@ -27,15 +27,13 @@ _SIDES = ("upper", "lower", "two-sided")
 class Regime(enum.Enum):
     """Qualitative behavior of the normalized log-probability limit.
 
-    BOUNDED_NONZERO_LIMSUP is listed for completeness but is unreachable
-    from ordered exponent inputs: a negative finite limsup forces the
-    liminf-flavored exponent to be positive as well, which is the
-    BOUNDED_NONZERO_LIMINF_TOO case.  MIXED covers limsup 0 with a
-    strictly negative liminf.
+    A negative finite limsup forces the liminf-flavored exponent to be
+    positive as well, so a bounded nonzero limsup always comes with a
+    bounded nonzero liminf: BOUNDED_NONZERO_LIMINF_TOO.  MIXED covers
+    limsup 0 with a strictly negative liminf.
     """
 
     LIMIT_ZERO = "LIMIT_ZERO"
-    BOUNDED_NONZERO_LIMSUP = "BOUNDED_NONZERO_LIMSUP"
     BOUNDED_NONZERO_LIMINF_TOO = "BOUNDED_NONZERO_LIMINF_TOO"
     MINUS_INFINITY = "MINUS_INFINITY"
     MIXED = "MIXED"
@@ -88,12 +86,7 @@ def rate_liminf(spec: RateSpec, x: float, side: str = "upper") -> float:
     return _rate(spec, x, _lam_for(spec.exps, side, "under"))
 
 
-def classify(
-    sigma2: float,
-    mean_matches_eta: bool,
-    exps: TailExponents,
-    rho: float = 1.0,
-) -> Regime:
+def classify(sigma2: float, mean_matches_eta: bool, exps: TailExponents) -> Regime:
     """Sort a law into the qualitative limit regimes.
 
     The centering constant eta only matters through whether it equals the
@@ -103,12 +96,10 @@ def classify(
     so the limit is -inf.  Otherwise the exponent pair decides: both zero
     gives the zero limit, a positive bar exponent bounds both flavors inside
     (-inf, 0), and a zero bar with positive under exponent mixes the two.
-    rho is accepted for interface symmetry; the regime does not depend on it.
+    The regime does not depend on the scale index rho.
     """
     if math.isnan(sigma2) or sigma2 < 0:
         raise ValueError("sigma2 must be in [0, inf]")
-    if math.isnan(rho) or rho < 0:
-        raise ValueError("rho must be nonnegative")
     if not mean_matches_eta:
         return Regime.LIMIT_ZERO
     if sigma2 == 0.0:
@@ -122,12 +113,17 @@ def classify(
     return Regime.MIXED
 
 
-def _fmt17(value: float) -> str:
+def _fmt(value: float) -> str:
+    """Round-trip text of a float: `.17g`, with nan, inf and -inf spelled out.
+
+    The one float formatter of the package: rate curves and trajectory.csv
+    use it directly, exponents.json for its non-finite values.
+    """
     if math.isnan(value):
         return "nan"
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
-    return format(value, ".17g")
+    return format(float(value), ".17g")
 
 
 def rate_curve_csv(spec: RateSpec, x_values, side: str = "upper") -> str:
@@ -138,9 +134,9 @@ def rate_curve_csv(spec: RateSpec, x_values, side: str = "upper") -> str:
         lines.append(
             ",".join(
                 (
-                    _fmt17(x),
-                    _fmt17(rate_limsup(spec, x, side)),
-                    _fmt17(rate_liminf(spec, x, side)),
+                    _fmt(x),
+                    _fmt(rate_limsup(spec, x, side)),
+                    _fmt(rate_liminf(spec, x, side)),
                 )
             )
         )

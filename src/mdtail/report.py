@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from .exponents import TailExponents, default_grid, exponents_from_tail, exponents_sup_form
-from .rate import RateSpec, Regime, classify, rate_liminf, rate_limsup
+from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
 from .scale import power_scale, scale_from_spec, scale_preset_names
 from .simulate import (
     EstimatorError,
@@ -37,11 +37,11 @@ from .simulate import (
     unit_sign_array,
 )
 from .tails import (
+    _MODEL_PRESETS,
     catalog,
     make_designed_tail,
     make_oscillating_tail,
     model_from_spec,
-    model_preset_names,
     pareto,
 )
 
@@ -66,6 +66,27 @@ _METHODS = ("crude", "tilted", "split")
 
 class ConfigError(ValueError):
     """The experiment config is malformed or references unknown presets."""
+
+
+def _int_field(value, message: str) -> int:
+    """value as an int; anything but an integral JSON number raises ConfigError(message)."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ConfigError(f"{message}, got {value!r}")
+    return int(value)
+
+
+def _real_field(value, message: str) -> float:
+    """value as a float; anything but a JSON number raises ConfigError(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{message}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range, as json reads 1e400
+        return math.inf if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -125,40 +146,30 @@ class ExperimentConfig:
         x_raw = raw["x_values"]
         if not isinstance(x_raw, (list, tuple)) or len(x_raw) == 0:
             raise ConfigError("x_values must be a nonempty list")
-        x_values = tuple(float(v) for v in x_raw)
+        x_values = tuple(_real_field(v, "x_values entries must be numbers") for v in x_raw)
         if any(not v > 0 or math.isinf(v) or math.isnan(v) for v in x_values):
             raise ConfigError("x_values must be finite and positive")
 
         n_raw = raw["n_grid"]
         if not isinstance(n_raw, (list, tuple)) or len(n_raw) == 0:
             raise ConfigError("n_grid must be a nonempty list")
-        n_grid = []
-        for v in n_raw:
-            if isinstance(v, bool) or (isinstance(v, float) and not v.is_integer()):
-                raise ConfigError(f"n_grid entries must be integers, got {v!r}")
-            n_grid.append(int(v))
+        n_grid = [_int_field(v, "n_grid entries must be integers") for v in n_raw]
         if any(n < 2 for n in n_grid):
             raise ConfigError("n_grid entries must be >= 2")
         if any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
 
-        reps = raw["reps"]
-        if isinstance(reps, bool) or (isinstance(reps, float) and not reps.is_integer()):
-            raise ConfigError("reps must be an integer")
-        reps = int(reps)
+        reps = _int_field(raw["reps"], "reps must be an integer")
         if reps < 1000:
             raise ConfigError("reps must be >= 1000")
 
-        seed = raw["seed"]
-        if isinstance(seed, bool) or (isinstance(seed, float) and not seed.is_integer()):
-            raise ConfigError("seed must be an integer")
-        seed = int(seed)
+        seed = _int_field(raw["seed"], "seed must be an integer")
         if seed < 0:
             raise ConfigError("seed must be nonnegative")
 
         eps = raw.get("eps")
         if eps is not None:
-            eps = float(eps)
+            eps = _real_field(eps, "eps must be a number")
             if not 0.0 < eps < min(x_values):
                 raise ConfigError("eps must lie in (0, min(x_values))")
 
@@ -205,24 +216,13 @@ def load_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig.from_dict(raw)
 
 
-def _fmt(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return format(float(value), ".17g")
-
-
 def _sanitize_flag_text(text: str) -> str:
     return text.replace(",", ";").replace("|", "/").replace("\n", " ")
 
 
 def _json_value(value: float):
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
-    return float(value)
+    """A finite float stays a JSON number; nan and +-inf become _fmt's strings."""
+    return float(value) if math.isfinite(value) else _fmt(value)
 
 
 def resolve_out_dir(config: ExperimentConfig | None = None, override: str | None = None) -> Path:
@@ -239,6 +239,21 @@ def resolve_out_dir(config: ExperimentConfig | None = None, override: str | None
 def _write_text(path: Path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _csv_row(n: int, x: float, method: str, values, flags: tuple[str, ...], traj) -> str:
+    """One trajectory.csv row; values are (p_hat, stderr, log_p, normalized)."""
+    return ",".join(
+        (
+            str(n),
+            _fmt(x),
+            method,
+            *map(_fmt, values),
+            _fmt(traj.rate_limsup),
+            _fmt(traj.rate_liminf),
+            "|".join(flags + traj.flags),
+        )
+    )
 
 
 def run_experiment(
@@ -273,43 +288,11 @@ def run_experiment(
             total_points += 1
             if pt.error is not None:
                 point_errors.append(pt.error)
-                flags = "|".join(
-                    ("estimator_error:" + _sanitize_flag_text(pt.error),) + traj.flags
-                )
-                rows.append(
-                    ",".join(
-                        (
-                            str(pt.n),
-                            _fmt(x),
-                            config.method,
-                            "nan",
-                            "nan",
-                            "nan",
-                            "nan",
-                            _fmt(traj.rate_limsup),
-                            _fmt(traj.rate_liminf),
-                            flags,
-                        )
-                    )
-                )
-                continue
+                flags = ("estimator_error:" + _sanitize_flag_text(pt.error),)
+                rows.append(_csv_row(pt.n, x, config.method, (math.nan,) * 4, flags, traj))
             for est in pt.estimates:
-                rows.append(
-                    ",".join(
-                        (
-                            str(est.n),
-                            _fmt(est.x),
-                            est.method,
-                            _fmt(est.p_hat),
-                            _fmt(est.stderr),
-                            _fmt(est.log_p),
-                            _fmt(est.normalized),
-                            _fmt(traj.rate_limsup),
-                            _fmt(traj.rate_liminf),
-                            "|".join(est.flags + traj.flags),
-                        )
-                    )
-                )
+                values = (est.p_hat, est.stderr, est.log_p, est.normalized)
+                rows.append(_csv_row(est.n, est.x, est.method, values, est.flags, traj))
     # partial failures stay as per-row records, but a run where no point
     # produced an estimate is an estimator failure, not a result
     if total_points and len(point_errors) == total_points:
@@ -413,8 +396,7 @@ def max_bound_full_sweep() -> tuple[int, int]:
     """(1 and np)/2 <= 1-(1-p)^n over a 1000 x 1000 grid; returns (cases, failures)."""
     p_grid = np.linspace(1e-6, 0.5, 1000)
     n_grid = np.arange(1, 1001)
-    ok, failures = max_lower_bound_sweep(p_grid, n_grid)
-    return p_grid.size * n_grid.size, failures
+    return p_grid.size * n_grid.size, max_lower_bound_sweep(p_grid, n_grid)
 
 
 def _relerr(value: float, target: float) -> float:
@@ -583,14 +565,13 @@ def _check_rates() -> list[tuple[str, bool, str]]:
     lams = (0.0, 0.5, math.inf)
     pairs = [(b, u) for b in lams for u in lams if b <= u]
     probes = (0.1, 1.0, 10.0)
-    bounded = {Regime.BOUNDED_NONZERO_LIMSUP, Regime.BOUNDED_NONZERO_LIMINF_TOO}
     cells = 0
     bad: list[str] = []
     for sigma2 in (0.0, 0.5, 1.0, 4.0):
         for mean_matches in (True, False):
             for b, u in pairs:
                 cells += 1
-                regime = classify(sigma2, mean_matches, exps(b, u), rho=1.0)
+                regime = classify(sigma2, mean_matches, exps(b, u))
                 if not mean_matches or sigma2 == 0.0:
                     want = Regime.LIMIT_ZERO if mean_matches is False else Regime.MINUS_INFINITY
                     if regime is not want:
@@ -603,8 +584,8 @@ def _check_rates() -> list[tuple[str, bool, str]]:
                 liminf_neg = all(
                     -math.inf < rate_liminf(spec, x, "two-sided") < 0.0 for x in probes
                 )
-                ok = (regime in bounded) == limsup_neg
-                ok = ok and ((regime is Regime.BOUNDED_NONZERO_LIMINF_TOO) <= liminf_neg)
+                bounded = regime is Regime.BOUNDED_NONZERO_LIMINF_TOO
+                ok = bounded == limsup_neg and bounded <= liminf_neg
                 if regime is Regime.LIMIT_ZERO:
                     ok = ok and not limsup_neg
                 if not ok:
@@ -619,10 +600,10 @@ def _check_rates() -> list[tuple[str, bool, str]]:
 
     light = exps(math.inf, math.inf)
     presets = (
-        ("mean shift", classify(1.0, False, light, rho=1.0), Regime.LIMIT_ZERO),
-        ("infinite variance", classify(pareto(1.5).sigma2, True, exps(0.0, 0.0), rho=1.0),
+        ("mean shift", classify(1.0, False, light), Regime.LIMIT_ZERO),
+        ("infinite variance", classify(pareto(1.5).sigma2, True, exps(0.0, 0.0)),
          Regime.LIMIT_ZERO),
-        ("degenerate constant", classify(0.0, True, light, rho=1.0), Regime.MINUS_INFINITY),
+        ("degenerate constant", classify(0.0, True, light), Regime.MINUS_INFINITY),
     )
     preset_ok = all(got is want for _, got, want in presets)
     checks.append(
@@ -725,15 +706,9 @@ def main(argv=None) -> int:
 
     if args.command == "list-presets":
         print("model presets:")
-        hints = {
-            "gaussian": "",
-            "two_point": "",
-            "pareto": " (alpha)",
-            "designed": " (lambda_plus, lambda_minus, scale, [t0])",
-            "oscillating": " (lambda_lo, lambda_hi, block_growth, scale, [u0])",
-        }
-        for name in model_preset_names():
-            print(f"  {name}{hints.get(name, '')}")
+        for name, (required, optional, _) in _MODEL_PRESETS.items():
+            params = ", ".join((*required, *(f"[{key}]" for key in optional)))
+            print(f"  {name} ({params})" if params else f"  {name}")
         print("scale presets:")
         scale_hints = {"power": " (rho)", "log": "", "tlog": ""}
         for name in scale_preset_names():

@@ -93,7 +93,7 @@ class SplitEstimate:
     upper adds the analytic single-jump term to a tilted estimate at the
     eps-reduced threshold; lower multiplies a tilted estimate under the
     conditional no-jump law at the eps-enlarged threshold by the no-jump
-    probability.  Both the raw x and the eps-corrected targets are recorded.
+    probability.  The thresholds are x - eps and x + eps.
     """
 
     upper: Estimate
@@ -101,8 +101,6 @@ class SplitEstimate:
     scheme: TruncationScheme
     x: float
     eps: float
-    x_upper_target: float
-    x_lower_target: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -283,15 +281,17 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     return TruncationScheme(n=n, c_n=c, mu_n=mu_n, p_n=p_n, delta_hat_n=delta_hat)
 
 
-def _restricted_law(
-    model: TailModel, c: float, cells: int
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Discrete approximation of X restricted to [-c, c].
+# Cells of the regular grid that discretizes the truncated law.
+_CELLS = 1 << 15
+
+
+def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """Discrete approximation of X restricted to [-c, c] on _CELLS cells.
 
     Continuous mass goes to cell midpoints; known atoms keep their exact
     locations and masses.  Returns (values, masses, restricted_mass).
     """
-    edges = np.linspace(-c, c, cells + 1)
+    edges = np.linspace(-c, c, _CELLS + 1)
     sf = np.asarray(model.prob_greater(edges), dtype=float)
     cell_mass = sf[:-1] - sf[1:]
     atom_entries = []
@@ -444,6 +444,45 @@ def _tilted_sum_estimate(
     return p_hat, math.sqrt(var / reps)
 
 
+def _truncated_sum(
+    model: TailModel,
+    g: ScaleFunction,
+    n: int,
+    x: float,
+    reps: int,
+    seed: int,
+    eps: float | None,
+    workers: int,
+):
+    """Set-up and truncated-sum estimate shared by tilted_mc_truncated and split_estimate.
+
+    Validates the arguments (eps defaults to x/10), plans the truncation,
+    discretizes the law restricted to [-c_n, c_n], adds the exceedance mass
+    at 0, recenters by mu_n, and estimates by tilting the probability that
+    n such summands exceed (x - eps)*sqrt(n*g(log n)).  Returns (n, reps,
+    eps, G, scheme, (values, masses, restricted_mass), p_hat, stderr).
+    """
+    n, reps = _validate_mc_args(n, reps, x)
+    if eps is None:
+        eps = x / 10.0
+    if not 0.0 < eps < x:
+        raise ValueError("eps must lie in (0, x)")
+    G = _scale_at_n(g, n)
+    scheme = plan_truncation(model, g, n)
+    law = _restricted_law(model, scheme.c_n)
+    values, masses, restricted = law
+    p_hat, stderr = _tilted_sum_estimate(
+        np.append(values, 0.0) - scheme.mu_n,
+        np.append(masses, max(1.0 - restricted, 0.0)),
+        n,
+        (x - eps) * math.sqrt(n * G),
+        reps,
+        seed,
+        workers,
+    )
+    return n, reps, eps, G, scheme, law, p_hat, stderr
+
+
 def tilted_mc_truncated(
     model: TailModel,
     g: ScaleFunction,
@@ -453,7 +492,6 @@ def tilted_mc_truncated(
     seed: int,
     eps: float | None = None,
     workers: int = 1,
-    cells: int = 1 << 15,
 ) -> Estimate:
     """Estimate P(sum of truncated, recentered summands > (x - eps)*sqrt(n*g(log n))).
 
@@ -462,20 +500,7 @@ def tilted_mc_truncated(
     alias table in O(1) per draw, and reweighted by the likelihood ratio,
     which keeps the estimator unbiased.
     """
-    n, reps = _validate_mc_args(n, reps, x)
-    if eps is None:
-        eps = x / 10.0
-    if not 0.0 < eps < x:
-        raise ValueError("eps must lie in (0, x)")
-    G = _scale_at_n(g, n)
-    scheme = plan_truncation(model, g, n)
-    values, masses, restricted = _restricted_law(model, scheme.c_n, cells)
-    exceed = max(1.0 - restricted, 0.0)
-    values = np.append(values, 0.0)
-    masses = np.append(masses, exceed)
-    values = values - scheme.mu_n
-    target_sum = (x - eps) * math.sqrt(n * G)
-    p_hat, stderr = _tilted_sum_estimate(values, masses, n, target_sum, reps, seed, workers)
+    n, reps, _, G, _, _, p_hat, stderr = _truncated_sum(model, g, n, x, reps, seed, eps, workers)
     return _finish_estimate(p_hat, stderr, n, x, G, "tilted", reps)
 
 
@@ -488,7 +513,6 @@ def split_estimate(
     seed: int,
     eps: float | None = None,
     workers: int = 1,
-    cells: int = 1 << 15,
 ) -> SplitEstimate:
     """Bracket P(S_n - n*mu > x*sqrt(n*g(log n))) from both sides.
 
@@ -497,22 +521,11 @@ def split_estimate(
     under the law conditioned on no exceedance, at threshold (x + eps),
     times the exact no-exceedance probability (1 - p_n)^n.
     """
-    n, reps = _validate_mc_args(n, reps, x)
-    if eps is None:
-        eps = x / 10.0
-    if not 0.0 < eps < x:
-        raise ValueError("eps must lie in (0, x)")
-    G = _scale_at_n(g, n)
-    a_n = math.sqrt(n * G)
-    scheme = plan_truncation(model, g, n)
-    values, masses, restricted = _restricted_law(model, scheme.c_n, cells)
-    exceed = max(1.0 - restricted, 0.0)
-
-    v_values = np.append(values, 0.0) - scheme.mu_n
-    v_masses = np.append(masses, exceed)
-    p_trunc, se_trunc = _tilted_sum_estimate(
-        v_values, v_masses, n, (x - eps) * a_n, reps, seed, workers
+    n, reps, eps, G, scheme, law, p_trunc, se_trunc = _truncated_sum(
+        model, g, n, x, reps, seed, eps, workers
     )
+    values, masses, restricted = law
+    a_n = math.sqrt(n * G)
     max_term = n * float(model.right_tail(np.asarray([math.sqrt(n) / G]))[0])
     upper_flags: tuple[str, ...] = ()
     if max_term >= 1.0:
@@ -535,15 +548,7 @@ def split_estimate(
     lower = _finish_estimate(
         p_cond * no_jump, se_cond * no_jump, n, x, G, "conditional-lower", reps, lower_flags
     )
-    return SplitEstimate(
-        upper=upper,
-        lower=lower,
-        scheme=scheme,
-        x=x,
-        eps=eps,
-        x_upper_target=x - eps,
-        x_lower_target=x + eps,
-    )
+    return SplitEstimate(upper=upper, lower=lower, scheme=scheme, x=x, eps=eps)
 
 
 def bounded_array_mc(
@@ -774,8 +779,8 @@ def max_lower_bound_check(p: float, n: int) -> MaxBoundResult:
     return MaxBoundResult(p=p, n=n, lhs=lhs, rhs=rhs, passed=lhs <= rhs)
 
 
-def max_lower_bound_sweep(p_values, n_values) -> tuple[bool, int]:
-    """Vectorized grid sweep; returns (all_passed, failure_count)."""
+def max_lower_bound_sweep(p_values, n_values) -> int:
+    """Vectorized grid sweep of max_lower_bound_check; returns the failure count."""
     p = np.asarray(p_values, dtype=float)[:, None]
     n = np.asarray(n_values, dtype=float)[None, :]
     if np.any(p < 0) or np.any(p > 1) or np.any(n < 1):
@@ -783,8 +788,7 @@ def max_lower_bound_sweep(p_values, n_values) -> tuple[bool, int]:
     lhs = np.minimum(1.0, n * p) / 2.0
     with np.errstate(divide="ignore"):
         rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-p)))
-    failures = int(np.count_nonzero(lhs > rhs))
-    return failures == 0, failures
+    return int(np.count_nonzero(lhs > rhs))
 
 
 def convergence_trajectory(

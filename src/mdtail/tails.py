@@ -13,7 +13,7 @@ them as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -29,8 +29,6 @@ __all__ = [
     "TailModel",
     "OscillationSchedule",
     "CatalogEntry",
-    "survival",
-    "sample",
     "moments",
     "gaussian",
     "two_point",
@@ -134,14 +132,6 @@ class TailModel:
         if n < 1:
             raise ValueError("need n >= 1 samples")
         return self.sampler(_rng_stream(seed, 0), int(n))
-
-
-def survival(model: TailModel, t):
-    return model.survival(t)
-
-
-def sample(model: TailModel, seed: int, n: int) -> np.ndarray:
-    return model.sample(seed, n)
 
 
 def _chunk_edges(lo: float, hi: float, breakpoints=()) -> list[float]:
@@ -744,10 +734,6 @@ def catalog() -> tuple[CatalogEntry, ...]:
     )
 
 
-def model_preset_names() -> tuple[str, ...]:
-    return ("gaussian", "two_point", "pareto", "designed", "oscillating")
-
-
 def _coerce_lambda(value) -> float:
     if isinstance(value, str):
         if value.lower() in ("inf", "infinity"):
@@ -756,55 +742,53 @@ def _coerce_lambda(value) -> float:
     return float(value)
 
 
+# preset -> (required keys, optional keys, builder from the spec's parameters);
+# `mdtail list-presets` prints the keys in this order
+_MODEL_PRESETS = {
+    "gaussian": ((), (), lambda p: gaussian()),
+    "two_point": ((), (), lambda p: two_point()),
+    "pareto": (("alpha",), (), lambda p: pareto(float(p["alpha"]))),
+    "designed": (
+        ("lambda_plus", "lambda_minus", "scale"),
+        ("t0",),
+        lambda p: make_designed_tail(
+            _coerce_lambda(p["lambda_plus"]),
+            _coerce_lambda(p["lambda_minus"]),
+            scale_from_spec(p["scale"]),
+            t0=float(p.get("t0", math.e)),
+        ),
+    ),
+    "oscillating": (
+        ("lambda_lo", "lambda_hi", "block_growth", "scale"),
+        ("u0",),
+        lambda p: make_oscillating_tail(
+            float(p["lambda_lo"]),
+            float(p["lambda_hi"]),
+            scale_from_spec(p["scale"]),
+            float(p["block_growth"]),
+            u0=float(p.get("u0", 1.0)),
+        ),
+    ),
+}
+
+
+def model_preset_names() -> tuple[str, ...]:
+    return tuple(_MODEL_PRESETS)
+
+
 def model_from_spec(spec: dict) -> TailModel:
     """Build a model from a config mapping: {"preset": name, ...parameters}."""
     if not isinstance(spec, dict) or "preset" not in spec:
         raise ValueError("model spec must be a mapping with a 'preset' key")
-    extra = dict(spec)
-    preset = extra.pop("preset")
-    if preset == "gaussian":
-        known = set()
-    elif preset == "two_point":
-        known = set()
-    elif preset == "pareto":
-        known = {"alpha"}
-    elif preset == "designed":
-        known = {"lambda_plus", "lambda_minus", "scale", "t0"}
-    elif preset == "oscillating":
-        known = {"lambda_lo", "lambda_hi", "scale", "block_growth", "u0"}
-    else:
+    params = dict(spec)
+    preset = params.pop("preset")
+    if not isinstance(preset, str) or preset not in _MODEL_PRESETS:
         raise ValueError(f"unknown model preset {preset!r}")
-    unknown = set(extra) - known
+    required, optional, build = _MODEL_PRESETS[preset]
+    unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown keys for model preset {preset!r}: {sorted(unknown)}")
-    if preset == "gaussian":
-        return gaussian()
-    if preset == "two_point":
-        return two_point()
-    if preset == "pareto":
-        if "alpha" not in extra:
-            raise ValueError("pareto preset needs 'alpha'")
-        return pareto(float(extra["alpha"]))
-    if "scale" not in extra:
-        raise ValueError(f"{preset} preset needs a 'scale' sub-spec")
-    g = scale_from_spec(extra["scale"])
-    if preset == "designed":
-        missing = {"lambda_plus", "lambda_minus"} - set(extra)
-        if missing:
-            raise ValueError(f"designed preset needs {sorted(missing)}")
-        return make_designed_tail(
-            _coerce_lambda(extra["lambda_plus"]),
-            _coerce_lambda(extra["lambda_minus"]),
-            g,
-            t0=float(extra.get("t0", math.e)),
-        )
-    missing = {"lambda_lo", "lambda_hi", "block_growth"} - set(extra)
+    missing = set(required) - set(params)
     if missing:
-        raise ValueError(f"oscillating preset needs {sorted(missing)}")
-    return make_oscillating_tail(
-        float(extra["lambda_lo"]),
-        float(extra["lambda_hi"]),
-        g,
-        float(extra["block_growth"]),
-        u0=float(extra.get("u0", 1.0)),
-    )
+        raise ValueError(f"{preset} preset needs {sorted(missing)}")
+    return build(params)

@@ -87,12 +87,12 @@ def test_a3_exact_inequality_sweeps():
     laws = report.inequality_law_grid()
     cases, failures = report.levy_full_sweep(n_max=5)
     grid_cases, grid_failures = report.max_bound_full_sweep()
-    extra_ok, extra_failures = S.max_lower_bound_sweep(
+    extra_failures = S.max_lower_bound_sweep(
         np.linspace(1e-6, 1.0, 1000), np.arange(1, 1001)
     )
     ok = _verdict(
         "A3 exact inequalities",
-        len(laws) >= 200 and failures == 0 and grid_failures == 0 and extra_ok,
+        len(laws) >= 200 and failures == 0 and grid_failures == 0 and extra_failures == 0,
         f"{len(laws)} laws, {cases} maximal-inequality cases, {failures} failures; "
         f"max bound grid {grid_cases} cells, {grid_failures} failures "
         f"(+{extra_failures} on the p<=1 extension)",

@@ -161,21 +161,21 @@ def test_prediction_arithmetic():
 def test_empirical_exponents_on_large_samples():
     g = md.power_scale(1.0)
 
-    xs = md.sample(md.pareto(3.0), seed=7, n=10**6)
+    xs = md.pareto(3.0).sample(seed=7, n=10**6)
     emp = md.empirical_exponents(xs, g)
     assert 0.6 <= emp.exps.lam1_bar <= 1.4
     assert 0.6 <= emp.exps.lam1_under <= 1.4
     assert emp.flags == ()
     assert emp.exceedances_at_max >= 100
 
-    xs = md.sample(md.make_designed_tail(0.5, 2.0, g), seed=7, n=10**6)
+    xs = md.make_designed_tail(0.5, 2.0, g).sample(seed=7, n=10**6)
     emp = md.empirical_exponents(xs, g)
     assert 0.3 <= emp.exps.lam1_bar <= 0.8
     assert 0.3 <= emp.exps.lam1_under <= 0.8
 
     # bounded support: every grid point past the support edge has zero
     # exceedances, so all six estimates blow up and the flag records it
-    xs = md.sample(md.two_point(), seed=7, n=10**6)
+    xs = md.two_point().sample(seed=7, n=10**6)
     emp = md.empirical_exponents(xs, g)
     assert emp.exps.lam1_bar == INF and emp.exps.lam_under == INF
     assert "low_tail_support" in emp.flags

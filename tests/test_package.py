@@ -1,0 +1,29 @@
+"""The package namespace is exactly the union of the module export lists."""
+
+import mdtail
+from mdtail import exponents, rate, report, scale, simulate, tails
+
+MODULES = (scale, tails, exponents, rate, simulate, report)
+
+
+def test_all_is_version_plus_module_exports():
+    names = mdtail.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {"__version__"}.union(*(m.__all__ for m in MODULES))
+    for name in names:
+        assert hasattr(mdtail, name), name
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(mdtail, name) is getattr(module, name), name
+
+
+def test_removed_names_are_gone():
+    assert not hasattr(mdtail, "survival")
+    assert not hasattr(mdtail, "sample")
+    assert not hasattr(tails, "survival")
+    assert not hasattr(tails, "sample")
+    assert not hasattr(rate.Regime, "BOUNDED_NONZERO_LIMSUP")
+    prediction_fields = exponents.ScaledTailPredictions.__dataclass_fields__
+    assert set(prediction_fields) == {"sqrt_tg_limsup", "sqrt_tg_liminf"}
+    split_fields = simulate.SplitEstimate.__dataclass_fields__
+    assert "x_upper_target" not in split_fields and "x_lower_target" not in split_fields

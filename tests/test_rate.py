@@ -138,7 +138,7 @@ def test_classifier_grid_against_inline_oracle():
     for sigma2, mean_matches, (b, u) in product(
         [0.0, 0.5, 1.0, 4.0], [True, False], pairs
     ):
-        got = md.classify(sigma2, mean_matches, _exps(b, u), rho=1.0)
+        got = md.classify(sigma2, mean_matches, _exps(b, u))
         assert got == _expected_regime(sigma2, mean_matches, b, u), (
             sigma2, mean_matches, b, u,
         )
@@ -150,7 +150,6 @@ def test_classifier_consistent_with_rate_sign():
     # Over finite positive variances, "limsup bounded away from 0 and -inf"
     # as a regime must coincide with the rate being strictly negative at
     # every probe threshold.
-    bounded = {Regime.BOUNDED_NONZERO_LIMSUP, Regime.BOUNDED_NONZERO_LIMINF_TOO}
     lams = [0.0, 0.5, 1.0, INF]
     probes = (0.1, 1.0, 10.0)
     for sigma2, b in product([0.5, 1.0, 4.0], lams):
@@ -158,35 +157,33 @@ def test_classifier_consistent_with_rate_sign():
             if u < b:
                 continue
             exps = _exps(b, u)
-            regime = md.classify(sigma2, True, exps, rho=1.0)
+            regime = md.classify(sigma2, True, exps)
             spec = md.RateSpec(sigma2, 1.0, exps)
             rate_negative = all(
                 -INF < md.rate_limsup(spec, x, side="two-sided") < 0.0
                 for x in probes
             )
-            assert (regime in bounded) == rate_negative, (sigma2, b, u)
+            assert (regime is Regime.BOUNDED_NONZERO_LIMINF_TOO) == rate_negative, (sigma2, b, u)
 
 
 def test_classifier_proof_presets():
     light = _exps(INF, INF)
     # mean shift: the centered sum outruns the window entirely
-    assert md.classify(1.0, False, light, rho=1.0) == Regime.LIMIT_ZERO
+    assert md.classify(1.0, False, light) == Regime.LIMIT_ZERO
     # heavy tail with infinite variance
     heavy = md.pareto(1.5)
     assert math.isinf(heavy.sigma2)
-    assert md.classify(heavy.sigma2, True, _exps(0.0, 0.0), rho=1.0) == Regime.LIMIT_ZERO
+    assert md.classify(heavy.sigma2, True, _exps(0.0, 0.0)) == Regime.LIMIT_ZERO
     # degenerate constant
-    assert md.classify(0.0, True, light, rho=1.0) == Regime.MINUS_INFINITY
+    assert md.classify(0.0, True, light) == Regime.MINUS_INFINITY
 
 
 def test_classifier_mixed_and_validation():
-    assert md.classify(1.0, True, _exps(0.0, 2.0), rho=1.0) == Regime.MIXED
+    assert md.classify(1.0, True, _exps(0.0, 2.0)) == Regime.MIXED
     with pytest.raises(ValueError):
-        md.classify(-1.0, True, _exps(1.0, 1.0), rho=1.0)
+        md.classify(-1.0, True, _exps(1.0, 1.0))
     with pytest.raises(ValueError):
-        md.classify(float("nan"), True, _exps(1.0, 1.0), rho=1.0)
-    with pytest.raises(ValueError):
-        md.classify(1.0, True, _exps(1.0, 1.0), rho=-1.0)
+        md.classify(float("nan"), True, _exps(1.0, 1.0))
 
 
 def test_rate_curve_csv():

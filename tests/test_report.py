@@ -11,6 +11,8 @@ import pytest
 import mdtail.report as report
 from mdtail.report import ConfigError, ExperimentConfig, CSV_HEADER
 
+_DROP = object()  # an override value that removes the key
+
 
 def _base_config(**overrides):
     raw = {
@@ -23,7 +25,7 @@ def _base_config(**overrides):
         "seed": 7,
     }
     raw.update(overrides)
-    return {k: v for k, v in raw.items() if v is not None}
+    return {k: v for k, v in raw.items() if v is not _DROP}
 
 
 def _write_config(tmp_path, name="config.json", **overrides):
@@ -36,7 +38,7 @@ def _write_config(tmp_path, name="config.json", **overrides):
     "overrides,fragment",
     [
         ({"extra_key": 1}, "unknown config keys"),
-        ({"model": None}, "missing config keys"),
+        ({"model": _DROP}, "missing config keys"),
         ({"model": {"preset": "nope"}}, "bad model spec"),
         ({"scale": {"kind": "power", "rho": -1}}, "bad scale spec"),
         ({"method": "exact"}, "method must be one of"),
@@ -53,6 +55,17 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"eps": 0.0}, "eps must lie in"),
         ({"out_dir": 7}, "string path"),
         ({"schema_version": 2}, "schema_version"),
+        # malformed numbers are config errors, not tracebacks or silent casts
+        ({"x_values": ["a"]}, "x_values entries must be numbers"),
+        ({"x_values": [None]}, "x_values entries must be numbers"),
+        ({"x_values": [True]}, "x_values entries must be numbers"),
+        ({"x_values": [10**400]}, "finite and positive"),
+        ({"n_grid": ["5", "9"]}, "must be integers"),
+        ({"reps": "abc"}, "reps must be an integer"),
+        ({"reps": "5000"}, "reps must be an integer"),
+        ({"reps": None}, "reps must be an integer"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"eps": "abc"}, "eps must be a number"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -152,6 +165,30 @@ def test_cli_validation_failures(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "error:" in err
     assert (tmp_path / "out" / "error.json").exists()
+    # a malformed number in an otherwise valid config is a config error too
+    typo = _write_config(tmp_path, name="typo.json", reps="abc")
+    assert report.main(["run", str(typo), "--out", str(tmp_path / "typo")]) == 1
+    payload = json.loads((tmp_path / "typo" / "error.json").read_text())
+    assert payload["error"] == "ConfigError"
+    assert "reps must be an integer" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "value,csv_text,json_text",
+    [
+        (math.nan, "nan", '"nan"'),
+        (math.inf, "inf", '"inf"'),
+        (-math.inf, "-inf", '"-inf"'),
+        (-0.0, "-0", "-0.0"),
+        (0.1, "0.10000000000000001", "0.1"),
+        (1e-300, "1e-300", "1e-300"),
+        (2.0**-1074, "4.9406564584124654e-324", "5e-324"),
+    ],
+)
+def test_float_text_on_csv_and_json_paths(value, csv_text, json_text):
+    # trajectory.csv and rate curves print _fmt; exponents.json dumps _json_value
+    assert report._fmt(value) == csv_text
+    assert json.dumps(report._json_value(value)) == json_text
 
 
 def test_cli_estimator_failure_writes_error_artifact(tmp_path):

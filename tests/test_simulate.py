@@ -225,8 +225,7 @@ def test_split_worked_example_on_the_sign_lattice():
     assert math.isclose(p_up, 0.028443966820490395, rel_tol=1e-15)
     assert math.isclose(p_lo, 0.010489367838925859, rel_tol=1e-15)
     sp = S.split_estimate(TWO_POINT, G1, n=n, x=x, reps=100_000, seed=6)
-    assert sp.x_upper_target == 0.9
-    assert sp.x_lower_target == 1.1
+    assert sp.eps == 0.1
     assert sp.upper.method == "split"
     assert sp.lower.method == "conditional-lower"
     assert abs(sp.upper.p_hat - p_up) <= 4.0 * sp.upper.stderr
@@ -454,10 +453,7 @@ def test_max_lower_bound_boundaries():
 
 
 def test_max_lower_bound_sweep():
-    ok, failures = S.max_lower_bound_sweep(
-        np.linspace(0.0, 1.0, 101), np.arange(1, 200)
-    )
-    assert ok and failures == 0
+    assert S.max_lower_bound_sweep(np.linspace(0.0, 1.0, 101), np.arange(1, 200)) == 0
     with pytest.raises(ValueError):
         S.max_lower_bound_sweep([-0.1], [1])
 

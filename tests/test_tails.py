@@ -74,7 +74,7 @@ def test_sampler_agrees_with_survival():
     n = 10**6
     for entry in CATALOG:
         m = entry.model
-        xs = md.sample(m, seed=11, n=n)
+        xs = m.sample(seed=11, n=n)
         for t in (m.t0, 2.0 * m.t0, 5.0 * m.t0):
             p = m.survival(float(t))
             if not 1e-5 < p < 1.0 - 1e-5:
@@ -85,20 +85,20 @@ def test_sampler_agrees_with_survival():
 
 
 def test_two_point_sample_mean_envelope():
-    xs = md.sample(md.two_point(), seed=1234, n=10**6)
+    xs = md.two_point().sample(seed=1234, n=10**6)
     assert set(np.unique(xs)) == {-1.0, 1.0}
     assert abs(xs.mean()) <= 4.0 / math.sqrt(10**6)
 
 
 def test_sampling_is_deterministic_per_seed():
     m = md.pareto(3.0)
-    a = md.sample(m, seed=5, n=1000)
-    b = md.sample(m, seed=5, n=1000)
-    c = md.sample(m, seed=6, n=1000)
+    a = m.sample(seed=5, n=1000)
+    b = m.sample(seed=5, n=1000)
+    c = m.sample(seed=6, n=1000)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
-        md.sample(m, seed=5, n=0)
+        m.sample(seed=5, n=0)
 
 
 def test_designed_tail_matches_envelope_form_far_out():

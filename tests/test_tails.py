@@ -114,6 +114,42 @@ def test_designed_tail_matches_envelope_form_far_out():
             assert abs(got - want) <= 1e-3, (m.label, t)
 
 
+ORACLE_CONSTANTS = {
+    # label: float.hex() of (sigma2, core atom location, core atom mass, survival(t0))
+    "designed(1,1;t)": (
+        "0x1.1a880a8a1903bp+1", "0x0.0p+0", "0x1.cd049e66629eap-1", "0x1.97db0ccceb0afp-5",
+    ),
+    "designed(0.5,2;t)": (
+        "0x1.b41ac4a31d6e6p+1", "-0x1.5bbf32e0db738p-2", "0x1.cc9849a2c5793p-1", "0x1.50385c094f425p-4",
+    ),
+    "designed(1,0.5;t^2)": (
+        "0x1.093edf19750bep+1", "0x1.51edc33522fb0p-3", "0x1.bc7b43b207670p-1", "0x1.97db0ccceb0afp-5",
+    ),
+    "designed(inf,1;t)": (
+        "0x1.2c5a0cadbc729p+0", "0x1.a199b9a1476a4p-3", "0x1.e4d43fe49199dp-1", "0x1.ae0f4e9fb5822p-9",
+    ),
+    "oscillating(0.5,2;t;x3)": (
+        "0x1.19b1c8c831d3ep+1", "0x0.0p+0", "0x1.abf1e8fdac2f7p-1", "0x1.50385c094f425p-4",
+    ),
+}
+
+
+def test_oracle_constants_are_pinned_bit_for_bit():
+    t, t2 = md.power_scale(1.0), md.power_scale(2.0)
+    models = (
+        md.make_designed_tail(1.0, 1.0, t),
+        md.make_designed_tail(0.5, 2.0, t),
+        md.make_designed_tail(1.0, 0.5, t2),
+        md.make_designed_tail(math.inf, 1.0, t),
+        md.make_oscillating_tail(0.5, 2.0, t, 3.0),
+    )
+    assert [m.label for m in models] == list(ORACLE_CONSTANTS)
+    for m in models:
+        ((loc, mass),) = m.atoms
+        got = tuple(float(v).hex() for v in (m.sigma2, loc, mass, m.survival(m.t0)))
+        assert got == ORACLE_CONSTANTS[m.label], m.label
+
+
 def test_designed_tail_is_centered_with_recorded_variance():
     g = md.power_scale(1.0)
     m = md.make_designed_tail(0.5, 2.0, g)

@@ -63,15 +63,12 @@ class OscillationSchedule:
     catch up, and a tracking stretch that holds h/g at the low target.
     """
 
-    u0: float
-    growth: float
     lows: tuple[float, ...]
     peaks: tuple[float, ...]
     u_start: tuple[float, ...]
     g_start: tuple[float, ...]
     h_start: tuple[float, ...]
     slope: tuple[float, ...]
-    u_end: float
     gscale: ScaleFunction
 
     def h_of(self, u) -> np.ndarray:
@@ -104,7 +101,6 @@ class TailModel:
     log_right_tail_u: Callable[[np.ndarray], np.ndarray]
     log_left_tail_u: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[Generator, int], np.ndarray]
-    sampler_note: str
     atoms: tuple[tuple[float, float], ...] = ()
     design_exponents: TailExponents | None = None
     design_scale_label: str | None = None
@@ -265,16 +261,18 @@ class _LogSurvivalInverse:
         return 0.5 * (lo + hi)
 
 
+def _gaussian_log_tail_u(u):
+    """log P(Z > e^u) for a standard normal Z."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(over="ignore"):
+        return log_ndtr(-np.exp(np.minimum(u, 705.0)))
+
+
 def gaussian() -> TailModel:
     """Standard normal; both tail exponents diverge on any admissible scale."""
 
     def right_tail(t):
         return ndtr(-np.asarray(t, dtype=float))
-
-    def log_tail_u(u):
-        u = np.asarray(u, dtype=float)
-        with np.errstate(over="ignore"):
-            return log_ndtr(-np.exp(np.minimum(u, 705.0)))
 
     def sampler(rng: Generator, size: int) -> np.ndarray:
         p = np.clip(rng.random(size), _MIN_P, None)
@@ -288,10 +286,9 @@ def gaussian() -> TailModel:
         t0=1.0,
         right_tail=right_tail,
         left_tail=right_tail,
-        log_right_tail_u=log_tail_u,
-        log_left_tail_u=log_tail_u,
+        log_right_tail_u=_gaussian_log_tail_u,
+        log_left_tail_u=_gaussian_log_tail_u,
         sampler=sampler,
-        sampler_note="inverse transform: ndtri(U), U uniform on (0,1)",
         atoms=(),
         design_exponents=inf6,
         design_scale_label=None,
@@ -323,7 +320,6 @@ def two_point() -> TailModel:
         log_right_tail_u=log_tail_u,
         log_left_tail_u=log_tail_u,
         sampler=sampler,
-        sampler_note="inverse transform: sign(U - 1/2)",
         atoms=((-1.0, 0.5), (1.0, 0.5)),
         design_exponents=inf6,
         design_scale_label=None,
@@ -373,7 +369,6 @@ def pareto(alpha: float) -> TailModel:
         log_right_tail_u=log_right_u,
         log_left_tail_u=log_left_u,
         sampler=sampler,
-        sampler_note="inverse transform: (1-U)^(-1/alpha)",
         atoms=(),
         design_exponents=design,
         design_scale_label=design_label,
@@ -399,46 +394,51 @@ class _DesignedSide:
     second_moment_part: float
 
 
-def _build_designed_side(lam: float, g: ScaleFunction, t0: float, what: str) -> _DesignedSide:
-    u0 = math.log(t0)
-    if math.isinf(lam):
-        q = float(ndtr(-t0))
+def _decay_side(h, u0: float, t0: float, t0_sq: float, what: str | None) -> _DesignedSide:
+    """Side whose log survival beyond u0 is min(log q, -2u - h(u)), q <= 1/4.
 
-        def log_form_u(u):
-            u = np.asarray(u, dtype=float)
-            with np.errstate(over="ignore"):
-                return log_ndtr(-np.exp(np.minimum(u, 705.0)))
-
-        def quantile(p):
-            return -ndtri(np.asarray(p, dtype=float))
-
-        mean_part = t0 * q + _tail_mean_u(log_form_u, u0)
-        second_part = t0 * t0 * q + _tail_second_moment_u(log_form_u, u0)[0]
-        return _DesignedSide(q, log_form_u, quantile, mean_part, second_part)
-
-    log_form_t0 = -2.0 * u0 - lam * g.eval(u0)
-    log_q = min(math.log(0.25), log_form_t0)
+    h must make w(u) = 2u + h(u) strictly increasing; quantiles invert w.
+    t0 and t0_sq multiply q in the mean and second-moment parts, spelled by
+    the caller so each law keeps its own rounding of e^u0 and e^(2 u0).
+    what labels the divergence error; None skips that check.
+    """
+    log_q = min(math.log(0.25), float(-2.0 * u0 - h(u0)))
     q = math.exp(log_q)
 
     def log_form_u(u):
         u = np.asarray(u, dtype=float)
-        return np.minimum(log_q, -2.0 * u - lam * g(u))
+        return np.minimum(log_q, -2.0 * u - h(u))
 
-    _admissibility_or_raise(log_form_u, u0, what)
+    if what is None:
+        second = _tail_second_moment_u(log_form_u, u0)[0]
+    else:
+        second = _admissibility_or_raise(log_form_u, u0, what)
 
-    def w_pure(u):
+    def w(u):
         u = np.asarray(u, dtype=float)
-        return 2.0 * u + lam * g(u)
+        return 2.0 * u + h(u)
 
-    inverse = _LogSurvivalInverse(w_pure, u0)
+    inverse = _LogSurvivalInverse(w, u0)
 
     def quantile(p):
-        y = -np.log(np.asarray(p, dtype=float))
-        return np.exp(inverse(y))
+        return np.exp(inverse(-np.log(np.asarray(p, dtype=float))))
 
     mean_part = t0 * q + _tail_mean_u(log_form_u, u0)
-    second_part = t0 * t0 * q + _tail_second_moment_u(log_form_u, u0)[0]
-    return _DesignedSide(q, log_form_u, quantile, mean_part, second_part)
+    return _DesignedSide(q, log_form_u, quantile, mean_part, t0_sq * q + second)
+
+
+def _build_designed_side(lam: float, g: ScaleFunction, t0: float, what: str) -> _DesignedSide:
+    u0 = math.log(t0)
+    if not math.isinf(lam):
+        return _decay_side(lambda u: lam * g(u), u0, t0, t0 * t0, what)
+    q = float(ndtr(-t0))
+    mean_part = t0 * q + _tail_mean_u(_gaussian_log_tail_u, u0)
+    second_part = t0 * t0 * q + _tail_second_moment_u(_gaussian_log_tail_u, u0)[0]
+
+    def quantile(p):
+        return -ndtri(np.asarray(p, dtype=float))
+
+    return _DesignedSide(q, _gaussian_log_tail_u, quantile, mean_part, second_part)
 
 
 def _assemble_two_sided(
@@ -448,12 +448,10 @@ def _assemble_two_sided(
     left: _DesignedSide,
     atom: float,
     core_mass: float,
-    sigma2: float,
     design_exponents: TailExponents,
     design_scale_label: str,
-    design_grid: GridSpec | None,
-    oscillation: OscillationSchedule | None,
-    sampler_note: str,
+    design_grid: GridSpec | None = None,
+    oscillation: OscillationSchedule | None = None,
 ) -> TailModel:
     u0 = math.log(t0)
 
@@ -500,14 +498,14 @@ def _assemble_two_sided(
     return TailModel(
         label=label,
         mu=0.0,
-        sigma2=sigma2,
+        # with atom 0 and one side for both, this is exactly 2 * second_moment_part
+        sigma2=atom * atom * core_mass + right.second_moment_part + left.second_moment_part,
         t0=t0,
         right_tail=right_tail,
         left_tail=left_tail,
         log_right_tail_u=make_log_u(right, right_tail),
         log_left_tail_u=make_log_u(left, left_tail),
         sampler=sampler,
-        sampler_note=sampler_note,
         atoms=((atom, core_mass),),
         design_exponents=design_exponents,
         design_scale_label=design_scale_label,
@@ -544,11 +542,8 @@ def make_designed_tail(
             "cannot balance the mean with a single core atom inside (-t0, t0); "
             "increase t0 or reduce the tail asymmetry"
         )
-    sigma2 = atom * atom * core_mass + right.second_moment_part + left.second_moment_part
     lam_min = min(lambda_plus, lambda_minus)
-    design = TailExponents(
-        lambda_plus, lambda_plus, lambda_minus, lambda_minus, lam_min, lam_min
-    )
+    design = TailExponents(lambda_plus, lambda_plus, lambda_minus, lambda_minus, lam_min, lam_min)
     return _assemble_two_sided(
         label=label,
         t0=t0,
@@ -556,12 +551,8 @@ def make_designed_tail(
         left=left,
         atom=atom,
         core_mass=core_mass,
-        sigma2=sigma2,
         design_exponents=design,
         design_scale_label=g.label,
-        design_grid=None,
-        oscillation=None,
-        sampler_note="inverse transform; tail quantiles by bisection on 2u + lambda*g(u)",
     )
 
 
@@ -625,15 +616,12 @@ def _oscillation_schedule(
     else:
         raise ValueError("oscillation schedule did not reach its stopping level in 60 cycles")
     return OscillationSchedule(
-        u0=u0,
-        growth=growth,
         lows=tuple(lows),
         peaks=tuple(peaks),
         u_start=tuple(seg_u),
         g_start=tuple(seg_g),
         h_start=tuple(seg_h),
         slope=tuple(seg_s),
-        u_end=lows[-1],
         gscale=g,
     )
 
@@ -666,48 +654,22 @@ def make_oscillating_tail(
 
     _admissibility_or_raise(log_floor_u, u0, label)
     schedule = _oscillation_schedule(lambda_lo, lambda_hi, g, block_growth, u0)
-
-    log_form_t0 = -2.0 * u0 - schedule.h_of(u0)
-    log_q = min(math.log(0.25), float(log_form_t0))
-    q = math.exp(log_q)
-
-    def log_form_u(u):
-        u = np.asarray(u, dtype=float)
-        return np.minimum(log_q, -2.0 * u - schedule.h_of(u))
-
-    def w_fn(u):
-        u = np.asarray(u, dtype=float)
-        return 2.0 * u + schedule.h_of(u)
-
-    inverse = _LogSurvivalInverse(w_fn, u0)
-
-    def quantile(p):
-        y = -np.log(np.asarray(p, dtype=float))
-        return np.exp(inverse(y))
-
-    mean_part = math.exp(u0) * q + _tail_mean_u(log_form_u, u0)
-    second_part = math.exp(2.0 * u0) * q + _tail_second_moment_u(log_form_u, u0)[0]
-    side = _DesignedSide(q, log_form_u, quantile, mean_part, second_part)
-    sigma2 = 2.0 * second_part
-
-    n_steps = round(math.log(schedule.u_end / u0) / math.log(block_growth))
-    grid = GridSpec(u0, schedule.u_end, points=12 * n_steps + 1, spacing="geometric")
-    design = TailExponents(
-        lambda_lo, lambda_hi, lambda_lo, lambda_hi, lambda_lo, lambda_hi
-    )
+    side = _decay_side(schedule.h_of, u0, math.exp(u0), math.exp(2.0 * u0), None)
+    u_end = schedule.lows[-1]
+    n_steps = round(math.log(u_end / u0) / math.log(block_growth))
+    grid = GridSpec(u0, u_end, points=12 * n_steps + 1, spacing="geometric")
+    design = TailExponents(lambda_lo, lambda_hi, lambda_lo, lambda_hi, lambda_lo, lambda_hi)
     return _assemble_two_sided(
         label=label,
         t0=math.exp(u0),
         right=side,
         left=side,
         atom=0.0,
-        core_mass=1.0 - 2.0 * q,
-        sigma2=sigma2,
+        core_mass=1.0 - 2.0 * side.q,
         design_exponents=design,
         design_scale_label=g.label,
         design_grid=grid,
         oscillation=schedule,
-        sampler_note="inverse transform; tail quantiles by bisection on 2u + h(u)",
     )
 
 

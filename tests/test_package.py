@@ -27,3 +27,6 @@ def test_removed_names_are_gone():
     assert set(prediction_fields) == {"sqrt_tg_limsup", "sqrt_tg_liminf"}
     split_fields = simulate.SplitEstimate.__dataclass_fields__
     assert "x_upper_target" not in split_fields and "x_lower_target" not in split_fields
+    assert "sampler_note" not in tails.TailModel.__dataclass_fields__
+    schedule_fields = tails.OscillationSchedule.__dataclass_fields__
+    assert not {"u0", "growth", "u_end"} & set(schedule_fields)

@@ -25,7 +25,7 @@ import scipy
 
 from .exponents import TailExponents, default_grid, exponents_from_tail, exponents_sup_form
 from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
-from .scale import power_scale, scale_from_spec, scale_preset_names
+from .scale import _SCALE_PRESETS, power_scale, scale_from_spec
 from .simulate import (
     EstimatorError,
     bounded_array_mc,
@@ -705,14 +705,11 @@ def main(argv=None) -> int:
         return 1
 
     if args.command == "list-presets":
-        print("model presets:")
-        for name, (required, optional, _) in _MODEL_PRESETS.items():
-            params = ", ".join((*required, *(f"[{key}]" for key in optional)))
-            print(f"  {name} ({params})" if params else f"  {name}")
-        print("scale presets:")
-        scale_hints = {"power": " (rho)", "log": "", "tlog": ""}
-        for name in scale_preset_names():
-            print(f"  {name}{scale_hints.get(name, '')}")
+        for what, table in (("model", _MODEL_PRESETS), ("scale", _SCALE_PRESETS)):
+            print(f"{what} presets:")
+            for name, (required, optional, _) in table.items():
+                params = ", ".join((*required, *(f"[{key}]" for key in optional)))
+                print(f"  {name} ({params})" if params else f"  {name}")
         return 0
 
     if args.command == "verify":

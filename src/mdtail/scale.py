@@ -96,22 +96,45 @@ def power_log_scale() -> ScaleFunction:
     )
 
 
+# kind -> (required keys, optional keys, builder from the spec's parameters);
+# `mdtail list-presets` prints the keys in this order
+_SCALE_PRESETS = {
+    "power": ((), ("rho",), lambda p: power_scale(float(p.get("rho", 1.0)))),
+    "log": ((), (), lambda p: log_scale()),
+    "tlog": ((), (), lambda p: power_log_scale()),
+}
+
+
+def _preset_params(spec, key: str, table: dict, what: str) -> tuple[str, dict]:
+    """Split a config mapping {key: name, ...} into name and checked parameters.
+
+    table maps each name to (required keys, optional keys, builder); unknown
+    names, unknown keys and missing required keys raise ValueError.
+    """
+    if not isinstance(spec, dict) or key not in spec:
+        raise ValueError(f"{what} spec must be a mapping with a {key!r} key")
+    params = dict(spec)
+    name = params.pop(key)
+    if not isinstance(name, str) or name not in table:
+        raise ValueError(f"unknown {what} {key} {name!r}; expected one of {tuple(table)}")
+    required, optional, _ = table[name]
+    unknown = set(params) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"unknown keys for {what} {key} {name!r}: {sorted(unknown)}")
+    missing = set(required) - set(params)
+    if missing:
+        raise ValueError(f"{name} {key} needs {sorted(missing)}")
+    return name, params
+
+
 def scale_preset_names() -> tuple[str, ...]:
-    return ("power", "log", "tlog")
+    return tuple(_SCALE_PRESETS)
 
 
 def scale_from_spec(spec: dict) -> ScaleFunction:
     """Build a scale function from a config mapping like {"kind": "power", "rho": 1}."""
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValueError("scale spec must be a mapping with a 'kind' entry")
-    kind = spec["kind"]
-    if kind == "power":
-        return power_scale(float(spec.get("rho", 1.0)))
-    if kind == "log":
-        return log_scale()
-    if kind == "tlog":
-        return power_log_scale()
-    raise ValueError(f"unknown scale kind {kind!r}; expected one of {scale_preset_names()}")
+    kind, params = _preset_params(spec, "kind", _SCALE_PRESETS, "scale")
+    return _SCALE_PRESETS[kind][2](params)
 
 
 @dataclass(frozen=True)

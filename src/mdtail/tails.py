@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exponents import GridSpec, TailExponents
-from .scale import ScaleFunction, power_scale, scale_from_spec
+from .scale import ScaleFunction, _preset_params, power_scale, scale_from_spec
 
 __all__ = [
     "TailModel",
@@ -740,17 +740,5 @@ def model_preset_names() -> tuple[str, ...]:
 
 def model_from_spec(spec: dict) -> TailModel:
     """Build a model from a config mapping: {"preset": name, ...parameters}."""
-    if not isinstance(spec, dict) or "preset" not in spec:
-        raise ValueError("model spec must be a mapping with a 'preset' key")
-    params = dict(spec)
-    preset = params.pop("preset")
-    if not isinstance(preset, str) or preset not in _MODEL_PRESETS:
-        raise ValueError(f"unknown model preset {preset!r}")
-    required, optional, build = _MODEL_PRESETS[preset]
-    unknown = set(params) - set(required) - set(optional)
-    if unknown:
-        raise ValueError(f"unknown keys for model preset {preset!r}: {sorted(unknown)}")
-    missing = set(required) - set(params)
-    if missing:
-        raise ValueError(f"{preset} preset needs {sorted(missing)}")
-    return build(params)
+    preset, params = _preset_params(spec, "preset", _MODEL_PRESETS, "model")
+    return _MODEL_PRESETS[preset][2](params)

@@ -62,6 +62,8 @@ def test_scale_from_spec_round_trip_and_errors():
     assert scale_from_spec({"kind": "tlog"}).rho == 1.0
     with pytest.raises(ValueError):
         scale_from_spec({"kind": "cubic"})
+    with pytest.raises(ValueError):
+        scale_from_spec({"kind": "log", "rho": 2})
 
 
 def test_scaled_threshold_closed_form():

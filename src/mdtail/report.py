@@ -738,7 +738,3 @@ def main(argv=None) -> int:
 
 def cli_main() -> None:
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    cli_main()

@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -227,6 +230,20 @@ def test_cli_list_presets(capsys):
         assert name in out
     for name in ("power", "log", "tlog"):
         assert name in out
+
+
+def test_python_m_mdtail_runs_the_cli_once(tmp_path, capsys):
+    # `python -m mdtail` must not import the CLI module a second time as __main__
+    assert report.main(["list-presets"]) == 0
+    want = capsys.readouterr().out
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mdtail", "list-presets"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == want
+    assert "  power ([rho])\n" in want
 
 
 def test_verify_suite_streams_one_line_per_check():

@@ -21,7 +21,7 @@ from scipy.optimize import brentq
 
 from .exponents import exponents_from_tail
 from .rate import RateSpec, rate_limsup, rate_liminf
-from .scale import ScaleFunction
+from .scale import ScaleFunction, truncation_level
 from .tails import TailModel, _rng_stream, _tail_mean_u
 
 __all__ = [
@@ -268,7 +268,7 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     G = _scale_at_n(g, n)
     delta = max(G**-0.25, n**-0.125)
     delta_hat = max(delta, G**-0.5)
-    c = delta_hat * math.sqrt(n / G)
+    c = truncation_level(g, n, delta_hat)
     right = float(model.right_tail(np.asarray([c]))[0])
     left = float(model.left_tail(np.asarray([c]))[0])
     p_n = right + left

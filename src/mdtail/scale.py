@@ -105,8 +105,8 @@ _SCALE_PRESETS = {
 }
 
 
-def _preset_params(spec, key: str, table: dict, what: str) -> tuple[str, dict]:
-    """Split a config mapping {key: name, ...} into name and checked parameters.
+def _build_preset(spec, key: str, table: dict, what: str):
+    """Build the object a config mapping {key: name, ...parameters} names.
 
     table maps each name to (required keys, optional keys, builder); unknown
     names, unknown keys and missing required keys raise ValueError.
@@ -117,14 +117,14 @@ def _preset_params(spec, key: str, table: dict, what: str) -> tuple[str, dict]:
     name = params.pop(key)
     if not isinstance(name, str) or name not in table:
         raise ValueError(f"unknown {what} {key} {name!r}; expected one of {tuple(table)}")
-    required, optional, _ = table[name]
+    required, optional, build = table[name]
     unknown = set(params) - set(required) - set(optional)
     if unknown:
         raise ValueError(f"unknown keys for {what} {key} {name!r}: {sorted(unknown)}")
     missing = set(required) - set(params)
     if missing:
         raise ValueError(f"{name} {key} needs {sorted(missing)}")
-    return name, params
+    return build(params)
 
 
 def scale_preset_names() -> tuple[str, ...]:
@@ -133,8 +133,7 @@ def scale_preset_names() -> tuple[str, ...]:
 
 def scale_from_spec(spec: dict) -> ScaleFunction:
     """Build a scale function from a config mapping like {"kind": "power", "rho": 1}."""
-    kind, params = _preset_params(spec, "kind", _SCALE_PRESETS, "scale")
-    return _SCALE_PRESETS[kind][2](params)
+    return _build_preset(spec, "kind", _SCALE_PRESETS, "scale")
 
 
 @dataclass(frozen=True)

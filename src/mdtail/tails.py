@@ -23,7 +23,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exponents import GridSpec, TailExponents
-from .scale import ScaleFunction, _preset_params, power_scale, scale_from_spec
+from .scale import ScaleFunction, _build_preset, power_scale, scale_from_spec
 
 __all__ = [
     "TailModel",
@@ -740,5 +740,4 @@ def model_preset_names() -> tuple[str, ...]:
 
 def model_from_spec(spec: dict) -> TailModel:
     """Build a model from a config mapping: {"preset": name, ...parameters}."""
-    preset, params = _preset_params(spec, "preset", _MODEL_PRESETS, "model")
-    return _MODEL_PRESETS[preset][2](params)
+    return _build_preset(spec, "preset", _MODEL_PRESETS, "model")

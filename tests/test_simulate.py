@@ -1,5 +1,6 @@
 """Monte Carlo estimators, truncation plan, exact inequality checks."""
 
+import hashlib
 import math
 import warnings
 from fractions import Fraction as F
@@ -13,7 +14,7 @@ from scipy.special import ndtr
 from scipy.stats import binom
 
 import mdtail as md
-from mdtail import simulate as S
+from mdtail import report, simulate as S
 
 G1 = md.power_scale(1.0)
 TWO_POINT = md.two_point()
@@ -342,9 +343,13 @@ def test_exponential_lower_floor_values():
 # ------------------------------------------------- exact maximal inequalities
 
 
-def _oracle_levy(law, n, t):
+def _oracle_statistics(law, n):
     """Brute-force enumeration of both maximal statistics, kept separate
-    from the implementation (plain dict convolution, list-scan medians)."""
+    from the implementation (plain dict convolution, list-scan medians).
+
+    Returns (prob, increment stat, prefix stat, max partial sum, T_n) for
+    every outcome tuple of n draws.
+    """
     def median(dist):
         items = sorted(dist.items())
         cum = F(0)
@@ -361,7 +366,7 @@ def _oracle_levy(law, n, t):
                 cur[s + v] = cur.get(s + v, F(0)) + ps * pv
         sums.append(cur)
     med = [median(d) for d in sums]
-    p_incr = p_pref = p_maxT = p_Tn = F(0)
+    rows = []
     for outcome in product(law, repeat=n):
         prob = F(1)
         for _, pv in outcome:
@@ -373,13 +378,20 @@ def _oracle_levy(law, n, t):
             partials.append(run)
         incr_stat = max(outcome[k][0] + med[k] for k in range(n))
         pref_stat = max(partials[k] + med[n - 1 - k] for k in range(n))
+        rows.append((prob, incr_stat, pref_stat, max(partials), partials[-1]))
+    return rows
+
+
+def _oracle_levy(law, n, t):
+    p_incr = p_pref = p_maxT = p_Tn = F(0)
+    for prob, incr_stat, pref_stat, max_t, t_n in _oracle_statistics(law, n):
         if incr_stat > t:
             p_incr += prob
         if pref_stat > t:
             p_pref += prob
-        if max(partials) > t:
+        if max_t > t:
             p_maxT += prob
-        if partials[-1] > t:
+        if t_n > t:
             p_Tn += prob
     return p_incr, 2 * p_maxT, p_pref, 2 * p_Tn
 
@@ -426,6 +438,63 @@ def test_levy_sweep_matches_pointwise_checks():
             single.increment_side,
             single.prefix_side,
         )
+
+
+_SUPPORT_POINT = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.fractions(-4, 4, max_denominator=12),
+    st.floats(-4.0, 4.0, allow_nan=False).map(F),
+)
+
+
+@st.composite
+def _levy_cases(draw):
+    """A law on 1-4 points with weights over a denominator up to 10**6, n in
+    1..4, and a threshold on (or a hair off, or a float near) a value that
+    one of the enumerated statistics takes."""
+    values = draw(st.lists(_SUPPORT_POINT, min_size=1, max_size=4, unique=True))
+    denom = draw(st.integers(len(values), 10**6))
+    cuts = draw(
+        st.lists(
+            st.integers(1, max(denom - 1, 1)),
+            min_size=len(values) - 1,
+            max_size=len(values) - 1,
+            unique=True,
+        )
+    )
+    edges = [0, *sorted(cuts), denom]
+    law = [(v, F(b - a, denom)) for v, a, b in zip(values, edges[:-1], edges[1:])]
+    n = draw(st.integers(1, 4))
+    stats = sorted({s for row in _oracle_statistics(law, n) for s in row[1:]})
+    on = draw(st.sampled_from(stats))
+    t = draw(st.sampled_from([on, on - F(1, 10**12), on + F(1, 10**12), float(on)]))
+    return law, n, t
+
+
+@settings(max_examples=150, deadline=None)
+@given(_levy_cases())
+def test_levy_check_agrees_with_brute_force_on_drawn_laws(case):
+    law, n, t = case
+    res = S.levy_maximal_check(law, n=n, t=t)
+    got = (res.increment_side, res.increment_bound, res.prefix_side, res.prefix_bound)
+    assert got == _oracle_levy(law, n, t)
+    assert res.t == F(t)
+    assert res.passed_increment == (res.increment_side <= res.increment_bound)
+    assert res.passed_prefix == (res.prefix_side <= res.prefix_bound)
+
+
+def test_levy_full_sweep_is_pinned():
+    """Every (law, n, threshold) case of the A3 sweep, hashed with its
+    fractions written num/den; any change of a side, a bound or a verdict
+    moves the digest."""
+    digest = hashlib.sha256()
+    for i, law in enumerate(report.inequality_law_grid()):
+        for n in range(1, 6):
+            for r in S.levy_maximal_sweep(law, n, report._threshold_grid(law, n)):
+                fields = (r.t, r.increment_side, r.increment_bound, r.prefix_side, r.prefix_bound)
+                text = ",".join(f"{f.numerator}/{f.denominator}" for f in fields)
+                digest.update(f"{i},{n},{text},{r.passed_increment},{r.passed_prefix}\n".encode())
+    assert digest.hexdigest() == "72ea60a0a8c2f1da19c8955fea2fed42e811180041a8aab89541fb52146e50f7"
 
 
 def test_levy_validation():

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -647,108 +647,102 @@ def _as_law(weights) -> list[tuple[Fraction, Fraction]]:
     return law
 
 
-def _median(dist: dict[Fraction, Fraction]) -> Fraction:
-    """Midpoint of the median interval; antisymmetric under negation."""
+def _median(dist: dict[int, int], total: int) -> int:
+    """lo + hi, twice the midpoint of the median interval of masses over total.
+
+    The midpoint convention makes the median antisymmetric under negation.
+    """
     items = sorted(dist.items())
-    half = Fraction(1, 2)
-    cum = Fraction(0)
-    lo = None
-    for v, p in items:
+    cum = 0
+    for lo, p in items:
         cum += p
-        if cum >= half:
-            lo = v
+        if 2 * cum >= total:
             break
-    cum = Fraction(0)
-    hi = None
-    for v, p in reversed(items):
+    cum = 0
+    for hi, p in reversed(items):
         cum += p
-        if cum >= half:
-            hi = v
+        if 2 * cum >= total:
             break
-    return (lo + hi) / 2
+    return lo + hi
 
 
-def _partial_sum_dists(law, n: int) -> list[dict[Fraction, Fraction]]:
-    dists = [{Fraction(0): Fraction(1)}]
+def _partial_sum_dists(law: list[tuple[int, int]], n: int) -> list[dict[int, int]]:
+    """Laws of S_0..S_n for integer values and integer weights over Dw; S_k's
+    masses are numerators over Dw**k."""
+    dists = [{0: 1}]
     for _ in range(n):
-        nxt: dict[Fraction, Fraction] = {}
+        nxt: dict[int, int] = {}
         for s, ps in dists[-1].items():
             for v, pv in law:
-                nxt[s + v] = nxt.get(s + v, Fraction(0)) + ps * pv
+                nxt[s + v] = nxt.get(s + v, 0) + ps * pv
         dists.append(nxt)
     return dists
 
 
-def _sorted_suffix(stats: list[tuple[Fraction, Fraction]]):
-    stats = sorted(stats)
-    values = [v for v, _ in stats]
-    suffix = [Fraction(0)] * (len(stats) + 1)
-    for i in range(len(stats) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + stats[i][1]
-    return values, suffix
-
-
-def _prob_greater_than(values, suffix, t: Fraction) -> Fraction:
-    return suffix[bisect_right(values, t)]
+def _mass_above(stats, probs) -> tuple[list[int], list[int]]:
+    """Sorted distinct values of a statistic and, at index i, the mass of the
+    values from the i-th on (0 past the end)."""
+    mass: dict[int, int] = {}
+    for s, p in zip(stats, probs):
+        mass[s] = mass.get(s, 0) + p
+    values = sorted(mass)
+    above = list(accumulate((mass[s] for s in reversed(values)), initial=0))
+    return values, above[::-1]
 
 
 def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     """Exact check of both maximal inequalities at several thresholds.
 
-    All outcome tuples of n i.i.d. draws are enumerated with rational
-    arithmetic, medians follow the midpoint convention (so negating the law
-    negates them), and each threshold is answered from sorted suffix sums of
-    the enumerated statistics.
+    All outcome tuples of n i.i.d. draws are enumerated in integers: with Dv
+    and Dw the lcm of the support and of the weight denominators, values,
+    partial sums and medians count units of 1/(2*Dv) and probabilities are
+    numerators over Dw**n.  Medians follow the midpoint convention (so
+    negating the law negates them).  Each outcome extends an enumerated
+    prefix by one draw, and each threshold is answered from suffix sums of
+    the sorted statistics; only the results are built as Fractions.
     """
     law = _as_law(weights)
     n = int(n)
     if not 1 <= n <= 6:
         raise ValueError("enumeration supports 1 <= n <= 6")
-    dists = _partial_sum_dists(law, n)
-    med = [_median(d) for d in dists]
-    stat_incr: list[tuple[Fraction, Fraction]] = []
-    stat_pref: list[tuple[Fraction, Fraction]] = []
-    stat_maxT: list[tuple[Fraction, Fraction]] = []
-    stat_Tn: list[tuple[Fraction, Fraction]] = []
-    for outcome in product(law, repeat=n):
-        prob = Fraction(1)
-        T = Fraction(0)
-        best_incr = None
-        best_pref = None
-        best_T = None
-        for k, (v, pv) in enumerate(outcome, start=1):
-            prob *= pv
-            cand_incr = v + med[k - 1]
-            T += v
-            cand_pref = T + med[n - k]
-            if best_incr is None or cand_incr > best_incr:
-                best_incr = cand_incr
-            if best_pref is None or cand_pref > best_pref:
-                best_pref = cand_pref
-            if best_T is None or T > best_T:
-                best_T = T
-        stat_incr.append((best_incr, prob))
-        stat_pref.append((best_pref, prob))
-        stat_maxT.append((best_T, prob))
-        stat_Tn.append((T, prob))
-    tables = [_sorted_suffix(s) for s in (stat_incr, stat_pref, stat_maxT, stat_Tn)]
+    dv = math.lcm(*(v.denominator for v, _ in law))
+    dw = math.lcm(*(p.denominator for _, p in law))
+    scaled = [
+        (v.numerator * dv // v.denominator, p.numerator * dw // p.denominator) for v, p in law
+    ]
+    med = [_median(d, dw**k) for k, d in enumerate(_partial_sum_dists(scaled, n))]
+    steps = [(2 * v, pv) for v, pv in scaled]
+    # per prefix of k draws: (prob, T_k, max increment stat, max prefix stat, max T_j)
+    states = [(pv, v, v + med[0], v + med[n - 1], v) for v, pv in steps]
+    for k in range(2, n + 1):
+        m_incr, m_pref = med[k - 1], med[n - k]
+        nxt = []
+        for prob, T, b_incr, b_pref, b_T in states:
+            for v, pv in steps:
+                S = T + v
+                nxt.append(
+                    (prob * pv, S, max(b_incr, v + m_incr), max(b_pref, S + m_pref), max(b_T, S))
+                )
+        states = nxt
+    probs, T_n, incr, pref, max_T = zip(*states)
+    tables = [_mass_above(stat, probs) for stat in (incr, pref, max_T, T_n)]
+    total = dw**n
     results = []
     for t in thresholds:
         tf = Fraction(t)
-        lhs1 = _prob_greater_than(*tables[0], tf)
-        lhs2 = _prob_greater_than(*tables[1], tf)
-        rhs1 = 2 * _prob_greater_than(*tables[2], tf)
-        rhs2 = 2 * _prob_greater_than(*tables[3], tf)
+        # the statistics are integers, so stat > t exactly when stat > floor(t)
+        cut = tf.numerator * 2 * dv // tf.denominator
+        lhs1, lhs2, half1, half2 = (above[bisect_right(vals, cut)] for vals, above in tables)
         results.append(
             LevyCheckResult(
                 n=n,
                 t=tf,
-                increment_side=lhs1,
-                increment_bound=rhs1,
-                prefix_side=lhs2,
-                prefix_bound=rhs2,
-                passed_increment=lhs1 <= rhs1,
-                passed_prefix=lhs2 <= rhs2,
+                increment_side=Fraction(lhs1, total),
+                increment_bound=Fraction(2 * half1, total),
+                prefix_side=Fraction(lhs2, total),
+                prefix_bound=Fraction(2 * half2, total),
+                passed_increment=lhs1 <= 2 * half1,
+                passed_prefix=lhs2 <= 2 * half2,
             )
         )
     return results

@@ -27,6 +27,7 @@ from .exponents import TailExponents, default_grid, exponents_from_tail, exponen
 from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
 from .scale import _SCALE_PRESETS, power_scale, scale_from_spec
 from .simulate import (
+    _METHODS,
     EstimatorError,
     bounded_array_mc,
     convergence_trajectory,
@@ -61,7 +62,6 @@ __all__ = [
 
 CSV_HEADER = "n,x,method,p_hat,stderr,log_p,normalized,rate_limsup,rate_liminf,flags"
 OUT_DIR_ENV = "MDTAIL_OUT_DIR"
-_METHODS = ("crude", "tilted", "split")
 
 
 class ConfigError(ValueError):
@@ -140,8 +140,8 @@ class ExperimentConfig:
             raise ConfigError(f"bad scale spec: {exc}") from exc
 
         method = raw["method"]
-        if method not in _METHODS:
-            raise ConfigError(f"method must be one of {_METHODS}, got {method!r}")
+        if not isinstance(method, str) or method not in _METHODS:
+            raise ConfigError(f"method must be one of {tuple(_METHODS)}, got {method!r}")
 
         x_raw = raw["x_values"]
         if not isinstance(x_raw, (list, tuple)) or len(x_raw) == 0:
@@ -371,12 +371,16 @@ def inequality_law_grid() -> list[list[tuple[Fraction, Fraction]]]:
     return laws
 
 
-def _threshold_grid(law, n: int, count: int = 21) -> list[Fraction]:
+# Evenly spaced thresholds per (law, n) in the exact sweep, both ends included.
+_THRESHOLD_COUNT = 21
+
+
+def _threshold_grid(law, n: int) -> list[Fraction]:
     values = [v for v, _ in law]
     lo = n * min(values) - Fraction(1, 2)
     hi = n * max(values) + Fraction(1, 2)
-    step = (hi - lo) / (count - 1)
-    return [lo + k * step for k in range(count)]
+    step = (hi - lo) / (_THRESHOLD_COUNT - 1)
+    return [lo + k * step for k in range(_THRESHOLD_COUNT)]
 
 
 def levy_full_sweep(n_max: int = 5) -> tuple[int, int]:

@@ -14,6 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -785,6 +786,15 @@ def max_lower_bound_sweep(p_values, n_values) -> int:
     return int(np.count_nonzero(lhs > rhs))
 
 
+# Estimator methods: name -> runner(model, g, n, x, reps, seed, eps, workers) returning
+# one trajectory point's estimates; runners look the estimators up when called.
+_METHODS = {
+    "crude": lambda m, g, n, x, reps, seed, eps, w: (crude_mc(m, g, n, x, reps, seed, w),),
+    "tilted": lambda *args: (tilted_mc_truncated(*args),),
+    "split": lambda *args: attrgetter("upper", "lower")(split_estimate(*args)),
+}
+
+
 def convergence_trajectory(
     model: TailModel,
     g: ScaleFunction,
@@ -806,8 +816,9 @@ def convergence_trajectory(
     n_grid = [int(v) for v in n_grid]
     if len(n_grid) == 0 or any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
         raise ValueError("n_grid must be nonempty and strictly increasing")
-    if method not in ("crude", "tilted", "split"):
-        raise ValueError("method must be one of 'crude', 'tilted', 'split'")
+    run = _METHODS.get(method) if isinstance(method, str) else None
+    if run is None:
+        raise ValueError("method must be one of " + ", ".join(map(repr, _METHODS)))
     flags: tuple[str, ...] = ()
     if math.isinf(model.sigma2):
         band_up, band_low = 0.0, 0.0
@@ -823,13 +834,7 @@ def convergence_trajectory(
     points = []
     for n in n_grid:
         try:
-            if method == "crude":
-                ests: tuple[Estimate, ...] = (crude_mc(model, g, n, x, reps, seed, workers),)
-            elif method == "tilted":
-                ests = (tilted_mc_truncated(model, g, n, x, reps, seed, eps, workers),)
-            else:
-                se = split_estimate(model, g, n, x, reps, seed, eps, workers)
-                ests = (se.upper, se.lower)
+            ests = run(model, g, n, x, reps, seed, eps, workers)
             points.append(TrajectoryPoint(n=n, estimates=ests))
         except EstimatorError as exc:
             points.append(TrajectoryPoint(n=n, estimates=(), error=str(exc)))

@@ -787,7 +787,8 @@ def max_lower_bound_sweep(p_values, n_values) -> int:
 
 
 # Estimator methods: name -> runner(model, g, n, x, reps, seed, eps, workers) returning
-# one trajectory point's estimates; runners look the estimators up when called.
+# one trajectory point's estimates.  Runners look the estimators up by name when
+# called, so a patched module attribute (a tracing wrapper, say) takes effect.
 _METHODS = {
     "crude": lambda m, g, n, x, reps, seed, eps, w: (crude_mc(m, g, n, x, reps, seed, w),),
     "tilted": lambda *args: (tilted_mc_truncated(*args),),

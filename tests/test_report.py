@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import mdtail.report as report
+from mdtail import simulate
 from mdtail.report import ConfigError, ExperimentConfig, CSV_HEADER
 
 _DROP = object()  # an override value that removes the key
@@ -45,6 +46,7 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"model": {"preset": "nope"}}, "bad model spec"),
         ({"scale": {"kind": "power", "rho": -1}}, "bad scale spec"),
         ({"method": "exact"}, "method must be one of"),
+        ({"method": ["split"]}, "method must be one of"),
         ({"x_values": []}, "nonempty list"),
         ({"x_values": [0.0]}, "finite and positive"),
         ({"x_values": [math.inf]}, "finite and positive"),
@@ -127,6 +129,15 @@ def test_run_experiment_is_deterministic(tmp_path):
         hb = hashlib.sha256(b[kind].read_bytes()).hexdigest()
         hc = hashlib.sha256(c[kind].read_bytes()).hexdigest()
         assert ha == hb == hc, kind
+
+
+def test_a_method_table_row_serves_validation_and_the_run(tmp_path, monkeypatch):
+    monkeypatch.setitem(simulate._METHODS, "crude_again", simulate._METHODS["crude"])
+    csv = {}
+    for method in ("crude", "crude_again"):
+        cfg = ExperimentConfig.from_dict(_base_config(method=method))
+        csv[method] = report.run_experiment(cfg, out_dir=str(tmp_path / method))["trajectory"]
+    assert csv["crude_again"].read_bytes() == csv["crude"].read_bytes()
 
 
 def test_out_dir_priority(tmp_path, monkeypatch):

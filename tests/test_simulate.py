@@ -485,8 +485,9 @@ def test_levy_check_agrees_with_brute_force_on_drawn_laws(case):
 
 def test_levy_full_sweep_is_pinned():
     """Every (law, n, threshold) case of the A3 sweep, hashed with its
-    fractions written num/den; any change of a side, a bound or a verdict
-    moves the digest."""
+    fractions written num/den.  The digest was read from the earlier
+    all-Fraction enumeration; any change of a side, a bound or a verdict
+    moves it."""
     digest = hashlib.sha256()
     for i, law in enumerate(report.inequality_law_grid()):
         for n in range(1, 6):

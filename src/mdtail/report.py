@@ -376,11 +376,18 @@ _THRESHOLD_COUNT = 21
 
 
 def _threshold_grid(law, n: int) -> list[Fraction]:
-    values = [v for v, _ in law]
-    lo = n * min(values) - Fraction(1, 2)
-    hi = n * max(values) + Fraction(1, 2)
-    step = (hi - lo) / (_THRESHOLD_COUNT - 1)
-    return [lo + k * step for k in range(_THRESHOLD_COUNT)]
+    """Evenly spaced thresholds from n min - 1/2 to n max + 1/2, both included.
+
+    Both ends are integer numerators over one common denominator, so each
+    threshold is one Fraction built from ints, with no Fraction arithmetic.
+    """
+    values = [Fraction(v) for v, _ in law]
+    v_lo, v_hi = min(values), max(values)
+    den = 2 * v_lo.denominator * v_hi.denominator
+    lo_num = (2 * n * v_lo.numerator - v_lo.denominator) * v_hi.denominator
+    span_num = (2 * n * v_hi.numerator + v_hi.denominator) * v_lo.denominator - lo_num
+    steps = _THRESHOLD_COUNT - 1
+    return [Fraction(lo_num * steps + k * span_num, den * steps) for k in range(_THRESHOLD_COUNT)]
 
 
 def levy_full_sweep(n_max: int = 5) -> tuple[int, int]:

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import erfcx
 
 import mdtail as md
-from mdtail.tails import catalog, model_from_spec
+from mdtail import simulate, tails
+from mdtail.tails import _tail_mean_u, _tail_second_moment_u, catalog, model_from_spec
 
 CATALOG = catalog()
+CUT_NS = (62, 100, 1000, 10000)
 
 
 def test_catalog_shape():
@@ -117,19 +121,19 @@ def test_designed_tail_matches_envelope_form_far_out():
 ORACLE_CONSTANTS = {
     # label: float.hex() of (sigma2, core atom location, core atom mass, survival(t0))
     "designed(1,1;t)": (
-        "0x1.1a880a8a1903bp+1", "0x0.0p+0", "0x1.cd049e66629eap-1", "0x1.97db0ccceb0afp-5",
+        "0x1.1a880a8a1903ep+1", "0x0.0p+0", "0x1.cd049e66629eap-1", "0x1.97db0ccceb0afp-5",
     ),
     "designed(0.5,2;t)": (
-        "0x1.b41ac4a31d6e6p+1", "-0x1.5bbf32e0db738p-2", "0x1.cc9849a2c5793p-1", "0x1.50385c094f425p-4",
+        "0x1.b41ac4a31d6e6p+1", "-0x1.5bbf32e0db739p-2", "0x1.cc9849a2c5793p-1", "0x1.50385c094f425p-4",
     ),
     "designed(1,0.5;t^2)": (
-        "0x1.093edf19750bep+1", "0x1.51edc33522fb0p-3", "0x1.bc7b43b207670p-1", "0x1.97db0ccceb0afp-5",
+        "0x1.093edf19750c3p+1", "0x1.51edc33522fb1p-3", "0x1.bc7b43b207670p-1", "0x1.97db0ccceb0afp-5",
     ),
     "designed(inf,1;t)": (
-        "0x1.2c5a0cadbc729p+0", "0x1.a199b9a1476a4p-3", "0x1.e4d43fe49199dp-1", "0x1.ae0f4e9fb5822p-9",
+        "0x1.2c5a0cadbc72cp+0", "0x1.a199b9a1476a9p-3", "0x1.e4d43fe49199dp-1", "0x1.ae0f4e9fb5822p-9",
     ),
     "oscillating(0.5,2;t;x3)": (
-        "0x1.19b1c8c831d3ep+1", "0x0.0p+0", "0x1.abf1e8fdac2f7p-1", "0x1.50385c094f425p-4",
+        "0x1.19b1c8c831d46p+1", "0x0.0p+0", "0x1.abf1e8fdac2f7p-1", "0x1.50385c094f425p-4",
     ),
 }
 
@@ -148,6 +152,112 @@ def test_oracle_constants_are_pinned_bit_for_bit():
         ((loc, mass),) = m.atoms
         got = tuple(float(v).hex() for v in (m.sigma2, loc, mass, m.survival(m.t0)))
         assert got == ORACLE_CONSTANTS[m.label], m.label
+
+
+# ------------------------------------------------ tail integrals in u = log t
+
+
+def _quad_tail_integral(log_tail_u, power, edges, epsabs):
+    """Reference: scipy's quad over the scalar integrand, panel by panel."""
+
+    def integrand(u):
+        e = power * u + float(log_tail_u(np.asarray([u]))[0])
+        return math.exp(e) if e > -745.0 else 0.0
+
+    return [quad(integrand, a, b, limit=200, epsabs=epsabs, epsrel=1e-11)[0]
+            for a, b in zip(edges[:-1], edges[1:])]
+
+
+def _quad_tail_mean(log_tail_u, u_lo, u_breaks=()):
+    top = tails._U_QUAD_MAX
+    edges = sorted(set(np.linspace(u_lo, top, 24)) | {b for b in u_breaks if u_lo < b < top})
+    return sum(_quad_tail_integral(log_tail_u, 1, edges, 1e-14))
+
+
+def _quad_tail_second_moment(log_tail_u, u_lo):
+    decade = math.log(10.0)
+    probe = tails._U_DIVERGENCE_PROBE
+    inner = [k * decade for k in range(math.ceil(u_lo / decade), 13) if u_lo < k * decade < probe - 1e-9]
+    return sum(2.0 * v for v in _quad_tail_integral(log_tail_u, 2, [u_lo, *inner, probe], 0.5e-13))
+
+
+def _cut_levels(model):
+    """The truncation levels c_n at CUT_NS on the catalog's scale g(u) = u."""
+    return [simulate.plan_truncation(model, md.power_scale(1.0), n).c_n for n in CUT_NS]
+
+
+@pytest.mark.parametrize("alpha", [3.0, 2.2])
+def test_tail_integrals_match_pareto_closed_forms(alpha):
+    m = md.pareto(alpha)
+    for c in [1.0, *_cut_levels(m)]:
+        u = math.log(c)
+        # int_c^T t^-alpha dt and int_c^T 2 t^(1-alpha) dt, T the quadrature
+        # horizon: 1e15 for the mean, the 1e12 divergence probe for the second
+        mean = (c ** (1 - alpha) - math.exp((1 - alpha) * tails._U_QUAD_MAX)) / (alpha - 1)
+        second = 2 * (c ** (2 - alpha) - math.exp((2 - alpha) * tails._U_DIVERGENCE_PROBE)) / (alpha - 2)
+        assert math.isclose(_tail_mean_u(m.log_right_tail_u, u), mean, rel_tol=1e-13), c
+        got, diverging = _tail_second_moment_u(m.log_right_tail_u, u)
+        assert math.isclose(got, second, rel_tol=1e-13), c
+        assert not diverging
+
+
+def test_tail_mean_matches_the_gaussian_closed_form():
+    m = md.gaussian()
+    for n, c in zip(CUT_NS[1:], _cut_levels(m)[1:]):
+        # int_c^inf Q(t) dt = phi(c) - c Q(c), with Q(c) = erfcx(c/sqrt 2) phi(c) sqrt(pi/2)
+        want = math.exp(-0.5 * c * c) * (1.0 / math.sqrt(2.0 * math.pi) - 0.5 * c * erfcx(c / math.sqrt(2.0)))
+        got = _tail_mean_u(m.log_right_tail_u, math.log(c))
+        # At n = 1e4 the value is 2.3e-81, far under the absolute tolerance
+        # 1e-14, so no panel is refined and the 48-point sum stands; it is
+        # 3.9e-8 off (scipy's quad alone is 0.6% off there).
+        assert math.isclose(got, want, rel_tol=1e-10 if n < 10000 else 1e-7), n
+
+
+def test_kinked_panels_fall_back_to_quad(monkeypatch):
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(tails, "quad", counting_quad)
+    m = md.make_oscillating_tail(0.5, 2.0, md.power_scale(1.0), 3.0)
+    assert calls, "the schedule's kinks must send some panels to quad"
+    for c in _cut_levels(m):
+        u = math.log(c)
+        calls.clear()
+        got = _tail_mean_u(m.log_right_tail_u, u)
+        assert calls, c
+        assert math.isclose(got, _quad_tail_mean(m.log_right_tail_u, u), rel_tol=1e-12), c
+        got = _tail_second_moment_u(m.log_right_tail_u, u)[0]
+        assert math.isclose(got, _quad_tail_second_moment(m.log_right_tail_u, u), rel_tol=1e-12), c
+
+
+def test_atom_breaks_keep_the_two_point_recentering_exact():
+    # with g = (log n)^4 the cut sits below the atoms at +-1, so the tail
+    # integrals carry a break at u = 0 where the survival drops from 1/2 to 0
+    plan = simulate.plan_truncation(md.two_point(), md.power_scale(4.0), 100)
+    c = plan.c_n
+    assert c < 1.0
+    assert plan.mu_n == 0.0
+    got = _tail_mean_u(md.two_point().log_right_tail_u, math.log(c), [0.0])
+    assert math.isclose(got, 0.5 * (1.0 - c), rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("preset", [
+    {"preset": "pareto", "alpha": 3},
+    {"preset": "designed", "lambda_plus": 0.5, "lambda_minus": 2, "scale": {"kind": "power"}},
+    {"preset": "gaussian"},
+    {"preset": "two_point"},
+])
+def test_truncation_recentering_matches_the_quad_reference(preset, monkeypatch):
+    m = model_from_spec(preset)
+    g = md.power_scale(1.0)
+    got = [simulate.plan_truncation(m, g, n).mu_n for n in CUT_NS]
+    monkeypatch.setattr(simulate, "_tail_mean_u", _quad_tail_mean)
+    want = [simulate.plan_truncation(m, g, n).mu_n for n in CUT_NS]
+    for n, a, b in zip(CUT_NS, got, want):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0), (m.label, n)
 
 
 def test_designed_tail_is_centered_with_recorded_variance():

@@ -1,12 +1,12 @@
 """Distribution models with exactly known tails, moments, and samplers.
 
 Every model carries its survival functions in two forms: plain t-space
-callables for probabilities and quadrature, and u = log t log-survival
-callables that stay finite far beyond float range (needed by the exponent
-probes, whose grids can reach u in the tens of thousands).
+callables for probabilities, and u = log t log-survival callables that stay
+finite far beyond float range (needed by the exponent probes, whose grids
+can reach u in the tens of thousands).
 
-Tail integrals beyond a cut (truncation means, designed-side moments, the
-tail parts of `moments`) are taken in u on fixed panels: a 48-point
+Every tail integral (truncation means, designed-side moments, `moments`
+from near t = 0 up) is taken in u on fixed panels: a 48-point
 Gauss-Legendre sum per panel, all nodes from one array call to the
 log-survival, with the gap to the 24-point sum as the panel's error
 estimate.  A panel whose estimate misses the tolerance is integrated again
@@ -100,8 +100,9 @@ class TailModel:
 
     right_tail(t) = P(X > t) and left_tail(t) = P(X < -t), both for t >= 0
     and for the whole distribution (core region included).  The u-space
-    callables return log survival at t = e^u and are exact for u >= log(t0),
-    where t0 marks the start of the analytic tail form.
+    callables return log survival at t = e^u and are exact for every u, the
+    core below t0 (where the analytic tail form starts) included; `moments`
+    integrates them from far below t0.
     """
 
     label: str
@@ -142,29 +143,6 @@ class TailModel:
         return self.sampler(_rng_stream(seed, 0), int(n))
 
 
-def _chunk_edges(lo: float, hi: float, breakpoints=()) -> list[float]:
-    edges = {lo, hi}
-    k = math.floor(math.log10(max(lo, 1e-6))) if lo > 0 else -1
-    d = 10.0**k
-    while d < hi:
-        if d > lo:
-            edges.add(d)
-        d *= 10.0
-    for b in breakpoints:
-        if lo < b < hi:
-            edges.add(b)
-    return sorted(edges)
-
-
-def _piecewise_quad(fn, lo: float, hi: float, breakpoints=()) -> float:
-    edges = _chunk_edges(lo, hi, breakpoints)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, _ = quad(fn, a, b, limit=200, epsabs=1e-13, epsrel=1e-11)
-        total += val
-    return total
-
-
 def _tail_integral(log_tail_u, u_lo: float, power: int, edges, epsabs: float, epsrel: float) -> list[float]:
     """Integrals of e^{power u} P(X > e^u) du per panel, u_lo to edges[0] to edges[1] ...
 
@@ -193,27 +171,28 @@ def _tail_integral(log_tail_u, u_lo: float, power: int, edges, epsabs: float, ep
     return values
 
 
-def _tail_second_moment_u(log_tail_u, u_lo: float) -> tuple[float, bool]:
+def _tail_second_moment_u(log_tail_u, u_lo: float, u_breaks=()) -> tuple[float, bool]:
     """Integral of 2 t P(X > t) dt over [e^{u_lo}, inf) in u coordinates.
 
-    Panels end at each decade of t up to the 10^12 probe; each is a 48-point
-    Gauss-Legendre sum checked against the 24-point sum, with scipy's quad
-    where the two disagree (see _tail_integral).  Returns (value up to the
-    probe horizon, diverging flag).  The flag is a heuristic: if the last
-    decade before 10^12 still contributes more than 1% of the running total,
-    the integral is treated as infinite.
+    Panels end at each decade of t up to the 10^12 probe and at each of
+    u_breaks inside that range; each is a 48-point Gauss-Legendre sum checked
+    against the 24-point sum, with scipy's quad where the two disagree (see
+    _tail_integral).  Returns (value up to the probe horizon, diverging
+    flag).  The flag is a heuristic: if the last panel before 10^12 still
+    contributes more than 1% of the running total, the integral is treated
+    as infinite.
     """
-    edges = []
+    edges = {b for b in u_breaks if u_lo < b < _U_DIVERGENCE_PROBE}
     d = math.ceil(u_lo / math.log(10.0))
     u = d * math.log(10.0)
     while u < _U_DIVERGENCE_PROBE - 1e-9:
         if u > u_lo:
-            edges.append(u)
+            edges.add(u)
         u += math.log(10.0)
-    edges.append(_U_DIVERGENCE_PROBE)
+    edges.add(_U_DIVERGENCE_PROBE)
     # the factor 2 is applied after integrating, so the absolute tolerance
     # on the unscaled integrand is halved
-    contributions = [2.0 * v for v in _tail_integral(log_tail_u, u_lo, 2, edges, 0.5e-13, 1e-11)]
+    contributions = [2.0 * v for v in _tail_integral(log_tail_u, u_lo, 2, sorted(edges), 0.5e-13, 1e-11)]
     total = sum(contributions)
     diverging = total > 0 and contributions[-1] > 0.01 * total
     return total, diverging
@@ -232,36 +211,24 @@ def _tail_mean_u(log_tail_u, u_lo: float, u_breaks=()) -> float:
 
 
 def moments(model: TailModel) -> tuple[float, float]:
-    """(mean, variance) by numeric quadrature of the tail-integral identities.
+    """(mean, variance) by quadrature of the tail-integral identities.
 
-    The second moment uses E X^2 = int_0^inf 2 t P(|X| > t) dt.  Below
-    max(t0, 1) scipy's quad integrates in t; beyond it the tails are
-    integrated in u = log t by 48-point Gauss-Legendre panels, each checked
-    against its 24-point sum and redone by quad where the two disagree.
-    When the partial integrals are still growing by more than 1% per decade
-    at 10^12 the variance is reported as inf rather than a number.
+    E X = int_0^inf P(X > t) - P(X < -t) dt and E X^2 = int_0^inf 2 t
+    P(|X| > t) dt, each taken in u = log t on the Gauss-Legendre panels of
+    _tail_integral, with breaks at each nonzero atom and at t0 so no panel
+    straddles a jump of the survival or the start of its analytic form.
+    When the second-moment integral still grows by more than 1% in the last
+    decade before 10^12 the variance is reported as inf rather than a number.
     """
-    t_split = max(model.t0, 1.0)
-    u_split = math.log(t_split)
-    breaks = [abs(a) for a, _ in model.atoms] + [model.t0]
-
-    def both(t):
-        return float(model.right_tail(np.asarray([t]))[0] + model.left_tail(np.asarray([t]))[0])
-
-    def diff(t):
-        return float(model.right_tail(np.asarray([t]))[0] - model.left_tail(np.asarray([t]))[0])
-
-    mean = _piecewise_quad(diff, 0.0, t_split, breaks)
-    mean += _tail_mean_u(model.log_right_tail_u, u_split)
-    mean -= _tail_mean_u(model.log_left_tail_u, u_split)
-
-    second = _piecewise_quad(lambda t: 2.0 * t * both(t), 0.0, t_split, breaks)
-    r2, r_div = _tail_second_moment_u(model.log_right_tail_u, u_split)
-    l2, l_div = _tail_second_moment_u(model.log_left_tail_u, u_split)
+    # below u_lo each integral adds at most e^-40 max(t0, 1), about 4e-18 max(t0, 1)
+    u_lo = math.log(max(model.t0, 1.0)) - 40.0
+    breaks = [math.log(abs(a)) for a, _ in model.atoms if a != 0.0] + [math.log(model.t0)]
+    mean = _tail_mean_u(model.log_right_tail_u, u_lo, breaks) - _tail_mean_u(model.log_left_tail_u, u_lo, breaks)
+    r2, r_div = _tail_second_moment_u(model.log_right_tail_u, u_lo, breaks)
+    l2, l_div = _tail_second_moment_u(model.log_left_tail_u, u_lo, breaks)
     if r_div or l_div:
         return mean, math.inf
-    second += r2 + l2
-    return mean, max(second - mean * mean, 0.0)
+    return mean, max(r2 + l2 - mean * mean, 0.0)
 
 
 class _LogSurvivalInverse:

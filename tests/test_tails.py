@@ -245,6 +245,25 @@ def test_kinked_panels_fall_back_to_quad(monkeypatch):
         assert math.isclose(got, _quad_tail_second_moment(m.log_right_tail_u, u), rel_tol=1e-12), c
 
 
+def test_moments_send_no_smooth_panel_to_quad(monkeypatch):
+    # with breaks at the atoms and at t0, only the oscillating law's kinks
+    # leave a panel whose 48- and 24-point sums disagree
+    calls = []
+
+    def counting_quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(tails, "quad", counting_quad)
+    for entry in CATALOG:
+        calls.clear()
+        md.moments(entry.model)
+        if entry.model.oscillation is None:
+            assert not calls, entry.model.label
+        else:
+            assert calls, entry.model.label
+
+
 def test_atom_breaks_keep_the_two_point_recentering_exact():
     # with g = (log n)^4 the cut sits below the atoms at +-1, so the tail
     # integrals carry a break at u = 0 where the survival drops from 1/2 to 0

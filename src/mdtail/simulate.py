@@ -295,24 +295,20 @@ def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray,
     edges = np.linspace(-c, c, _CELLS + 1)
     sf = np.asarray(model.prob_greater(edges), dtype=float)
     cell_mass = sf[:-1] - sf[1:]
-    atom_entries = []
+    atom_locs, atom_masses = [], []
     for a, m in model.atoms:
         if not (-c <= a <= c):
             continue
         idx = int(np.searchsorted(edges, a, side="left")) - 1
         if idx >= 0:
             cell_mass[idx] -= m
-        atom_entries.append((a, m))
+        atom_locs.append(a)
+        atom_masses.append(m)
     cell_mass = np.maximum(cell_mass, 0.0)
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = cell_mass > 0.0
-    values = list(mids[keep])
-    masses = list(cell_mass[keep])
-    for a, m in atom_entries:
-        values.append(a)
-        masses.append(m)
-    values = np.asarray(values, dtype=float)
-    masses = np.asarray(masses, dtype=float)
+    values = np.concatenate((mids[keep], atom_locs))
+    masses = np.concatenate((cell_mass[keep], atom_masses))
     return values, masses, float(masses.sum())
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "scaled_tail_predictions",
     "empirical_exponents",
     "default_grid",
-    "default_r_grid",
 ]
 
 # Finite exponents of interest are single digits; values at or above this
@@ -44,6 +43,12 @@ __all__ = [
 LAMBDA_MAX = 50.0
 
 _LN10 = math.log(10.0)
+
+# candidate exponents 0, 0.05, ..., 50 for the sup-form search
+_R_GRID = np.linspace(0.0, LAMBDA_MAX, 1001)
+
+# grid points of the empirical probe over the top decile of |sample|
+_EMPIRICAL_POINTS = 25
 
 
 def _window_start(points: int) -> int:
@@ -117,10 +122,10 @@ class GridSpec:
             raise ValueError("spacing must be 'linear' or 'geometric'")
 
     @classmethod
-    def decades(cls, t_min: float, t_max: float, points: int = 90) -> "GridSpec":
+    def decades(cls, t_min: float, t_max: float) -> "GridSpec":
         if not (1.0 < t_min < t_max):
             raise ValueError("need 1 < t_min < t_max")
-        return cls(u_min=math.log(t_min), u_max=math.log(t_max), points=points)
+        return cls(u_min=math.log(t_min), u_max=math.log(t_max))
 
     def u_values(self) -> np.ndarray:
         if self.spacing == "linear":
@@ -140,11 +145,6 @@ def default_grid(model: "TailModel") -> GridSpec:
     if model.design_grid is not None:
         return model.design_grid
     return GridSpec.decades(10.0 * model.t0, 1e10)
-
-
-def default_r_grid() -> np.ndarray:
-    """Candidate exponents 0, 0.05, ..., 50 for the sup-form search."""
-    return np.linspace(0.0, LAMBDA_MAX, 1001)
 
 
 def _clamp(value: float) -> float:
@@ -245,12 +245,11 @@ def _sup_form_side(
     log_s: np.ndarray,
     u: np.ndarray,
     gu: np.ndarray,
-    r_grid: np.ndarray,
     margin: float,
 ) -> tuple[float, float]:
     # probed quantity in logs: L_r(u) = 2u + log tail + r * g(u)
     base = 2.0 * u + log_s
-    probe = r_grid[:, None] * gu[None, :] + base[None, :]
+    probe = _R_GRID[:, None] * gu[None, :] + base[None, :]
     with np.errstate(invalid="ignore"):
         max_ok = np.nanmax(probe, axis=1) < -margin
         min_ok = np.nanmin(probe, axis=1) < -margin
@@ -261,43 +260,31 @@ def _sup_form_side(
         first_reject = int(np.argmin(mask))  # masks are prefix-true by monotonicity
         if first_reject == 0:
             return 0.0
-        return float(r_grid[first_reject - 1])
+        return float(_R_GRID[first_reject - 1])
 
     return largest_accepted(max_ok), largest_accepted(min_ok)
 
 
-def exponents_sup_form(
-    model: "TailModel",
-    g: ScaleFunction,
-    r_grid: np.ndarray | None = None,
-    probe: GridSpec | None = None,
-) -> TailExponents:
+def exponents_sup_form(model: "TailModel", g: ScaleFunction) -> TailExponents:
     """Independent exponent estimate via the sup characterization.
 
     Each exponent is the largest r such that t**2 * exp(r*g(log t)) * tail(t)
     still tends to 0.  "Tends to 0" is read on the trailing window: the
     negated-limsup variant requires the whole window to sit below the margin,
     the negated-liminf variant only some point of it (a subsequence
-    surrogate at grid resolution).
+    surrogate at grid resolution).  Candidates are r = 0, 0.05, ..., 50 on
+    the model's default grid.
     """
-    if r_grid is None:
-        r_grid = default_r_grid()
-    r_grid = np.asarray(r_grid, dtype=float)
-    if r_grid.ndim != 1 or r_grid.size < 2:
-        raise ValueError("r_grid must be a 1-d grid with at least 2 points")
-    if r_grid[0] != 0.0 or np.any(np.diff(r_grid) <= 0) or r_grid[-1] < LAMBDA_MAX:
-        raise ValueError("r_grid must increase from 0 and cover [0, LAMBDA_MAX]")
-    if probe is None:
-        probe = default_grid(model)
+    probe = default_grid(model)
     _validate_grid_against_model(model, g, probe)
     u = probe.u_values()
     gu = g(u)
     win = probe.window_slice()
     log_r, log_l, log_abs = _side_log_tails(model, u)
     margin = 1e-9 * max(1.0, float(gu[-1]))
-    r1 = _sup_form_side(log_r[win], u[win], gu[win], r_grid, margin)
-    r2 = _sup_form_side(log_l[win], u[win], gu[win], r_grid, margin)
-    ra = _sup_form_side(log_abs[win], u[win], gu[win], r_grid, margin)
+    r1 = _sup_form_side(log_r[win], u[win], gu[win], margin)
+    r2 = _sup_form_side(log_l[win], u[win], gu[win], margin)
+    ra = _sup_form_side(log_abs[win], u[win], gu[win], margin)
     return TailExponents(
         lam1_bar=r1[0],
         lam1_under=r1[1],
@@ -347,7 +334,7 @@ class EmpiricalExponents:
     exceedances_at_max: int
 
 
-def empirical_exponents(sample, g: ScaleFunction, points: int = 25) -> EmpiricalExponents:
+def empirical_exponents(sample, g: ScaleFunction) -> EmpiricalExponents:
     """Plug the empirical survival function into the exponent formulas.
 
     The probe grid is confined to the top decile of |sample| and stops near
@@ -358,8 +345,6 @@ def empirical_exponents(sample, g: ScaleFunction, points: int = 25) -> Empirical
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 100_000:
         raise ValueError("need at least 1e5 samples for even a coarse estimate")
-    if points < 9:
-        raise ValueError("need at least 9 grid points")
     absx = np.abs(x)
     t_lo = float(np.quantile(absx, 0.90))
     if t_lo <= 0.0:
@@ -369,7 +354,7 @@ def empirical_exponents(sample, g: ScaleFunction, points: int = 25) -> Empirical
     # its support edge and the floor pushes the grid just past it, where the
     # empirical tail is exactly zero and the exponents report infinity.
     t_hi = max(float(np.quantile(absx, 1.0 - 120.0 / x.size)), t_lo * 1.02)
-    u = np.linspace(math.log(t_lo), math.log(t_hi), points)
+    u = np.linspace(math.log(t_lo), math.log(t_hi), _EMPIRICAL_POINTS)
     gu = g(np.maximum(u, 0.0))
     keep = gu > 0.0
     u, gu = u[keep], gu[keep]

@@ -232,16 +232,17 @@ def moments(model: TailModel) -> tuple[float, float]:
 
 
 class _LogSurvivalInverse:
-    """Inverts a strictly increasing w(u) = -log survival(e^u) on [u_lo, u_hi].
+    """Inverts a strictly increasing w(u) = -log survival(e^u) on [u_lo, 710].
 
-    A precomputed monotone table supplies a bracketing cell per query, then
-    vectorized bisection tightens it to ~1e-13 in u (relative tolerance in
-    t = e^u is the same order, well inside the 1e-10 contract).
+    A precomputed monotone table of 8193 points supplies a bracketing cell
+    per query, then vectorized bisection tightens it to ~1e-13 in u
+    (relative tolerance in t = e^u is the same order, well inside the 1e-10
+    contract).
     """
 
-    def __init__(self, w_fn, u_lo: float, u_hi: float = 710.0, table_size: int = 8193):
+    def __init__(self, w_fn, u_lo: float):
         self.w_fn = w_fn
-        self.u_tab = np.linspace(u_lo, u_hi, table_size)
+        self.u_tab = np.linspace(u_lo, 710.0, 8193)
         self.w_tab = np.asarray(w_fn(self.u_tab), dtype=float)
         if np.any(np.diff(self.w_tab) <= 0):
             raise ValueError("log-survival inverse needs a strictly increasing w(u)")

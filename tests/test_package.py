@@ -1,5 +1,7 @@
 """The package namespace is exactly the union of the module export lists."""
 
+import inspect
+
 import mdtail
 from mdtail import exponents, rate, report, scale, simulate, tails
 
@@ -30,3 +32,13 @@ def test_removed_names_are_gone():
     assert "sampler_note" not in tails.TailModel.__dataclass_fields__
     schedule_fields = tails.OscillationSchedule.__dataclass_fields__
     assert not {"u0", "growth", "u_end"} & set(schedule_fields)
+    assert not hasattr(tails, "_piecewise_quad") and not hasattr(tails, "_chunk_edges")
+    assert not hasattr(exponents, "default_r_grid") and not hasattr(mdtail, "default_r_grid")
+
+    def params(fn):
+        return set(inspect.signature(fn).parameters)
+
+    assert params(exponents.exponents_sup_form) == {"model", "g"}
+    assert params(exponents.empirical_exponents) == {"sample", "g"}
+    assert params(exponents.GridSpec.decades) == {"t_min", "t_max"}
+    assert params(tails._LogSurvivalInverse) == {"w_fn", "u_lo"}

@@ -16,7 +16,7 @@ import math
 import os
 import platform
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,22 +106,10 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
-        known = {
-            "schema_version",
-            "model",
-            "scale",
-            "method",
-            "x_values",
-            "n_grid",
-            "reps",
-            "seed",
-            "eps",
-            "out_dir",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = {"model", "scale", "method", "x_values", "n_grid", "reps", "seed"} - set(raw)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(raw)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         version = raw.get("schema_version", 1)
@@ -191,18 +179,7 @@ class ExperimentConfig:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "model": dict(self.model),
-            "scale": dict(self.scale),
-            "method": self.method,
-            "x_values": list(self.x_values),
-            "n_grid": list(self.n_grid),
-            "reps": self.reps,
-            "seed": self.seed,
-            "eps": self.eps,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -477,8 +454,9 @@ def _check_exponent_recovery() -> list[tuple[str, bool, str]]:
         )
     )
 
+    entries = catalog()
     order_ok = True
-    for entry in catalog():
+    for entry in entries:
         got = exponents_from_tail(entry.model, entry.scale)
         order_ok = order_ok and got.lam1_bar <= got.lam1_under + 1e-9
         order_ok = order_ok and got.lam2_bar <= got.lam2_under + 1e-9
@@ -493,7 +471,7 @@ def _check_exponent_recovery() -> list[tuple[str, bool, str]]:
 
     worst_gap = 0.0
     sup_ok = True
-    for entry in catalog():
+    for entry in entries:
         window = exponents_from_tail(entry.model, entry.scale)
         sup = exponents_sup_form(entry.model, entry.scale)
         for name in (

@@ -225,7 +225,9 @@ def test_tail_mean_matches_the_gaussian_closed_form():
         assert math.isclose(got, want, rel_tol=1e-10 if n < 10000 else 1e-7), n
 
 
-def test_kinked_panels_fall_back_to_quad(monkeypatch):
+@pytest.fixture
+def quad_calls(monkeypatch):
+    """The (lower, upper) limits of every panel sent to scipy's quad."""
     calls = []
 
     def counting_quad(*args, **kwargs):
@@ -233,6 +235,11 @@ def test_kinked_panels_fall_back_to_quad(monkeypatch):
         return quad(*args, **kwargs)
 
     monkeypatch.setattr(tails, "quad", counting_quad)
+    return calls
+
+
+def test_kinked_panels_fall_back_to_quad(quad_calls):
+    calls = quad_calls
     m = md.make_oscillating_tail(0.5, 2.0, md.power_scale(1.0), 3.0)
     assert calls, "the schedule's kinks must send some panels to quad"
     for c in _cut_levels(m):
@@ -245,23 +252,16 @@ def test_kinked_panels_fall_back_to_quad(monkeypatch):
         assert math.isclose(got, _quad_tail_second_moment(m.log_right_tail_u, u), rel_tol=1e-12), c
 
 
-def test_moments_send_no_smooth_panel_to_quad(monkeypatch):
+def test_moments_send_no_smooth_panel_to_quad(quad_calls):
     # with breaks at the atoms and at t0, only the oscillating law's kinks
     # leave a panel whose 48- and 24-point sums disagree
-    calls = []
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(tails, "quad", counting_quad)
     for entry in CATALOG:
-        calls.clear()
+        quad_calls.clear()
         md.moments(entry.model)
         if entry.model.oscillation is None:
-            assert not calls, entry.model.label
+            assert not quad_calls, entry.model.label
         else:
-            assert calls, entry.model.label
+            assert quad_calls, entry.model.label
 
 
 def test_atom_breaks_keep_the_two_point_recentering_exact():

@@ -198,6 +198,26 @@ def _cut_levels(model):
     return [simulate.plan_truncation(model, md.power_scale(1.0), n).c_n for n in CUT_NS]
 
 
+def test_prob_greater_on_the_restricted_grid():
+    # the discretization grid spans the left half-line and each designed
+    # law's core, where prob_greater leaves the analytic tail forms
+    for entry in CATALOG:
+        m = entry.model
+        for n, c in zip(CUT_NS, _cut_levels(m)):
+            edges = np.linspace(-c, c, simulate._CELLS + 1)
+            sf = m.prob_greater(edges)
+            assert np.all((sf >= 0.0) & (sf <= 1.0)), (m.label, n)
+            assert np.all(np.diff(sf) <= 0.0), (m.label, n)
+            for a, mass in m.atoms:
+                idx = int(np.searchsorted(edges, a, side="left")) - 1
+                if 0 <= idx < simulate._CELLS:
+                    # the drop and the mass are rounded apart, by an ulp or so
+                    assert sf[idx] - sf[idx + 1] >= mass - 1e-15, (m.label, n, a)
+            p_n = simulate.plan_truncation(m, md.power_scale(1.0), n).p_n
+            masses = simulate._restricted_law(m, c)[1]
+            assert math.isclose(masses.sum(), 1.0 - p_n, rel_tol=0.0, abs_tol=1e-12), (m.label, n)
+
+
 @pytest.mark.parametrize("alpha", [3.0, 2.2])
 def test_tail_integrals_match_pareto_closed_forms(alpha):
     m = md.pareto(alpha)

@@ -270,8 +270,8 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     delta = max(G**-0.25, n**-0.125)
     delta_hat = max(delta, G**-0.5)
     c = truncation_level(g, n, delta_hat)
-    right = float(model.right_tail(np.asarray([c]))[0])
-    left = float(model.left_tail(np.asarray([c]))[0])
+    right = float(model.right_tail(c))
+    left = float(model.left_tail(c))
     p_n = right + left
     u_c = math.log(c)
     right_breaks = [math.log(a) for a, _ in model.atoms if a > c]
@@ -523,7 +523,7 @@ def split_estimate(
     )
     values, masses, restricted = law
     a_n = math.sqrt(n * G)
-    max_term = n * float(model.right_tail(np.asarray([math.sqrt(n) / G]))[0])
+    max_term = n * float(model.right_tail(math.sqrt(n) / G))
     upper_flags: tuple[str, ...] = ()
     if max_term >= 1.0:
         upper_flags += ("max_term_vacuous",)

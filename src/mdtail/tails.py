@@ -1,9 +1,8 @@
 """Distribution models with exactly known tails, moments, and samplers.
 
-Every model carries its survival functions in two forms: plain t-space
-callables for probabilities, and u = log t log-survival callables that stay
-finite far beyond float range (needed by the exponent probes, whose grids
-can reach u in the tens of thousands).
+A law is its two log-survivals in u = log t, which stay finite far beyond
+float range (the exponent probes' grids reach u in the tens of thousands);
+every probability in t-space is derived from them.
 
 Every tail integral (truncation means, designed-side moments, `moments`
 from near t = 0 up) is taken in u on fixed panels: a 48-point
@@ -98,19 +97,18 @@ class OscillationSchedule:
 class TailModel:
     """Immutable law description.
 
-    right_tail(t) = P(X > t) and left_tail(t) = P(X < -t), both for t >= 0
-    and for the whole distribution (core region included).  The u-space
-    callables return log survival at t = e^u and are exact for every u, the
+    A law is its two log-survivals: log_right_tail_u(u) = log P(X > e^u) and
+    log_left_tail_u(u) = log P(X < -e^u).  Both are exact for every u, the
     core below t0 (where the analytic tail form starts) included; `moments`
-    integrates them from far below t0.
+    integrates them from far below t0.  The t-space methods right_tail(t) =
+    P(X > t) and left_tail(t) = P(X < -t) for t >= 0, `survival` and
+    `prob_greater` are derived from them.
     """
 
     label: str
     mu: float
     sigma2: float
     t0: float
-    right_tail: Callable[[np.ndarray], np.ndarray]
-    left_tail: Callable[[np.ndarray], np.ndarray]
     log_right_tail_u: Callable[[np.ndarray], np.ndarray]
     log_left_tail_u: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[Generator, int], np.ndarray]
@@ -120,6 +118,14 @@ class TailModel:
     design_grid: GridSpec | None = None
     oscillation: OscillationSchedule | None = None
 
+    def right_tail(self, t):
+        """P(X > t) for t >= 0: exp(log_right_tail_u(log t))."""
+        return _tail_from_log_u(self.log_right_tail_u, t)
+
+    def left_tail(self, t):
+        """P(X < -t) for t >= 0: exp(log_left_tail_u(log t))."""
+        return _tail_from_log_u(self.log_left_tail_u, t)
+
     def survival(self, t):
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0):
@@ -128,19 +134,32 @@ class TailModel:
         return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
     def prob_greater(self, v) -> np.ndarray:
-        """P(X > v) for any real v, including the core and left half-line."""
+        """P(X > v) for any real v, including the core and left half-line.
+
+        Each tail is evaluated only on its own half of v.
+        """
         v_arr = np.atleast_1d(np.asarray(v, dtype=float))
-        right = self.right_tail(np.maximum(v_arr, 0.0))
-        below = 1.0 - self.left_tail(np.maximum(-v_arr, 0.0))
+        out = np.empty_like(v_arr)
+        right = v_arr >= 0
+        out[right] = self.right_tail(v_arr[right])
+        below = ~right
+        out[below] = 1.0 - self.left_tail(-v_arr[below])
+        # 1 - P(X < v) still holds an atom at v < 0; take its mass out
         for loc, mass in self.atoms:
-            below = below - mass * (v_arr == loc)
-        out = np.where(v_arr >= 0, right, below)
+            if loc < 0:
+                out[v_arr == loc] -= mass
         return float(out[0]) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("need n >= 1 samples")
         return self.sampler(_rng_stream(seed, 0), int(n))
+
+
+def _tail_from_log_u(log_tail_u, t):
+    """exp(log_tail_u(log t)) for t >= 0; t = 0 reads the u = -inf limit."""
+    with np.errstate(divide="ignore"):
+        return np.exp(log_tail_u(np.log(np.asarray(t, dtype=float))))
 
 
 def _tail_integral(log_tail_u, u_lo: float, power: int, edges, epsabs: float, epsrel: float) -> list[float]:
@@ -270,9 +289,6 @@ def _gaussian_log_tail_u(u):
 def gaussian() -> TailModel:
     """Standard normal; both tail exponents diverge on any admissible scale."""
 
-    def right_tail(t):
-        return ndtr(-np.asarray(t, dtype=float))
-
     def sampler(rng: Generator, size: int) -> np.ndarray:
         p = np.clip(rng.random(size), _MIN_P, None)
         return ndtri(p)
@@ -283,8 +299,6 @@ def gaussian() -> TailModel:
         mu=0.0,
         sigma2=1.0,
         t0=1.0,
-        right_tail=right_tail,
-        left_tail=right_tail,
         log_right_tail_u=_gaussian_log_tail_u,
         log_left_tail_u=_gaussian_log_tail_u,
         sampler=sampler,
@@ -296,10 +310,6 @@ def gaussian() -> TailModel:
 
 def two_point() -> TailModel:
     """Symmetric signs: mass 1/2 on each of -1 and +1."""
-
-    def right_tail(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < 1.0, 0.5, 0.0)
 
     def log_tail_u(u):
         u = np.asarray(u, dtype=float)
@@ -314,8 +324,6 @@ def two_point() -> TailModel:
         mu=0.0,
         sigma2=1.0,
         t0=1.0,
-        right_tail=right_tail,
-        left_tail=right_tail,
         log_right_tail_u=log_tail_u,
         log_left_tail_u=log_tail_u,
         sampler=sampler,
@@ -332,14 +340,6 @@ def pareto(alpha: float) -> TailModel:
     alpha = float(alpha)
     mu = alpha / (alpha - 1.0)
     sigma2 = alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0)) if alpha > 2.0 else math.inf
-
-    def right_tail(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(t < 1.0, 1.0, t ** (-alpha))
-
-    def left_tail(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def log_right_u(u):
         u = np.asarray(u, dtype=float)
@@ -363,8 +363,6 @@ def pareto(alpha: float) -> TailModel:
         mu=mu,
         sigma2=sigma2,
         t0=1.0,
-        right_tail=right_tail,
-        left_tail=left_tail,
         log_right_tail_u=log_right_u,
         log_left_tail_u=log_left_u,
         sampler=sampler,
@@ -454,23 +452,7 @@ def _assemble_two_sided(
 ) -> TailModel:
     u0 = math.log(t0)
 
-    def make_tail(side: _DesignedSide, atom_visible):
-        def tail(t):
-            t = np.asarray(t, dtype=float)
-            out = np.empty_like(t)
-            in_tail = t >= t0
-            with np.errstate(over="ignore"):
-                out[in_tail] = np.exp(side.log_form_u(np.log(np.maximum(t[in_tail], 1e-300))))
-            core = ~in_tail
-            out[core] = side.q + core_mass * atom_visible(t[core])
-            return out
-
-        return tail
-
-    right_tail = make_tail(right, lambda t: atom > t)
-    left_tail = make_tail(left, lambda t: -atom > t)
-
-    def make_log_u(side: _DesignedSide, tail_fn):
+    def make_log_u(side: _DesignedSide, signed_atom: float):
         def log_u(u):
             u = np.asarray(u, dtype=float)
             out = np.empty_like(u)
@@ -478,7 +460,7 @@ def _assemble_two_sided(
             out[in_tail] = side.log_form_u(u[in_tail])
             core = ~in_tail
             with np.errstate(divide="ignore"):
-                out[core] = np.log(tail_fn(np.exp(u[core])))
+                out[core] = np.log(side.q + core_mass * (signed_atom > np.exp(u[core])))
             return out
 
         return log_u
@@ -500,10 +482,8 @@ def _assemble_two_sided(
         # with atom 0 and one side for both, this is exactly 2 * second_moment_part
         sigma2=atom * atom * core_mass + right.second_moment_part + left.second_moment_part,
         t0=t0,
-        right_tail=right_tail,
-        left_tail=left_tail,
-        log_right_tail_u=make_log_u(right, right_tail),
-        log_left_tail_u=make_log_u(left, left_tail),
+        log_right_tail_u=make_log_u(right, atom),
+        log_left_tail_u=make_log_u(left, -atom),
         sampler=sampler,
         atoms=((atom, core_mass),),
         design_exponents=design_exponents,

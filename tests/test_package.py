@@ -1,6 +1,7 @@
 """The package namespace is exactly the union of the module export lists."""
 
 import inspect
+import math
 
 import mdtail
 from mdtail import exponents, rate, report, scale, simulate, tails
@@ -29,7 +30,12 @@ def test_removed_names_are_gone():
     assert set(prediction_fields) == {"sqrt_tg_limsup", "sqrt_tg_liminf"}
     split_fields = simulate.SplitEstimate.__dataclass_fields__
     assert "x_upper_target" not in split_fields and "x_lower_target" not in split_fields
-    assert "sampler_note" not in tails.TailModel.__dataclass_fields__
+    model_fields = tails.TailModel.__dataclass_fields__
+    assert "sampler_note" not in model_fields
+    assert not {"right_tail", "left_tail"} & set(model_fields)
+    model = tails.pareto(3.0)
+    assert math.isclose(float(model.right_tail(10.0)), 1e-3, rel_tol=1e-12)
+    assert float(model.left_tail(10.0)) == 0.0
     schedule_fields = tails.OscillationSchedule.__dataclass_fields__
     assert not {"u0", "growth", "u_end"} & set(schedule_fields)
     assert not hasattr(tails, "_piecewise_quad") and not hasattr(tails, "_chunk_edges")

@@ -87,16 +87,6 @@ class TailExponents:
                     "a negated limsup cannot exceed the negated liminf"
                 )
 
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "lam1_bar": self.lam1_bar,
-            "lam1_under": self.lam1_under,
-            "lam2_bar": self.lam2_bar,
-            "lam2_under": self.lam2_under,
-            "lam_bar": self.lam_bar,
-            "lam_under": self.lam_under,
-        }
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -230,15 +220,8 @@ def exponents_from_tail(
         # log 0 = -inf convention: a vanished tail reads as y = +inf.
         y = np.where(np.isneginf(log_s), math.inf, y)
         results.append(_window_limits(y[win], gu[win]))
-    (r_bar, r_under), (l_bar, l_under), (a_bar, a_under) = results
-    return TailExponents(
-        lam1_bar=r_bar,
-        lam1_under=r_under,
-        lam2_bar=l_bar,
-        lam2_under=l_under,
-        lam_bar=a_bar,
-        lam_under=a_under,
-    )
+    right, left, both = results
+    return TailExponents(*right, *left, *both)
 
 
 def _sup_form_side(
@@ -282,17 +265,10 @@ def exponents_sup_form(model: "TailModel", g: ScaleFunction) -> TailExponents:
     win = probe.window_slice()
     log_r, log_l, log_abs = _side_log_tails(model, u)
     margin = 1e-9 * max(1.0, float(gu[-1]))
-    r1 = _sup_form_side(log_r[win], u[win], gu[win], margin)
-    r2 = _sup_form_side(log_l[win], u[win], gu[win], margin)
-    ra = _sup_form_side(log_abs[win], u[win], gu[win], margin)
-    return TailExponents(
-        lam1_bar=r1[0],
-        lam1_under=r1[1],
-        lam2_bar=r2[0],
-        lam2_under=r2[1],
-        lam_bar=ra[0],
-        lam_under=ra[1],
-    )
+    right = _sup_form_side(log_r[win], u[win], gu[win], margin)
+    left = _sup_form_side(log_l[win], u[win], gu[win], margin)
+    both = _sup_form_side(log_abs[win], u[win], gu[win], margin)
+    return TailExponents(*right, *left, *both)
 
 
 @dataclass(frozen=True)

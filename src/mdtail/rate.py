@@ -21,7 +21,8 @@ from .exponents import TailExponents
 
 __all__ = ["RateSpec", "Regime", "rate_limsup", "rate_liminf", "rate_curve_csv", "classify"]
 
-_SIDES = ("upper", "lower", "two-sided")
+# side -> the TailExponents field prefix of its exponent pair
+_SIDE_FIELDS = {"upper": "lam1", "lower": "lam2", "two-sided": "lam"}
 
 
 class Regime(enum.Enum):
@@ -54,17 +55,9 @@ class RateSpec:
 
 def _lam_for(exps: TailExponents, side: str, flavor: str) -> float:
     side = side.replace("_", "-")
-    if side not in _SIDES:
-        raise ValueError(f"side must be one of {_SIDES}")
-    table = {
-        ("upper", "bar"): exps.lam1_bar,
-        ("upper", "under"): exps.lam1_under,
-        ("lower", "bar"): exps.lam2_bar,
-        ("lower", "under"): exps.lam2_under,
-        ("two-sided", "bar"): exps.lam_bar,
-        ("two-sided", "under"): exps.lam_under,
-    }
-    return table[(side, flavor)]
+    if side not in _SIDE_FIELDS:
+        raise ValueError(f"side must be one of {tuple(_SIDE_FIELDS)}")
+    return getattr(exps, f"{_SIDE_FIELDS[side]}_{flavor}")
 
 
 def _rate(spec: RateSpec, x: float, lam: float) -> float:

@@ -290,7 +290,7 @@ def run_experiment(
             "points": grid.points,
             "spacing": grid.spacing,
         },
-        "exponents": {k: _json_value(v) for k, v in computed.as_dict().items()},
+        "exponents": {k: _json_value(v) for k, v in asdict(computed).items()},
     }
     exponents_path = out / "exponents.json"
     _write_text(exponents_path, json.dumps(exponents_payload, sort_keys=True, indent=2) + "\n")

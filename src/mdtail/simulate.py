@@ -52,9 +52,11 @@ __all__ = [
     "convergence_trajectory",
 ]
 
-# Total elements (reps * n) drawn per chunk; fixes the chunk layout so that
-# results do not depend on how chunks are scheduled across workers.
+# A chunk (about CHUNK_TARGET = reps * n elements, one Philox stream (seed, k))
+# fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
+# a cache unit: samplers consume their stream in order, so it changes nothing.
 CHUNK_TARGET = 1 << 22
+_BLOCK_ELEMS = 1 << 16
 
 
 class EstimatorError(RuntimeError):
@@ -176,10 +178,9 @@ def _chunk_sizes(reps: int, n: int) -> list[int]:
 def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
     """Run chunk_fn(rng, rows) on every chunk and add its partial sums in chunk order.
 
-    Chunk k holds sizes[k] of the reps rows of n draws, draws from its own
-    stream (seed, k) and returns a tuple of partial sums; adding them in
-    chunk order keeps the totals independent of how chunks are scheduled
-    across workers.
+    Chunk k draws sizes[k] of the reps rows of n values from its own stream
+    (seed, k), in blocks of any size; adding the tuples of partial sums in
+    chunk order keeps the totals independent of the worker count.
     """
     sizes = _chunk_sizes(reps, n)
 
@@ -195,6 +196,18 @@ def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
     for part in parts:
         totals = [t + v for t, v in zip(totals, part)]
     return totals
+
+
+def _row_sums(rng, rows: int, n: int, draw) -> np.ndarray:
+    """Row sums of a rows x n draw, made by draw(rng, size) in blocks of whole rows."""
+    block_rows = max(1, _BLOCK_ELEMS // n)
+    sums = np.empty(rows)
+    for r0 in range(0, rows, block_rows):
+        block = sums[r0 : r0 + block_rows]
+        # held until the next block is drawn, so glibc does not trim and re-fault its heap
+        draws = draw(rng, block.size * n)
+        block[:] = draws.reshape(-1, n).sum(axis=1)
+    return sums
 
 
 def _finish_estimate(
@@ -250,8 +263,7 @@ def crude_mc(
     threshold = n * model.mu + x * math.sqrt(n * G)
 
     def count_hits(rng, rows: int) -> tuple[int]:
-        draws = model.sampler(rng, rows * n).reshape(rows, n)
-        return (int(np.count_nonzero(draws.sum(axis=1) > threshold)),)
+        return (int(np.count_nonzero(_row_sums(rng, rows, n, model.sampler) > threshold)),)
 
     return _hit_frequency(count_hits, reps, seed, workers, n, x, G)
 
@@ -397,12 +409,6 @@ def _alias_sample(rng, size: int, prob: np.ndarray, outcomes: np.ndarray) -> np.
     return outcomes[c]
 
 
-# Elements per alias-table draw: a block of whole rows this size keeps the
-# uniforms, column indices and drawn values in cache.  Consecutive calls to
-# rng.random continue one stream, so results do not depend on it.
-_BLOCK_ELEMS = 1 << 16
-
-
 def _tilted_sum_estimate(
     values: np.ndarray,
     masses: np.ndarray,
@@ -422,17 +428,11 @@ def _tilted_sum_estimate(
     z = theta * values + log_masses
     prob, alias = _alias_table(np.exp(z - z.max()))
     outcomes = np.concatenate((values, values[alias]))
-    log_offset = n * K
-    block_rows = max(1, _BLOCK_ELEMS // n)
 
     def weight_sums(rng, rows: int) -> tuple[float, float]:
-        T = np.empty(rows)
-        for r0 in range(0, rows, block_rows):
-            r1 = min(rows, r0 + block_rows)
-            draws = _alias_sample(rng, (r1 - r0) * n, prob, outcomes)
-            T[r0:r1] = draws.reshape(r1 - r0, n).sum(axis=1)
+        T = _row_sums(rng, rows, n, lambda rng, size: _alias_sample(rng, size, prob, outcomes))
         # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
-        w = np.exp(log_offset - theta * T[T > target_sum])
+        w = np.exp(n * K - theta * T[T > target_sum])
         return float(w.sum()), float((w * w).sum())
 
     s1, s2 = _chunked_sums(weight_sums, reps, n, seed, workers)

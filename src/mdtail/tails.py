@@ -103,6 +103,11 @@ class TailModel:
     integrates them from far below t0.  The t-space methods right_tail(t) =
     P(X > t) and left_tail(t) = P(X < -t) for t >= 0, `survival` and
     `prob_greater` are derived from them.
+
+    sampler(rng, size) returns size draws and consumes rng in order, so
+    sampler(rng, a) followed by sampler(rng, b) equals sampler(rng2, a + b)
+    on a fresh generator rng2 with the same key; the estimators draw a chunk
+    in blocks of whole rows and rely on this for block-independent results.
     """
 
     label: str

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from itertools import product
@@ -134,15 +135,36 @@ def test_tilted_weights_do_not_overflow_under_a_long_left_tail():
     assert 0.0 < est.p_hat < 1.0 and math.isfinite(est.stderr)
 
 
-def test_tilted_results_do_not_depend_on_the_block_size(monkeypatch):
-    def run():
-        return S.tilted_mc_truncated(md.gaussian(), G1, n=300, x=2.0, reps=3000, seed=4)
-
-    base = run()
+def test_results_do_not_depend_on_the_block_size(monkeypatch):
+    # n = 300 divides none of the block sizes, and at block 1 a row outgrows the block
+    designed = md.make_designed_tail(0.5, 2.0, G1)
+    runs = [
+        lambda: S.tilted_mc_truncated(md.gaussian(), G1, n=300, x=2.0, reps=3000, seed=4),
+        lambda: S.crude_mc(md.gaussian(), G1, n=300, x=0.5, reps=1000, seed=4),
+        lambda: S.crude_mc(designed, G1, n=300, x=0.5, reps=1000, seed=4),
+    ]
+    base = [run() for run in runs]
+    assert all(est.p_hat > 0 for est in base)
     for block in (1, 1000, 1 << 20):
         monkeypatch.setattr(S, "_BLOCK_ELEMS", block)
-        est = run()
-        assert (est.p_hat, est.stderr) == (base.p_hat, base.stderr), block
+        for run, ref in zip(runs, base):
+            est = run()
+            assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), (est.method, block)
+
+
+def test_crude_chunk_memory_stays_bounded():
+    # a chunk is drawn in cache-sized blocks, never as one reps * n array
+    def run():
+        return S.crude_mc(md.gaussian(), G1, n=1000, x=1.0, reps=5000, seed=1)
+
+    run()  # warm-up: lazy imports and caches are not the kernel's memory
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak
 
 
 # ------------------------------------------------------------ alias table

@@ -117,6 +117,16 @@ def test_sampling_is_deterministic_per_seed():
         m.sample(seed=5, n=0)
 
 
+def test_samplers_consume_their_stream_in_order():
+    # the estimators draw a chunk in blocks of whole rows; splitting one draw
+    # into two must not change a bit
+    for entry in CATALOG:
+        rng = tails._rng_stream(7, 3)
+        split = np.concatenate((entry.model.sampler(rng, 37), entry.model.sampler(rng, 1000)))
+        whole = entry.model.sampler(tails._rng_stream(7, 3), 1037)
+        assert split.tobytes() == whole.tobytes(), entry.model.label
+
+
 def test_designed_tail_matches_envelope_form_far_out():
     g1 = md.power_scale(1.0)
     g2 = md.power_scale(2.0)

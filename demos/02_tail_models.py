@@ -21,7 +21,7 @@ def describe(model, n_samples=200_000, seed=0):
     print(f"  tail-integral moments: mean {mean_int:+.4f}, var {var_int:.4f}")
     for mult in (1.0, 3.0, 10.0):
         t = model.t0 * mult
-        p = model.survival(t)
+        p = model.right_tail(t)
         hat = np.count_nonzero(xs > t) / n_samples
         print(f"  P(X > {t:8.3f}) = {p:.3e}   empirical {hat:.3e}")
     print()
@@ -35,4 +35,4 @@ g = md.power_scale(1.0)
 m = md.make_designed_tail(0.5, 2.0, g)
 print(f"custom model {m.label}: right tail decays like t^-2 * exp(-0.5*g(log t))")
 for t in (10.0, 100.0, 1000.0):
-    print(f"  survival({t:6.0f}) = {m.survival(t):.3e}")
+    print(f"  P(X > {t:6.0f}) = {m.right_tail(t):.3e}")

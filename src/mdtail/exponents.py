@@ -122,11 +122,8 @@ class GridSpec:
             return np.linspace(self.u_min, self.u_max, self.points)
         return np.geomspace(self.u_min, self.u_max, self.points)
 
-    def window_start(self) -> int:
-        return _window_start(self.points)
-
     def window_slice(self) -> slice:
-        return slice(self.window_start(), None)
+        return slice(_window_start(self.points), None)
 
 
 def default_grid(model: "TailModel") -> GridSpec:
@@ -181,15 +178,14 @@ def _window_limits(y: np.ndarray, gu: np.ndarray) -> tuple[float, float]:
     return _raw_limits(y)
 
 
-def _side_log_tails(model: "TailModel", u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        log_r = np.asarray(model.log_right_tail_u(u), dtype=float)
-        log_l = np.asarray(model.log_left_tail_u(u), dtype=float)
-        log_abs = np.logaddexp(log_r, log_l)
-    return log_r, log_l, log_abs
+def _probe(
+    model: "TailModel", g: ScaleFunction, grid: GridSpec
+) -> tuple[np.ndarray, np.ndarray, slice, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The grid's u and g(u), its trailing window, and the right, left and two-sided log-tails.
 
-
-def _validate_grid_against_model(model: "TailModel", g: ScaleFunction, grid: GridSpec) -> None:
+    The grid must start at or beyond the model's t0, span at least four
+    decades and have g(log t) > 0.
+    """
     if grid.u_min < math.log(model.t0) - 1e-12:
         raise ValueError(
             "grid starts below the model's t0; the tail form is only valid beyond it"
@@ -198,6 +194,12 @@ def _validate_grid_against_model(model: "TailModel", g: ScaleFunction, grid: Gri
         raise ValueError("grid must span at least 4 decades beyond t0")
     if g.eval(grid.u_min) <= 0.0:
         raise ValueError("g(log t) must be positive on the grid")
+    u = grid.u_values()
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        log_r = np.asarray(model.log_right_tail_u(u), dtype=float)
+        log_l = np.asarray(model.log_left_tail_u(u), dtype=float)
+        log_abs = np.logaddexp(log_r, log_l)
+    return u, g(u), grid.window_slice(), (log_r, log_l, log_abs)
 
 
 def exponents_from_tail(
@@ -208,13 +210,9 @@ def exponents_from_tail(
     """Windowed limsup/liminf of -log(t**2 * tail) / g(log t) on the grid."""
     if grid is None:
         grid = default_grid(model)
-    _validate_grid_against_model(model, g, grid)
-    u = grid.u_values()
-    gu = g(u)
-    log_r, log_l, log_abs = _side_log_tails(model, u)
-    win = grid.window_slice()
+    u, gu, win, log_tails = _probe(model, g, grid)
     results = []
-    for log_s in (log_r, log_l, log_abs):
+    for log_s in log_tails:
         with np.errstate(invalid="ignore"):
             y = -(2.0 * u + log_s) / gu
         # log 0 = -inf convention: a vanished tail reads as y = +inf.
@@ -258,16 +256,9 @@ def exponents_sup_form(model: "TailModel", g: ScaleFunction) -> TailExponents:
     surrogate at grid resolution).  Candidates are r = 0, 0.05, ..., 50 on
     the model's default grid.
     """
-    probe = default_grid(model)
-    _validate_grid_against_model(model, g, probe)
-    u = probe.u_values()
-    gu = g(u)
-    win = probe.window_slice()
-    log_r, log_l, log_abs = _side_log_tails(model, u)
+    u, gu, win, log_tails = _probe(model, g, default_grid(model))
     margin = 1e-9 * max(1.0, float(gu[-1]))
-    right = _sup_form_side(log_r[win], u[win], gu[win], margin)
-    left = _sup_form_side(log_l[win], u[win], gu[win], margin)
-    both = _sup_form_side(log_abs[win], u[win], gu[win], margin)
+    right, left, both = (_sup_form_side(log_s[win], u[win], gu[win], margin) for log_s in log_tails)
     return TailExponents(*right, *left, *both)
 
 

@@ -442,8 +442,9 @@ def _check_exponent_recovery() -> list[tuple[str, bool, str]]:
         )
     )
 
-    osc = make_oscillating_tail(0.5, 2.0, power_scale(1.0), 3.0)
-    got = exponents_from_tail(osc, power_scale(1.0))
+    entries = catalog()
+    windows = [exponents_from_tail(entry.model, entry.scale) for entry in entries]
+    got = next(w for e, w in zip(entries, windows) if e.model.label == "oscillating(0.5,2;t;x3)")
     err_bar = _relerr(got.lam1_bar, 0.5)
     err_under = _relerr(got.lam1_under, 2.0)
     checks.append(
@@ -454,10 +455,8 @@ def _check_exponent_recovery() -> list[tuple[str, bool, str]]:
         )
     )
 
-    entries = catalog()
     order_ok = True
-    for entry in entries:
-        got = exponents_from_tail(entry.model, entry.scale)
+    for got in windows:
         order_ok = order_ok and got.lam1_bar <= got.lam1_under + 1e-9
         order_ok = order_ok and got.lam2_bar <= got.lam2_under + 1e-9
         order_ok = order_ok and got.lam_bar <= got.lam_under + 1e-9
@@ -471,8 +470,7 @@ def _check_exponent_recovery() -> list[tuple[str, bool, str]]:
 
     worst_gap = 0.0
     sup_ok = True
-    for entry in entries:
-        window = exponents_from_tail(entry.model, entry.scale)
+    for entry, window in zip(entries, windows):
         sup = exponents_sup_form(entry.model, entry.scale)
         for name in (
             "lam1_bar", "lam1_under", "lam2_bar", "lam2_under", "lam_bar", "lam_under",

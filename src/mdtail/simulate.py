@@ -282,8 +282,8 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     delta = max(G**-0.25, n**-0.125)
     delta_hat = max(delta, G**-0.5)
     c = truncation_level(g, n, delta_hat)
-    right = float(model.right_tail(c))
-    left = float(model.left_tail(c))
+    right = model.right_tail(c)
+    left = model.left_tail(c)
     p_n = right + left
     u_c = math.log(c)
     right_breaks = [math.log(a) for a, _ in model.atoms if a > c]
@@ -305,7 +305,7 @@ def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray,
     locations and masses.  Returns (values, masses, restricted_mass).
     """
     edges = np.linspace(-c, c, _CELLS + 1)
-    sf = np.asarray(model.prob_greater(edges), dtype=float)
+    sf = model.prob_greater(edges)
     cell_mass = sf[:-1] - sf[1:]
     atom_locs, atom_masses = [], []
     for a, m in model.atoms:
@@ -316,7 +316,6 @@ def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray,
             cell_mass[idx] -= m
         atom_locs.append(a)
         atom_masses.append(m)
-    cell_mass = np.maximum(cell_mass, 0.0)
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = cell_mass > 0.0
     values = np.concatenate((mids[keep], atom_locs))
@@ -324,19 +323,19 @@ def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray,
     return values, masses, float(masses.sum())
 
 
-def _cumulant(values: np.ndarray, log_masses: np.ndarray, theta: float) -> tuple[float, float]:
-    """(K(theta), K'(theta)) of the discrete law, computed with a shared shift."""
+def _cumulant(values: np.ndarray, log_masses: np.ndarray, theta: float) -> tuple[float, float, np.ndarray]:
+    """(K(theta), K'(theta), w) of the discrete law; w = the tilted masses over their largest."""
     z = theta * values + log_masses
     m = float(z.max())
     w = np.exp(z - m)
     s = float(w.sum())
     K = m + math.log(s)
     Kp = float((values * w).sum()) / s
-    return K, Kp
+    return K, Kp, w
 
 
 def _solve_tilt(values: np.ndarray, log_masses: np.ndarray, target: float) -> float:
-    _, mean0 = _cumulant(values, log_masses, 0.0)
+    mean0 = _cumulant(values, log_masses, 0.0)[1]
     if target <= mean0:
         return 0.0
     v_max = float(values.max())
@@ -424,9 +423,8 @@ def _tilted_sum_estimate(
     masses = masses[keep] / masses[keep].sum()
     log_masses = np.log(masses)
     theta = _solve_tilt(values, log_masses, target_sum / n)
-    K, _ = _cumulant(values, log_masses, theta)
-    z = theta * values + log_masses
-    prob, alias = _alias_table(np.exp(z - z.max()))
+    K, _, tilted = _cumulant(values, log_masses, theta)
+    prob, alias = _alias_table(tilted)
     outcomes = np.concatenate((values, values[alias]))
 
     def weight_sums(rng, rows: int) -> tuple[float, float]:
@@ -523,7 +521,7 @@ def split_estimate(
     )
     values, masses, restricted = law
     a_n = math.sqrt(n * G)
-    max_term = n * float(model.right_tail(math.sqrt(n) / G))
+    max_term = n * model.right_tail(math.sqrt(n) / G)
     upper_flags: tuple[str, ...] = ()
     if max_term >= 1.0:
         upper_flags += ("max_term_vacuous",)

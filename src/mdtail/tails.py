@@ -42,7 +42,6 @@ __all__ = [
     "make_designed_tail",
     "make_oscillating_tail",
     "catalog",
-    "model_preset_names",
     "model_from_spec",
 ]
 
@@ -101,8 +100,8 @@ class TailModel:
     log_left_tail_u(u) = log P(X < -e^u).  Both are exact for every u, the
     core below t0 (where the analytic tail form starts) included; `moments`
     integrates them from far below t0.  The t-space methods right_tail(t) =
-    P(X > t) and left_tail(t) = P(X < -t) for t >= 0, `survival` and
-    `prob_greater` are derived from them.
+    P(X > t) and left_tail(t) = P(X < -t), which take t >= 0 and return a
+    float for a scalar t, and `prob_greater` are derived from them.
 
     sampler(rng, size) returns size draws and consumes rng in order, so
     sampler(rng, a) followed by sampler(rng, b) equals sampler(rng2, a + b)
@@ -131,13 +130,6 @@ class TailModel:
         """P(X < -t) for t >= 0: exp(log_left_tail_u(log t))."""
         return _tail_from_log_u(self.log_left_tail_u, t)
 
-    def survival(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0):
-            raise ValueError("survival is defined for t >= 0")
-        out = self.right_tail(t_arr)
-        return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
     def prob_greater(self, v) -> np.ndarray:
         """P(X > v) for any real v, including the core and left half-line.
 
@@ -162,9 +154,13 @@ class TailModel:
 
 
 def _tail_from_log_u(log_tail_u, t):
-    """exp(log_tail_u(log t)) for t >= 0; t = 0 reads the u = -inf limit."""
+    """exp(log_tail_u(log t)) for t >= 0, a float for scalar t; t = 0 reads the u = -inf limit."""
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("a tail probability is defined for t >= 0")
     with np.errstate(divide="ignore"):
-        return np.exp(log_tail_u(np.log(np.asarray(t, dtype=float))))
+        out = np.exp(log_tail_u(np.log(t_arr)))
+    return float(out) if t_arr.ndim == 0 else out
 
 
 def _tail_integral(log_tail_u, u_lo: float, power: int, edges, epsabs: float, epsrel: float) -> list[float]:
@@ -340,8 +336,8 @@ def two_point() -> TailModel:
 
 def pareto(alpha: float) -> TailModel:
     """Pareto on [1, inf) with survival t^-alpha; alpha > 1 keeps the mean finite."""
-    if not alpha > 1.0:
-        raise ValueError("alpha must exceed 1 so the mean is finite")
+    if not 1.0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and exceed 1 so the mean is finite")
     alpha = float(alpha)
     mu = alpha / (alpha - 1.0)
     sigma2 = alpha / ((alpha - 1.0) ** 2 * (alpha - 2.0)) if alpha > 2.0 else math.inf
@@ -396,13 +392,13 @@ class _DesignedSide:
     second_moment_part: float
 
 
-def _decay_side(h, u0: float, t0: float, t0_sq: float, what: str | None) -> _DesignedSide:
+def _decay_side(h, u0: float, what: str) -> _DesignedSide:
     """Side whose log survival beyond u0 is min(log q, -2u - h(u)), q <= 1/4.
 
     h must make w(u) = 2u + h(u) strictly increasing; quantiles invert w.
-    t0 and t0_sq multiply q in the mean and second-moment parts, spelled by
-    the caller so each law keeps its own rounding of e^u0 and e^(2 u0).
-    what labels the divergence error; None skips that check.
+    The mean and second-moment parts add the mass q at e^u0 to the tail
+    integrals beyond it.  what labels the error raised when the second
+    moment diverges.
     """
     log_q = min(math.log(0.25), float(-2.0 * u0 - h(u0)))
     q = math.exp(log_q)
@@ -411,10 +407,7 @@ def _decay_side(h, u0: float, t0: float, t0_sq: float, what: str | None) -> _Des
         u = np.asarray(u, dtype=float)
         return np.minimum(log_q, -2.0 * u - h(u))
 
-    if what is None:
-        second = _tail_second_moment_u(log_form_u, u0)[0]
-    else:
-        second = _admissibility_or_raise(log_form_u, u0, what)
+    second = _admissibility_or_raise(log_form_u, u0, what)
 
     def w(u):
         u = np.asarray(u, dtype=float)
@@ -425,14 +418,15 @@ def _decay_side(h, u0: float, t0: float, t0_sq: float, what: str | None) -> _Des
     def quantile(p):
         return np.exp(inverse(-np.log(np.asarray(p, dtype=float))))
 
+    t0 = math.exp(u0)
     mean_part = t0 * q + _tail_mean_u(log_form_u, u0)
-    return _DesignedSide(q, log_form_u, quantile, mean_part, t0_sq * q + second)
+    return _DesignedSide(q, log_form_u, quantile, mean_part, t0 * t0 * q + second)
 
 
 def _build_designed_side(lam: float, g: ScaleFunction, t0: float, what: str) -> _DesignedSide:
     u0 = math.log(t0)
     if not math.isinf(lam):
-        return _decay_side(lambda u: lam * g(u), u0, t0, t0 * t0, what)
+        return _decay_side(lambda u: lam * g(u), u0, what)
     q = float(ndtr(-t0))
     mean_part = t0 * q + _tail_mean_u(_gaussian_log_tail_u, u0)
     second_part = t0 * t0 * q + _tail_second_moment_u(_gaussian_log_tail_u, u0)[0]
@@ -448,13 +442,23 @@ def _assemble_two_sided(
     t0: float,
     right: _DesignedSide,
     left: _DesignedSide,
-    atom: float,
     core_mass: float,
     design_exponents: TailExponents,
     design_scale_label: str,
     design_grid: GridSpec | None = None,
     oscillation: OscillationSchedule | None = None,
 ) -> TailModel:
+    """Two-sided law from its sides beyond t0 and one core atom of mass core_mass.
+
+    The atom sits where it makes the mean exactly zero; it must fall inside
+    (-t0, t0).
+    """
+    atom = (left.mean_part - right.mean_part) / core_mass
+    if not abs(atom) < t0:
+        raise ValueError(
+            "cannot balance the mean with a single core atom inside (-t0, t0); "
+            "increase t0 or reduce the tail asymmetry"
+        )
     u0 = math.log(t0)
 
     def make_log_u(side: _DesignedSide, signed_atom: float):
@@ -514,18 +518,11 @@ def make_designed_tail(
     for lam, name in ((lambda_plus, "lambda_plus"), (lambda_minus, "lambda_minus")):
         if math.isnan(lam) or lam < 0:
             raise ValueError(f"{name} must be a nonnegative real or inf")
-    if not t0 > 1.0:
-        raise ValueError("t0 must exceed 1 so that u0 = log t0 is positive")
+    if not 1.0 < t0 < math.inf:
+        raise ValueError("t0 must be finite and exceed 1 so that u0 = log t0 is positive")
     label = f"designed({lambda_plus:g},{lambda_minus:g};{g.label})"
     right = _build_designed_side(lambda_plus, g, t0, label)
     left = _build_designed_side(lambda_minus, g, t0, label)
-    core_mass = 1.0 - right.q - left.q
-    atom = (left.mean_part - right.mean_part) / core_mass
-    if not abs(atom) < t0:
-        raise ValueError(
-            "cannot balance the mean with a single core atom inside (-t0, t0); "
-            "increase t0 or reduce the tail asymmetry"
-        )
     lam_min = min(lambda_plus, lambda_minus)
     design = TailExponents(lambda_plus, lambda_plus, lambda_minus, lambda_minus, lam_min, lam_min)
     return _assemble_two_sided(
@@ -533,8 +530,7 @@ def make_designed_tail(
         t0=t0,
         right=right,
         left=left,
-        atom=atom,
-        core_mass=core_mass,
+        core_mass=1.0 - right.q - left.q,
         design_exponents=design,
         design_scale_label=g.label,
     )
@@ -628,8 +624,8 @@ def make_oscillating_tail(
         raise ValueError("need 0 < lambda_lo < lambda_hi")
     if not block_growth > 1.0:
         raise ValueError("block_growth must exceed 1")
-    if not u0 > 0.0:
-        raise ValueError("u0 must be positive")
+    if not 0.0 < u0 < math.inf:
+        raise ValueError("u0 must be finite and positive")
     label = f"oscillating({lambda_lo:g},{lambda_hi:g};{g.label};x{block_growth:g})"
 
     def log_floor_u(u):
@@ -638,7 +634,7 @@ def make_oscillating_tail(
 
     _admissibility_or_raise(log_floor_u, u0, label)
     schedule = _oscillation_schedule(lambda_lo, lambda_hi, g, block_growth, u0)
-    side = _decay_side(schedule.h_of, u0, math.exp(u0), math.exp(2.0 * u0), None)
+    side = _decay_side(schedule.h_of, u0, label)
     u_end = schedule.lows[-1]
     n_steps = round(math.log(u_end / u0) / math.log(block_growth))
     grid = GridSpec(u0, u_end, points=12 * n_steps + 1, spacing="geometric")
@@ -648,7 +644,6 @@ def make_oscillating_tail(
         t0=math.exp(u0),
         right=side,
         left=side,
-        atom=0.0,
         core_mass=1.0 - 2.0 * side.q,
         design_exponents=design,
         design_scale_label=g.label,
@@ -716,10 +711,6 @@ _MODEL_PRESETS = {
         ),
     ),
 }
-
-
-def model_preset_names() -> tuple[str, ...]:
-    return tuple(_MODEL_PRESETS)
 
 
 def model_from_spec(spec: dict) -> TailModel:

@@ -25,6 +25,8 @@ def test_removed_names_are_gone():
     assert not hasattr(mdtail, "sample")
     assert not hasattr(tails, "survival")
     assert not hasattr(tails, "sample")
+    assert not hasattr(tails.TailModel, "survival")
+    assert not hasattr(tails, "model_preset_names") and not hasattr(mdtail, "model_preset_names")
     assert not hasattr(rate.Regime, "BOUNDED_NONZERO_LIMSUP")
     prediction_fields = exponents.ScaledTailPredictions.__dataclass_fields__
     assert set(prediction_fields) == {"sqrt_tg_limsup", "sqrt_tg_liminf"}
@@ -48,3 +50,5 @@ def test_removed_names_are_gone():
     assert params(exponents.empirical_exponents) == {"sample", "g"}
     assert params(exponents.GridSpec.decades) == {"t_min", "t_max"}
     assert params(tails._LogSurvivalInverse) == {"w_fn", "u_lo"}
+    assert params(tails._decay_side) == {"h", "u0", "what"}
+    assert "atom" not in params(tails._assemble_two_sided)

@@ -16,6 +16,11 @@ from mdtail import simulate
 from mdtail.report import ConfigError, ExperimentConfig, CSV_HEADER
 
 _DROP = object()  # an override value that removes the key
+_DESIGNED = {"preset": "designed", "lambda_plus": 0.5, "lambda_minus": 2.0, "scale": {"kind": "power"}}
+_OSCILLATING = {
+    "preset": "oscillating", "lambda_lo": 0.5, "lambda_hi": 2.0, "block_growth": 3.0,
+    "scale": {"kind": "power"},
+}
 
 
 def _base_config(**overrides):
@@ -72,6 +77,10 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"eps": "abc"}, "eps must be a number"),
         # an unhashable method is a config error, not a TypeError from the table lookup
         ({"method": ["split"]}, "method must be one of"),
+        # json reads Infinity and 1e400 as inf; an infinite law parameter is a config error
+        ({"model": _DESIGNED | {"t0": math.inf}}, "t0 must be finite"),
+        ({"model": _OSCILLATING | {"u0": math.inf}}, "u0 must be finite"),
+        ({"model": {"preset": "pareto", "alpha": math.inf}}, "alpha must be finite"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -186,6 +195,29 @@ def test_cli_validation_failures(tmp_path, capsys, monkeypatch):
     payload = json.loads((tmp_path / "typo" / "error.json").read_text())
     assert payload["error"] == "ConfigError"
     assert "reps must be an integer" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "model_text",
+    [
+        '{"preset": "designed", "lambda_plus": 0.5, "lambda_minus": 2.0, '
+        '"scale": {"kind": "power"}, "t0": Infinity}',
+        '{"preset": "oscillating", "lambda_lo": 0.5, "lambda_hi": 2.0, "block_growth": 3.0, '
+        '"scale": {"kind": "power"}, "u0": 1e400}',
+        '{"preset": "pareto", "alpha": Infinity}',
+    ],
+    ids=["designed_t0", "oscillating_u0", "pareto_alpha"],
+)
+def test_cli_rejects_an_infinite_law_parameter(tmp_path, model_text):
+    text = json.dumps(_base_config(model="MODEL")).replace('"MODEL"', model_text)
+    cfg_path = tmp_path / "inf.json"
+    cfg_path.write_text(text)
+    out = tmp_path / "out"
+    assert report.main(["run", str(cfg_path), "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "ConfigError"
+    assert "must be finite" in payload["message"]
+    assert not (out / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize(

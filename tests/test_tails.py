@@ -27,20 +27,33 @@ def test_survival_is_monotone_and_bounded():
     for entry in CATALOG:
         m = entry.model
         ts = np.geomspace(max(m.t0 * 0.5, 1e-3), 1e6, 400)
-        vals = np.array([m.survival(float(t)) for t in ts])
+        vals = np.array([m.right_tail(float(t)) for t in ts])
         assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
         assert np.all(np.diff(vals) <= 1e-15), m.label
 
 
 def test_survival_rejects_negative_threshold():
-    with pytest.raises(ValueError):
-        md.two_point().survival(-0.5)
+    m = md.two_point()
+    for tail in (m.right_tail, m.left_tail):
+        with pytest.raises(ValueError):
+            tail(-0.5)
+        with pytest.raises(ValueError):
+            tail(np.array([1.0, -0.5]))
+
+
+def test_tails_return_a_float_for_a_scalar():
+    m = md.pareto(3.0)
+    for tail in (m.right_tail, m.left_tail):
+        for t in (10.0, 3, np.float64(10.0), np.array(10.0)):
+            assert type(tail(t)) is float
+        out = tail(np.array([10.0, 20.0]))
+        assert isinstance(out, np.ndarray) and out.shape == (2,)
 
 
 def test_two_point_pointwise_probabilities():
     m = md.two_point()
-    assert m.survival(0.5) == 0.5
-    assert m.survival(1.0) == 0.0
+    assert m.right_tail(0.5) == 0.5
+    assert m.right_tail(1.0) == 0.0
     assert m.prob_greater(np.array([-1.5]))[0] == 1.0
     assert m.prob_greater(np.array([-1.0]))[0] == 0.5
     assert m.prob_greater(np.array([0.0]))[0] == 0.5
@@ -83,7 +96,7 @@ def test_pareto_closed_form_moments():
     m = md.pareto(3.0)
     assert math.isclose(m.mu, 1.5, rel_tol=1e-15)
     assert math.isclose(m.sigma2, 0.75, rel_tol=1e-15)
-    assert math.isclose(m.survival(10.0), 1e-3, rel_tol=1e-12)
+    assert math.isclose(m.right_tail(10.0), 1e-3, rel_tol=1e-12)
 
 
 def test_sampler_agrees_with_survival():
@@ -92,7 +105,7 @@ def test_sampler_agrees_with_survival():
         m = entry.model
         xs = m.sample(seed=11, n=n)
         for t in (m.t0, 2.0 * m.t0, 5.0 * m.t0):
-            p = m.survival(float(t))
+            p = m.right_tail(float(t))
             if not 1e-5 < p < 1.0 - 1e-5:
                 continue
             hat = np.count_nonzero(xs > t) / n
@@ -132,7 +145,7 @@ def test_designed_tail_matches_envelope_form_far_out():
     g2 = md.power_scale(2.0)
     for lam_p, lam_m, g in ((1.0, 1.0, g1), (0.5, 2.0, g1), (1.0, 0.5, g2)):
         m = md.make_designed_tail(lam_p, lam_m, g)
-        log_q_r = math.log(m.survival(m.t0))
+        log_q_r = math.log(m.right_tail(m.t0))
         for t in (1e6, 1e8, 1e10):
             u = math.log(t)
             got = float(m.log_right_tail_u(np.array([u]))[0])
@@ -141,7 +154,7 @@ def test_designed_tail_matches_envelope_form_far_out():
 
 
 ORACLE_CONSTANTS = {
-    # label: float.hex() of (sigma2, core atom location, core atom mass, survival(t0))
+    # label: float.hex() of (sigma2, core atom location, core atom mass, right_tail(t0))
     "designed(1,1;t)": (
         "0x1.1a880a8a1903ep+1", "0x0.0p+0", "0x1.cd049e66629eap-1", "0x1.97db0ccceb0afp-5",
     ),
@@ -172,7 +185,7 @@ def test_oracle_constants_are_pinned_bit_for_bit():
     assert [m.label for m in models] == list(ORACLE_CONSTANTS)
     for m in models:
         ((loc, mass),) = m.atoms
-        got = tuple(float(v).hex() for v in (m.sigma2, loc, mass, m.survival(m.t0)))
+        got = tuple(float(v).hex() for v in (m.sigma2, loc, mass, m.right_tail(m.t0)))
         assert got == ORACLE_CONSTANTS[m.label], m.label
 
 
@@ -336,7 +349,7 @@ def test_designed_tail_is_centered_with_recorded_variance():
 def test_designed_tail_cap_keeps_survival_below_quarter():
     g = md.power_scale(1.0)
     m = md.make_designed_tail(1.0, 1.0, g, t0=1.0001)
-    assert m.survival(m.t0) <= 0.25 + 1e-12
+    assert m.right_tail(m.t0) <= 0.25 + 1e-12
 
 
 def test_designed_tail_rejections():
@@ -358,8 +371,8 @@ def test_designed_infinite_exponent_uses_gaussian_side():
     from scipy.special import ndtr
 
     t = 3.0
-    q_scale = m.survival(m.t0) / float(ndtr(-m.t0))
-    assert math.isclose(m.survival(t), q_scale * float(ndtr(-t)), rel_tol=1e-9)
+    q_scale = m.right_tail(m.t0) / float(ndtr(-m.t0))
+    assert math.isclose(m.right_tail(t), q_scale * float(ndtr(-t)), rel_tol=1e-9)
     assert m.design_exponents.lam1_bar == math.inf
     assert m.design_exponents.lam_bar == 1.0
 

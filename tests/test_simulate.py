@@ -152,6 +152,62 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
             assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), (est.method, block)
 
 
+# crude (p_hat, stderr) as float.hex at (n=37, x=1, reps=4000, seed=5) and at
+# (n=300, x=0.7, reps=2000, seed=6); the second point runs with 256-value
+# blocks, so every row outgrows its block
+CRUDE_PINS = {
+    "gaussian": (
+        ("0x1.e353f7ced9168p-6", "0x1.5ea978fda0aa2p-9"),
+        ("0x1.916872b020c4ap-5", "0x1.3c56e047758cdp-8"),
+    ),
+    "two_point": (
+        ("0x1.78d4fdf3b645ap-6", "0x1.36aa05505a9c6p-9"),
+        ("0x1.a9fbe76c8b439p-5", "0x1.455d6db0153bep-8"),
+    ),
+    "pareto(2.5)": (
+        ("0x1.147ae147ae148p-4", "0x1.03f8c7e6ffc6ep-8"),
+        ("0x1.916872b020c4ap-4", "0x1.b3b193a3f29b4p-8"),
+    ),
+    "pareto(3)": (
+        ("0x1.db22d0e560419p-6", "0x1.5bc46353b76f9p-9"),
+        ("0x1.1a9fbe76c8b44p-5", "0x1.0b7476c4068ffp-8"),
+    ),
+    "pareto(4)": (
+        ("0x1.26e978d4fdf3bp-9", "0x1.88c5fc6bc1d3dp-11"),
+        ("0x1.89374bc6a7efap-9", "0x1.4093db8859e03p-10"),
+    ),
+    "designed(1,1;t)": (
+        ("0x1.6b851eb851eb8p-4", "0x1.26ae776f4b9cap-8"),
+        ("0x1.116872b020c4ap-3", "0x1.f269df0d965a6p-8"),
+    ),
+    "designed(0.5,2;t)": (
+        ("0x1.fef9db22d0e56p-4", "0x1.5666e863deeb9p-8"),
+        ("0x1.6353f7ced9168p-3", "0x1.1576b23592108p-7"),
+    ),
+    "designed(1,0.5;t^2)": (
+        ("0x1.eb851eb851eb8p-9", "0x1.faafdc444c74fp-11"),
+        ("0x1.89374bc6a7efap-10", "0x1.c5b4c09d34814p-11"),
+    ),
+    "oscillating(0.5,2;t;x3)": (
+        ("0x1.8e5604189374cp-4", "0x1.33074266c385ap-8"),
+        ("0x1.083126e978d50p-3", "0x1.eb363e0b70987p-8"),
+    ),
+}
+
+
+def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
+    entries = md.catalog()
+    assert [e.model.label for e in entries] == list(CRUDE_PINS)
+    for entry in entries:
+        m, g = entry.model, entry.scale
+        first = S.crude_mc(m, g, n=37, x=1.0, reps=4000, seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "_BLOCK_ELEMS", 256)
+            second = S.crude_mc(m, g, n=300, x=0.7, reps=2000, seed=6)
+        got = tuple((e.p_hat.hex(), e.stderr.hex()) for e in (first, second))
+        assert got == CRUDE_PINS[m.label], m.label
+
+
 def test_crude_chunk_memory_stays_bounded():
     # a chunk is drawn in cache-sized blocks, never as one reps * n array
     def run():

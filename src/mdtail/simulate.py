@@ -55,8 +55,11 @@ __all__ = [
 # A chunk (about CHUNK_TARGET = reps * n elements, one Philox stream (seed, k))
 # fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
 # a cache unit: samplers consume their stream in order, so it changes nothing.
+# The crude kernel's ceiling table bounds a law's uniform map on _CEILING_CELLS
+# equal cells of u in [0, 1).
 CHUNK_TARGET = 1 << 22
 _BLOCK_ELEMS = 1 << 16
+_CEILING_CELLS = 1 << 16
 
 
 class EstimatorError(RuntimeError):
@@ -198,16 +201,64 @@ def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
     return totals
 
 
-def _row_sums(rng, rows: int, n: int, draw) -> np.ndarray:
-    """Row sums of a rows x n draw, made by draw(rng, size) in blocks of whole rows."""
+def _ceiling_table(model: TailModel) -> np.ndarray:
+    """Per cell [j/C, (j+1)/C) of u, a bound above model.from_uniform on that cell.
+
+    Between two uniform breaks the map is monotone, so on a cell the larger of
+    its two edge values bounds it; a 1e-9 relative margin covers the map's
+    rounding (ulps of ndtri, the 1e-13 bisection of the designed laws).  A cell
+    that holds a break or ends at one, and a cell with a non-finite edge
+    value, is bounded by +inf.
+    """
+    cells = _CEILING_CELLS
+    with np.errstate(all="ignore"):
+        edges = model.from_uniform(np.arange(cells + 1) / cells)
+        ceiling = np.maximum(edges[:-1], edges[1:])
+        ceiling += 1e-9 * np.abs(ceiling)
+    ceiling[~np.isfinite(ceiling)] = np.inf
+    for b in model.uniform_breaks:
+        ceiling[max(math.ceil(b * cells) - 1, 0) : math.floor(b * cells) + 1] = np.inf
+    return ceiling
+
+
+def _sums_above(rng, rows: int, n: int, from_uniform, threshold: float, ceiling=None) -> np.ndarray:
+    """The row sums above threshold, in row order, of rows x n values from_uniform(rng.random(size)).
+
+    The uniforms are drawn in blocks of whole rows.  With a ceiling table (see
+    _ceiling_table), each row is first summed over its cells' ceilings, and
+    only rows whose ceiling sum exceeds threshold are mapped exactly.  The
+    others cannot hit: rounding is monotone and numpy adds a row's n terms in
+    the same order whatever they are, so ceiling >= value term by term gives
+    ceiling sum >= exact sum.  Rows to map are gathered across blocks until
+    they fill one; without a table every block is mapped as soon as it is
+    drawn, before its buffer is drawn into again.
+    """
     block_rows = max(1, _BLOCK_ELEMS // n)
-    sums = np.empty(rows)
+    block = min(block_rows, rows) * n
+    # one set of buffers for every block: fresh arrays of this size are mapped
+    # and faulted in anew each time
+    u_buf = np.empty(block)
+    if ceiling is not None:
+        cells = np.empty(block, dtype=np.intp)
+        bounds = np.empty(block)
+    found, batch, held = [], [], 0
     for r0 in range(0, rows, block_rows):
-        block = sums[r0 : r0 + block_rows]
-        # held until the next block is drawn, so glibc does not trim and re-fault its heap
-        draws = draw(rng, block.size * n)
-        block[:] = draws.reshape(-1, n).sum(axis=1)
-    return sums
+        size = min(block_rows, rows - r0) * n
+        u = rng.random(size, out=u_buf[:size])
+        if ceiling is not None:
+            np.multiply(u, _CEILING_CELLS, out=cells[:size], casting="unsafe")
+            # every cell is in range; "wrap" only spares take its bounds check
+            np.take(ceiling, cells[:size], out=bounds[:size], mode="wrap")
+            u = u.reshape(-1, n)[bounds[:size].reshape(-1, n).sum(axis=1) > threshold].ravel()
+        batch.append(u)
+        held += u.size
+        if held >= block or r0 + block_rows >= rows:
+            # held until the next batch is mapped, so glibc does not trim and re-fault its heap
+            values = from_uniform(batch[0] if len(batch) == 1 else np.concatenate(batch))
+            sums = values.reshape(-1, n).sum(axis=1)
+            found.append(sums[sums > threshold])
+            batch, held = [], 0
+    return np.concatenate(found)
 
 
 def _finish_estimate(
@@ -261,9 +312,10 @@ def crude_mc(
     n, reps = _validate_mc_args(n, reps, x)
     G = _scale_at_n(g, n)
     threshold = n * model.mu + x * math.sqrt(n * G)
+    ceiling = _ceiling_table(model)
 
     def count_hits(rng, rows: int) -> tuple[int]:
-        return (int(np.count_nonzero(_row_sums(rng, rows, n, model.sampler) > threshold)),)
+        return (len(_sums_above(rng, rows, n, model.from_uniform, threshold, ceiling)),)
 
     return _hit_frequency(count_hits, reps, seed, workers, n, x, G)
 
@@ -391,8 +443,8 @@ def _alias_table(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def _alias_sample(rng, size: int, prob: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """size draws from an alias table, one uniform each.
+def _alias_map(s: np.ndarray, prob: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
+    """Draws from an alias table, one per uniform of s (s is overwritten).
 
     outcomes holds each column's own value followed by its alias's value.
     The uniform u picks column c = floor(u*K) and its fraction u*K - c is
@@ -400,7 +452,6 @@ def _alias_sample(rng, size: int, prob: np.ndarray, outcomes: np.ndarray) -> np.
     stays in range.
     """
     cells = len(prob)
-    s = rng.random(size)
     s *= cells
     c = s.astype(np.intp)
     s -= c
@@ -428,9 +479,9 @@ def _tilted_sum_estimate(
     outcomes = np.concatenate((values, values[alias]))
 
     def weight_sums(rng, rows: int) -> tuple[float, float]:
-        T = _row_sums(rng, rows, n, lambda rng, size: _alias_sample(rng, size, prob, outcomes))
+        T = _sums_above(rng, rows, n, lambda u: _alias_map(u, prob, outcomes), target_sum)
         # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
-        w = np.exp(n * K - theta * T[T > target_sum])
+        w = np.exp(n * K - theta * T)
         return float(w.sum()), float((w * w).sum())
 
     s1, s2 = _chunked_sums(weight_sums, reps, n, seed, workers)

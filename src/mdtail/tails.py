@@ -47,7 +47,8 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _U_QUAD_MAX = math.log(1e15)
-_U_DIVERGENCE_PROBE = math.log(1e12)
+_T_DIVERGENCE_PROBE = 1e12
+_U_DIVERGENCE_PROBE = math.log(_T_DIVERGENCE_PROBE)
 _MIN_P = 1e-300
 # Gauss-Legendre nodes on [-1, 1]: the 48-point rule, then the 24-point rule
 # whose sum estimates each panel's error
@@ -103,10 +104,17 @@ class TailModel:
     P(X > t) and left_tail(t) = P(X < -t), which take t >= 0 and return a
     float for a scalar t, and `prob_greater` are derived from them.
 
-    sampler(rng, size) returns size draws and consumes rng in order, so
-    sampler(rng, a) followed by sampler(rng, b) equals sampler(rng2, a + b)
-    on a fresh generator rng2 with the same key; the estimators draw a chunk
-    in blocks of whole rows and rely on this for block-independent results.
+    A draw is one uniform mapped elementwise: from_uniform(u) takes an array
+    of u in [0, 1) and returns X at each u, each value a function of its own
+    u alone (the map of a subset or a reordering of u is the same subset or
+    reordering of the values, bit for bit).  uniform_breaks lists the u where
+    the map jumps or changes direction; between two breaks it is monotone.
+    sampler(rng, size) = from_uniform(rng.random(size)) consumes rng in
+    order, so the estimators may draw a chunk in blocks of whole rows.  The
+    crude estimator relies on both halves of the contract: it bounds the map
+    on each cell of a fixed grid of u by its larger edge value (+inf on a
+    cell that meets a break), drops the rows whose bounded sum cannot pass
+    the threshold, and maps only the other rows' uniforms exactly.
     """
 
     label: str
@@ -115,8 +123,9 @@ class TailModel:
     t0: float
     log_right_tail_u: Callable[[np.ndarray], np.ndarray]
     log_left_tail_u: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[Generator, int], np.ndarray]
+    from_uniform: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[float, float], ...] = ()
+    uniform_breaks: tuple[float, ...] = ()
     design_exponents: TailExponents | None = None
     design_scale_label: str | None = None
     design_grid: GridSpec | None = None
@@ -146,6 +155,10 @@ class TailModel:
             if loc < 0:
                 out[v_arr == loc] -= mass
         return float(out[0]) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
+
+    def sampler(self, rng: Generator, size: int) -> np.ndarray:
+        """size draws from rng's next size uniforms."""
+        return self.from_uniform(rng.random(size))
 
     def sample(self, seed: int, n: int) -> np.ndarray:
         if n < 1:
@@ -200,8 +213,13 @@ def _tail_second_moment_u(log_tail_u, u_lo: float, u_breaks=()) -> tuple[float, 
     _tail_integral).  Returns (value up to the probe horizon, diverging
     flag).  The flag is a heuristic: if the last panel before 10^12 still
     contributes more than 1% of the running total, the integral is treated
-    as infinite.
+    as infinite.  u_lo must lie below the probe.
     """
+    if not u_lo < _U_DIVERGENCE_PROBE:
+        raise ValueError(
+            f"the second-moment integral starts at u = {u_lo:g}, at or beyond "
+            f"the 1e12 probe horizon (u = {_U_DIVERGENCE_PROBE:.4g})"
+        )
     edges = {b for b in u_breaks if u_lo < b < _U_DIVERGENCE_PROBE}
     d = math.ceil(u_lo / math.log(10.0))
     u = d * math.log(10.0)
@@ -290,9 +308,8 @@ def _gaussian_log_tail_u(u):
 def gaussian() -> TailModel:
     """Standard normal; both tail exponents diverge on any admissible scale."""
 
-    def sampler(rng: Generator, size: int) -> np.ndarray:
-        p = np.clip(rng.random(size), _MIN_P, None)
-        return ndtri(p)
+    def from_uniform(u: np.ndarray) -> np.ndarray:
+        return ndtri(np.clip(u, _MIN_P, None))
 
     inf6 = TailExponents(*([math.inf] * 6))
     return TailModel(
@@ -302,7 +319,7 @@ def gaussian() -> TailModel:
         t0=1.0,
         log_right_tail_u=_gaussian_log_tail_u,
         log_left_tail_u=_gaussian_log_tail_u,
-        sampler=sampler,
+        from_uniform=from_uniform,
         atoms=(),
         design_exponents=inf6,
         design_scale_label=None,
@@ -316,8 +333,8 @@ def two_point() -> TailModel:
         u = np.asarray(u, dtype=float)
         return np.where(u < 0.0, math.log(0.5), -math.inf)
 
-    def sampler(rng: Generator, size: int) -> np.ndarray:
-        return np.where(rng.random(size) < 0.5, -1.0, 1.0)
+    def from_uniform(u: np.ndarray) -> np.ndarray:
+        return np.where(u < 0.5, -1.0, 1.0)
 
     inf6 = TailExponents(*([math.inf] * 6))
     return TailModel(
@@ -327,8 +344,9 @@ def two_point() -> TailModel:
         t0=1.0,
         log_right_tail_u=log_tail_u,
         log_left_tail_u=log_tail_u,
-        sampler=sampler,
+        from_uniform=from_uniform,
         atoms=((-1.0, 0.5), (1.0, 0.5)),
+        uniform_breaks=(0.5,),
         design_exponents=inf6,
         design_scale_label=None,
     )
@@ -349,8 +367,8 @@ def pareto(alpha: float) -> TailModel:
     def log_left_u(u):
         return np.full_like(np.asarray(u, dtype=float), -math.inf)
 
-    def sampler(rng: Generator, size: int) -> np.ndarray:
-        return (1.0 - rng.random(size)) ** (-1.0 / alpha)
+    def from_uniform(u: np.ndarray) -> np.ndarray:
+        return (1.0 - u) ** (-1.0 / alpha)
 
     if alpha > 2.0:
         lam = alpha - 2.0
@@ -366,7 +384,7 @@ def pareto(alpha: float) -> TailModel:
         t0=1.0,
         log_right_tail_u=log_right_u,
         log_left_tail_u=log_left_u,
-        sampler=sampler,
+        from_uniform=from_uniform,
         atoms=(),
         design_exponents=design,
         design_scale_label=design_label,
@@ -474,15 +492,17 @@ def _assemble_two_sided(
 
         return log_u
 
-    def sampler(rng: Generator, size: int) -> np.ndarray:
-        uni = rng.random(size)
-        x = np.full(size, atom, dtype=float)
-        take_right = uni < right.q
-        take_left = (~take_right) & (uni < right.q + left.q)
+    # u < q_r draws the right side, q_r <= u < q_r + q_l the left, the rest the atom
+    breaks = (right.q, right.q + left.q)
+
+    def from_uniform(u: np.ndarray) -> np.ndarray:
+        x = np.full(u.shape, atom)
+        take_right = u < breaks[0]
+        take_left = (~take_right) & (u < breaks[1])
         if take_right.any():
-            x[take_right] = right.quantile(np.clip(uni[take_right], _MIN_P, None))
+            x[take_right] = right.quantile(np.clip(u[take_right], _MIN_P, None))
         if take_left.any():
-            x[take_left] = -left.quantile(np.clip(uni[take_left] - right.q, _MIN_P, None))
+            x[take_left] = -left.quantile(np.clip(u[take_left] - right.q, _MIN_P, None))
         return x
 
     return TailModel(
@@ -493,8 +513,9 @@ def _assemble_two_sided(
         t0=t0,
         log_right_tail_u=make_log_u(right, atom),
         log_left_tail_u=make_log_u(left, -atom),
-        sampler=sampler,
+        from_uniform=from_uniform,
         atoms=((atom, core_mass),),
+        uniform_breaks=breaks,
         design_exponents=design_exponents,
         design_scale_label=design_scale_label,
         design_grid=design_grid,
@@ -518,8 +539,11 @@ def make_designed_tail(
     for lam, name in ((lambda_plus, "lambda_plus"), (lambda_minus, "lambda_minus")):
         if math.isnan(lam) or lam < 0:
             raise ValueError(f"{name} must be a nonnegative real or inf")
-    if not 1.0 < t0 < math.inf:
-        raise ValueError("t0 must be finite and exceed 1 so that u0 = log t0 is positive")
+    if not 1.0 < t0 < _T_DIVERGENCE_PROBE:
+        raise ValueError(
+            "t0 must be finite, exceed 1 (so that u0 = log t0 is positive) and lie "
+            "below 1e12, the horizon of the second-moment probe"
+        )
     label = f"designed({lambda_plus:g},{lambda_minus:g};{g.label})"
     right = _build_designed_side(lambda_plus, g, t0, label)
     left = _build_designed_side(lambda_minus, g, t0, label)
@@ -624,8 +648,11 @@ def make_oscillating_tail(
         raise ValueError("need 0 < lambda_lo < lambda_hi")
     if not block_growth > 1.0:
         raise ValueError("block_growth must exceed 1")
-    if not 0.0 < u0 < math.inf:
-        raise ValueError("u0 must be finite and positive")
+    if not 0.0 < u0 < _U_DIVERGENCE_PROBE:
+        raise ValueError(
+            "u0 must be finite, positive and below log(1e12) = 27.63, "
+            "the horizon of the second-moment probe"
+        )
     label = f"oscillating({lambda_lo:g},{lambda_hi:g};{g.label};x{block_growth:g})"
 
     def log_floor_u(u):

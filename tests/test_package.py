@@ -34,6 +34,9 @@ def test_removed_names_are_gone():
     assert "x_upper_target" not in split_fields and "x_lower_target" not in split_fields
     model_fields = tails.TailModel.__dataclass_fields__
     assert "sampler_note" not in model_fields
+    # a law is its uniform map; sampler is a method over it, and one block loop remains
+    assert "sampler" not in model_fields and {"from_uniform", "uniform_breaks"} <= set(model_fields)
+    assert not hasattr(simulate, "_row_sums") and not hasattr(simulate, "_alias_sample")
     assert not {"right_tail", "left_tail"} & set(model_fields)
     model = tails.pareto(3.0)
     assert math.isclose(float(model.right_tail(10.0)), 1e-3, rel_tol=1e-12)

@@ -81,6 +81,9 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"model": _DESIGNED | {"t0": math.inf}}, "t0 must be finite"),
         ({"model": _OSCILLATING | {"u0": math.inf}}, "u0 must be finite"),
         ({"model": {"preset": "pareto", "alpha": math.inf}}, "alpha must be finite"),
+        # a tail that starts at the 1e12 horizon of the second-moment probe
+        ({"model": _DESIGNED | {"t0": 1e13}}, "below 1e12"),
+        ({"model": _OSCILLATING | {"u0": 50.0}}, r"below log\(1e12\)"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -217,6 +220,21 @@ def test_cli_rejects_an_infinite_law_parameter(tmp_path, model_text):
     payload = json.loads((out / "error.json").read_text())
     assert payload["error"] == "ConfigError"
     assert "must be finite" in payload["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_DESIGNED | {"t0": 1e13}, _OSCILLATING | {"u0": 50.0}],
+    ids=["designed_t0", "oscillating_u0"],
+)
+def test_cli_rejects_a_law_beyond_the_probe_horizon(tmp_path, model):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, model=model)
+    assert report.main(["run", str(cfg_path), "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "ConfigError"
+    assert "1e12" in payload["message"]
     assert not (out / "trajectory.csv").exists()
 
 

@@ -1,5 +1,6 @@
 """Monte Carlo estimators, truncation plan, exact inequality checks."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -150,6 +151,47 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         for run, ref in zip(runs, base):
             est = run()
             assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), (est.method, block)
+    # every ceiling +inf: the screen keeps every row and each takes the exact map
+    monkeypatch.undo()
+    monkeypatch.setattr(S, "_ceiling_table", lambda model: np.full(S._CEILING_CELLS, np.inf))
+    for run, ref in zip(runs[1:], base[1:]):
+        est = run()
+        assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), "no screen"
+
+
+def test_uniform_maps_stay_below_their_ceiling_table():
+    # the screen is sound when no value exceeds its cell's ceiling; probe
+    # seeded uniforms and the floats at and next to both edges of every cell
+    cells = S._CEILING_CELLS
+    left = np.arange(cells) / cells
+    right = np.nextafter(left + 1.0 / cells, 0.0)
+    u = np.concatenate(
+        (np.random.default_rng(13).random(10**6), left, np.nextafter(left, 1.0), right)
+    )
+    j = (u * cells).astype(np.intp)
+    assert np.array_equal(j[10**6 :], np.tile(np.arange(cells), 3))
+    for entry in md.catalog():
+        ceiling = S._ceiling_table(entry.model)
+        assert ceiling.shape == (cells,)
+        over = entry.model.from_uniform(u) > ceiling[j]
+        assert not over.any(), (entry.model.label, u[over][:5])
+
+
+def test_the_ceiling_screen_maps_few_values_exactly():
+    # at the crude_kernel reference point, p is about 1e-4, so nearly every
+    # row can be dropped on its ceiling sum alone
+    model = md.gaussian()
+    mapped = []
+
+    def counting(u):
+        mapped.append(u.size)
+        return model.from_uniform(u)
+
+    reps = 20_000
+    counted = dataclasses.replace(model, from_uniform=counting)
+    est = S.crude_mc(counted, G1, n=1000, x=math.sqrt(2.0), reps=reps, seed=8)
+    assert est.p_hat > 0
+    assert sum(mapped) < 0.03 * reps * 1000, sum(mapped) / (reps * 1000)
 
 
 # crude (p_hat, stderr) as float.hex at (n=37, x=1, reps=4000, seed=5) and at
@@ -276,7 +318,7 @@ def test_alias_column_stays_below_the_cell_count():
 
     for K in (1, 2, 32769):
         prob, alias = S._alias_table(np.ones(K))
-        draws = S._alias_sample(TopRng(), 3, prob, np.arange(2 * K))
+        draws = S._alias_map(TopRng().random(3), prob, np.arange(2 * K))
         assert np.all(draws == K - 1), K
 
 
@@ -285,7 +327,7 @@ def test_alias_draws_match_the_law():
     prob, alias = S._alias_table(law)
     outcomes = np.concatenate((np.arange(5), alias))
     draws = 400_000
-    idx = S._alias_sample(np.random.default_rng(2024), draws, prob, outcomes)
+    idx = S._alias_map(np.random.default_rng(2024).random(draws), prob, outcomes)
     counts = np.bincount(idx, minlength=5)
     sd = np.sqrt(draws * law * (1.0 - law))
     assert np.all(np.abs(counts - draws * law) <= 5.0 * sd), counts

@@ -140,6 +140,20 @@ def test_samplers_consume_their_stream_in_order():
         assert split.tobytes() == whole.tobytes(), entry.model.label
 
 
+def test_uniform_maps_act_value_by_value():
+    # the crude screen maps only some rows' uniforms: a value must not depend
+    # on which other uniforms share its call, or on their order
+    u = np.concatenate((tails._rng_stream(3, 0).random(20_000), [0.0, 0.25, 0.5, 1.0 - 2.0**-53]))
+    pick = tails._rng_stream(3, 1).permutation(u.size)[:777]
+    for entry in CATALOG:
+        m = entry.model
+        full = m.from_uniform(u)
+        assert m.sampler(tails._rng_stream(3, 0), 20_000).tobytes() == full[:20_000].tobytes()
+        assert m.from_uniform(u[pick]).tobytes() == full[pick].tobytes(), m.label
+        assert m.from_uniform(u[::-1].copy()).tobytes() == full[::-1].tobytes(), m.label
+        assert all(0.0 < b < 1.0 for b in m.uniform_breaks), m.label
+
+
 def test_designed_tail_matches_envelope_form_far_out():
     g1 = md.power_scale(1.0)
     g2 = md.power_scale(2.0)
@@ -363,6 +377,22 @@ def test_designed_tail_rejections():
     # second moment diverges when the decay exponent on a log scale is <= 1
     with pytest.raises(ValueError):
         md.make_designed_tail(0.5, 0.5, md.log_scale())
+
+
+def test_laws_that_start_beyond_the_probe_horizon_are_rejected():
+    # the second-moment integral is probed up to t = 1e12; a law whose tail
+    # form starts there would be integrated backwards (sigma2 3.2e-9 at
+    # t0 = 1e13, nan at 1e200, -2.2e-24 at u0 = 50)
+    g = md.power_scale(1.0)
+    for t0 in (1e12, 1e13, 1e200):
+        with pytest.raises(ValueError, match="below 1e12"):
+            md.make_designed_tail(0.5, 2.0, g, t0=t0)
+    for u0 in (math.log(1e12), 50.0, 500.0):
+        with pytest.raises(ValueError, match=r"below log\(1e12\)"):
+            md.make_oscillating_tail(0.5, 2.0, g, 3.0, u0=u0)
+    for u_lo in (math.log(1e12), 50.0):
+        with pytest.raises(ValueError, match="probe horizon"):
+            _tail_second_moment_u(lambda u: -3.0 * np.asarray(u), u_lo)
 
 
 def test_designed_infinite_exponent_uses_gaussian_side():

@@ -159,6 +159,14 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), "no screen"
 
 
+# designed laws with an infinite lambda have a Gaussian side, whose quantile
+# no catalog law samples
+GAUSSIAN_SIDED = tuple(
+    md.CatalogEntry(md.make_designed_tail(lam_p, lam_m, G1), G1)
+    for lam_p, lam_m in ((math.inf, 1.0), (1.0, math.inf), (math.inf, math.inf))
+)
+
+
 def test_uniform_maps_stay_below_their_ceiling_table():
     # the screen is sound when no value exceeds its cell's ceiling; probe
     # seeded uniforms and the floats at and next to both edges of every cell
@@ -170,7 +178,7 @@ def test_uniform_maps_stay_below_their_ceiling_table():
     )
     j = (u * cells).astype(np.intp)
     assert np.array_equal(j[10**6 :], np.tile(np.arange(cells), 3))
-    for entry in md.catalog():
+    for entry in (*md.catalog(), *GAUSSIAN_SIDED):
         ceiling = S._ceiling_table(entry.model)
         assert ceiling.shape == (cells,)
         over = entry.model.from_uniform(u) > ceiling[j]
@@ -234,11 +242,24 @@ CRUDE_PINS = {
         ("0x1.8e5604189374cp-4", "0x1.33074266c385ap-8"),
         ("0x1.083126e978d50p-3", "0x1.eb363e0b70987p-8"),
     ),
+    "designed(inf,1;t)": (
+        ("0x1.89374bc6a7efap-11", "0x1.c5e05d8c7671bp-12"),
+        ("0x1.2f1a9fbe76c8bp-5", "0x1.149df6b1a8617p-8"),
+    ),
+    "designed(1,inf;t)": (
+        ("0x1.ced916872b021p-5", "0x1.de7e12727fd0fp-9"),
+        ("0x1.22d0e56041893p-4", "0x1.785bd40368cbap-8"),
+    ),
+    # sigma2 = 0.06 puts both thresholds out of reach: zero hits at both points
+    "designed(inf,inf;t)": (
+        ("0x0.0p+0", "0x0.0p+0"),
+        ("0x0.0p+0", "0x0.0p+0"),
+    ),
 }
 
 
 def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
-    entries = md.catalog()
+    entries = (*md.catalog(), *GAUSSIAN_SIDED)
     assert [e.model.label for e in entries] == list(CRUDE_PINS)
     for entry in entries:
         m, g = entry.model, entry.scale
@@ -360,6 +381,13 @@ def test_split_flags_when_the_max_term_dominates():
     assert sp.upper.p_hat == 1.0
     assert "mu_shift_exceeds_eps" in sp.lower.flags
     assert 0.0 <= sp.lower.p_hat < 1.0
+
+
+def test_split_flags_a_mean_shift_on_both_brackets():
+    m = md.make_designed_tail(2.0, 0.5, G1)
+    sp = S.split_estimate(m, G1, n=100, x=1.0, reps=1000, seed=6)
+    assert "mu_shift_exceeds_eps" in sp.upper.flags
+    assert "mu_shift_exceeds_eps" in sp.lower.flags
 
 
 def test_split_eps_validation():
@@ -675,6 +703,18 @@ def test_trajectory_band_is_degenerate_for_symmetric_design():
     assert traj.scale_label == "t"
     assert [p.n for p in traj.points] == [100, 200]
     assert all(p.error is None and len(p.estimates) == 1 for p in traj.points)
+
+
+def test_trajectory_band_falls_back_to_computed_exponents_off_the_design_scale():
+    # designed on t^2 but run on t: the design exponents do not apply, and at
+    # x = 2 they would cap the band at -1/2
+    m = md.make_designed_tail(1.0, 0.5, md.power_scale(2.0))
+    traj = S.convergence_trajectory(m, G1, 2.0, [100], "crude", 1000, 3)
+    spec = md.RateSpec(sigma2=m.sigma2, rho=G1.rho, exps=md.exponents_from_tail(m, G1))
+    assert traj.rate_limsup == md.rate_limsup(spec, 2.0, "upper")
+    assert traj.rate_liminf == md.rate_liminf(spec, 2.0, "upper")
+    design = md.RateSpec(sigma2=m.sigma2, rho=G1.rho, exps=m.design_exponents)
+    assert traj.rate_limsup != md.rate_limsup(design, 2.0, "upper")
 
 
 def test_trajectory_survives_per_point_estimator_failure():

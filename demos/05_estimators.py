@@ -44,7 +44,7 @@ print(f"tilted:  p_hat {tilt.p_hat:.6e}  stderr {tilt.stderr:.2e}"
 
 sp = S.split_estimate(m, g, n=n, x=x, reps=args.reps, seed=3, workers=args.workers)
 print(f"split:   lower {sp.lower.p_hat:.6e} <= truth <= upper {sp.upper.p_hat:.6e}")
-print(f"         (targets are x -/+ eps = {sp.x - sp.eps}, {sp.x + sp.eps})")
+print(f"         (targets are x -/+ eps = {x - sp.eps}, {x + sp.eps})")
 print()
 
 print("going deeper, crude MC dies first; tilting keeps the relative error flat:")

@@ -157,6 +157,8 @@ class ExperimentConfig:
 
         eps = raw.get("eps")
         if eps is not None:
+            if method == "crude":
+                raise ConfigError("eps applies only to the tilted and split methods, not 'crude'")
             eps = _real_field(eps, "eps must be a number")
             if not 0.0 < eps < min(x_values):
                 raise ConfigError("eps must lie in (0, min(x_values))")
@@ -202,7 +204,7 @@ def _json_value(value: float):
     return float(value) if math.isfinite(value) else _fmt(value)
 
 
-def resolve_out_dir(config: ExperimentConfig | None = None, override: str | None = None) -> Path:
+def resolve_out_dir(config: ExperimentConfig | None, override: str | None) -> Path:
     if override:
         return Path(override)
     if config is not None and config.out_dir:
@@ -284,12 +286,7 @@ def run_experiment(
     exponents_payload = {
         "model": model.label,
         "scale": g.label,
-        "grid": {
-            "u_min": grid.u_min,
-            "u_max": grid.u_max,
-            "points": grid.points,
-            "spacing": grid.spacing,
-        },
+        "grid": asdict(grid),
         "exponents": {k: _json_value(v) for k, v in asdict(computed).items()},
     }
     exponents_path = out / "exponents.json"
@@ -669,13 +666,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(exc: Exception, out: Path | None) -> None:
+def _emit_error(exc: Exception, out: Path) -> None:
     print(f"error: {exc}", file=sys.stderr)
     payload = json.dumps(
         {"error": type(exc).__name__, "message": str(exc)}, sort_keys=True, indent=2
     )
-    if out is None:
-        out = resolve_out_dir()
     try:
         out.mkdir(parents=True, exist_ok=True)
         _write_text(out / "error.json", payload + "\n")
@@ -700,12 +695,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        try:
-            ok = verify_suite(args.suite)
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        return 0 if ok else 3
+        return 0 if verify_suite(args.suite) else 3
 
     config = None
     out_override = args.out

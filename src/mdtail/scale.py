@@ -22,7 +22,6 @@ __all__ = [
     "power_scale",
     "log_scale",
     "power_log_scale",
-    "scale_preset_names",
     "scale_from_spec",
     "check_regular_variation",
     "scaled_threshold",
@@ -125,10 +124,6 @@ def _build_preset(spec, key: str, table: dict, what: str):
     if missing:
         raise ValueError(f"{name} {key} needs {sorted(missing)}")
     return build(params)
-
-
-def scale_preset_names() -> tuple[str, ...]:
-    return tuple(_SCALE_PRESETS)
 
 
 def scale_from_spec(spec: dict) -> ScaleFunction:

@@ -54,7 +54,8 @@ __all__ = [
 
 # A chunk (about CHUNK_TARGET = reps * n elements, one Philox stream (seed, k))
 # fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
-# a cache unit: samplers consume their stream in order, so it changes nothing.
+# a cache unit: it takes the chunk's next uniforms in order and a law maps
+# each uniform alone, so it changes nothing.
 # The crude kernel's ceiling table bounds a law's uniform map on _CEILING_CELLS
 # equal cells of u in [0, 1).
 CHUNK_TARGET = 1 << 22
@@ -85,7 +86,6 @@ class Estimate:
 
 @dataclass(frozen=True)
 class TruncationScheme:
-    n: int
     c_n: float
     mu_n: float
     p_n: float
@@ -105,7 +105,6 @@ class SplitEstimate:
     upper: Estimate
     lower: Estimate
     scheme: TruncationScheme
-    x: float
     eps: float
 
 
@@ -141,10 +140,6 @@ class TrajectoryPoint:
 
 @dataclass(frozen=True)
 class Trajectory:
-    model_label: str
-    scale_label: str
-    x: float
-    method: str
     rate_limsup: float
     rate_liminf: float
     flags: tuple[str, ...]
@@ -343,7 +338,7 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     mean_above = c * right + _tail_mean_u(model.log_right_tail_u, u_c, right_breaks)
     mean_below = c * left + _tail_mean_u(model.log_left_tail_u, u_c, left_breaks)
     mu_n = model.mu - mean_above + mean_below
-    return TruncationScheme(n=n, c_n=c, mu_n=mu_n, p_n=p_n, delta_hat_n=delta_hat)
+    return TruncationScheme(c_n=c, mu_n=mu_n, p_n=p_n, delta_hat_n=delta_hat)
 
 
 # Cells of the regular grid that discretizes the truncated law.
@@ -594,7 +589,7 @@ def split_estimate(
     lower = _finish_estimate(
         p_cond * no_jump, se_cond * no_jump, n, x, G, "conditional-lower", reps, lower_flags
     )
-    return SplitEstimate(upper=upper, lower=lower, scheme=scheme, x=x, eps=eps)
+    return SplitEstimate(upper=upper, lower=lower, scheme=scheme, eps=eps)
 
 
 def bounded_array_mc(
@@ -885,10 +880,6 @@ def convergence_trajectory(
         except EstimatorError as exc:
             points.append(TrajectoryPoint(n=n, estimates=(), error=str(exc)))
     return Trajectory(
-        model_label=model.label,
-        scale_label=g.label,
-        x=x,
-        method=method,
         rate_limsup=band_up,
         rate_liminf=band_low,
         flags=flags,

@@ -109,12 +109,13 @@ class TailModel:
     u alone (the map of a subset or a reordering of u is the same subset or
     reordering of the values, bit for bit).  uniform_breaks lists the u where
     the map jumps or changes direction; between two breaks it is monotone.
-    sampler(rng, size) = from_uniform(rng.random(size)) consumes rng in
-    order, so the estimators may draw a chunk in blocks of whole rows.  The
-    crude estimator relies on both halves of the contract: it bounds the map
-    on each cell of a fixed grid of u by its larger edge value (+inf on a
-    cell that meets a break), drops the rows whose bounded sum cannot pass
-    the threshold, and maps only the other rows' uniforms exactly.
+    The estimators draw a chunk's uniforms in order, in blocks of whole rows,
+    and map each block; sample(seed, n) maps the first n uniforms of stream
+    (seed, 0).  The crude estimator relies on both halves of the contract:
+    it bounds the map on each cell of a fixed grid of u by its larger edge
+    value (+inf on a cell that meets a break), drops the rows whose bounded
+    sum cannot pass the threshold, and maps only the other rows' uniforms
+    exactly.
     """
 
     label: str
@@ -156,14 +157,10 @@ class TailModel:
                 out[v_arr == loc] -= mass
         return float(out[0]) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
 
-    def sampler(self, rng: Generator, size: int) -> np.ndarray:
-        """size draws from rng's next size uniforms."""
-        return self.from_uniform(rng.random(size))
-
     def sample(self, seed: int, n: int) -> np.ndarray:
         if n < 1:
             raise ValueError("need n >= 1 samples")
-        return self.sampler(_rng_stream(seed, 0), int(n))
+        return self.from_uniform(_rng_stream(seed, 0).random(int(n)))
 
 
 def _tail_from_log_u(log_tail_u, t):

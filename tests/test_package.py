@@ -34,7 +34,7 @@ def test_removed_names_are_gone():
     assert "x_upper_target" not in split_fields and "x_lower_target" not in split_fields
     model_fields = tails.TailModel.__dataclass_fields__
     assert "sampler_note" not in model_fields
-    # a law is its uniform map; sampler is a method over it, and one block loop remains
+    # a law is its uniform map, and one block loop remains
     assert "sampler" not in model_fields and {"from_uniform", "uniform_breaks"} <= set(model_fields)
     assert not hasattr(simulate, "_row_sums") and not hasattr(simulate, "_alias_sample")
     assert not {"right_tail", "left_tail"} & set(model_fields)
@@ -45,6 +45,13 @@ def test_removed_names_are_gone():
     assert not {"u0", "growth", "u_end"} & set(schedule_fields)
     assert not hasattr(tails, "_piecewise_quad") and not hasattr(tails, "_chunk_edges")
     assert not hasattr(exponents, "default_r_grid") and not hasattr(mdtail, "default_r_grid")
+    # result fields that only copied the call's arguments
+    trajectory_fields = simulate.Trajectory.__dataclass_fields__
+    assert not {"model_label", "scale_label", "x", "method"} & set(trajectory_fields)
+    assert "x" not in split_fields
+    assert "n" not in simulate.TruncationScheme.__dataclass_fields__
+    assert not hasattr(tails.TailModel, "sampler")
+    assert not hasattr(scale, "scale_preset_names") and not hasattr(mdtail, "scale_preset_names")
 
     def params(fn):
         return set(inspect.signature(fn).parameters)

@@ -84,6 +84,8 @@ def _write_config(tmp_path, name="config.json", **overrides):
         # a tail that starts at the 1e12 horizon of the second-moment probe
         ({"model": _DESIGNED | {"t0": 1e13}}, "below 1e12"),
         ({"model": _OSCILLATING | {"u0": 50.0}}, r"below log\(1e12\)"),
+        # the crude estimator has no eps; accepting one would silently ignore it
+        ({"method": "crude", "eps": 0.1}, "not 'crude'"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -189,6 +191,7 @@ def test_cli_validation_failures(tmp_path, capsys, monkeypatch):
     assert report.main(["run", str(tmp_path / "missing.json")]) == 1
     assert report.main(["frobnicate"]) == 1
     assert report.main(["verify"]) == 1
+    assert report.main(["verify", "everything"]) == 1  # argparse's choices reject it
     err = capsys.readouterr().err
     assert "error:" in err
     assert (tmp_path / "out" / "error.json").exists()
@@ -198,6 +201,12 @@ def test_cli_validation_failures(tmp_path, capsys, monkeypatch):
     payload = json.loads((tmp_path / "typo" / "error.json").read_text())
     assert payload["error"] == "ConfigError"
     assert "reps must be an integer" in payload["message"]
+    # so is an eps the crude method would ignore
+    crude = _write_config(tmp_path, name="crude.json", method="crude", eps=0.1)
+    assert report.main(["run", str(crude), "--out", str(tmp_path / "crude")]) == 1
+    payload = json.loads((tmp_path / "crude" / "error.json").read_text())
+    assert payload["error"] == "ConfigError"
+    assert not (tmp_path / "crude" / "trajectory.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from mdtail.scale import (
     power_log_scale,
     power_scale,
     scale_from_spec,
-    scale_preset_names,
     scaled_threshold,
     truncation_level,
 )
@@ -55,7 +54,6 @@ def test_power_log_scale_values():
 
 
 def test_scale_from_spec_round_trip_and_errors():
-    assert scale_preset_names() == ("power", "log", "tlog")
     g = scale_from_spec({"kind": "power", "rho": 2.0})
     assert g.label == "t^2"
     assert scale_from_spec({"kind": "log"}).rho == 0.0

@@ -82,7 +82,6 @@ def test_truncation_plan_pareto_closed_form():
     # survival t^-3 on t >= 1: cut mass and clipped mean have closed forms
     assert math.isclose(sch.p_n, c**-3, rel_tol=1e-9)
     assert math.isclose(sch.mu_n, 1.5 - (c * c**-3 + 0.5 * c**-2), rel_tol=1e-9)
-    assert sch.n == 1000
 
 
 # ------------------------------------------------------------- tilted MC
@@ -699,8 +698,6 @@ def test_trajectory_band_is_degenerate_for_symmetric_design():
     traj = S.convergence_trajectory(m, G1, 1.0, [100, 200], "crude", 2000, 2)
     assert traj.rate_limsup == traj.rate_liminf
     assert traj.rate_limsup == -min(1.0 / (2.0 * m.sigma2), 0.5)
-    assert traj.model_label == m.label
-    assert traj.scale_label == "t"
     assert [p.n for p in traj.points] == [100, 200]
     assert all(p.error is None and len(p.estimates) == 1 for p in traj.points)
 

@@ -131,13 +131,12 @@ def test_sampling_is_deterministic_per_seed():
 
 
 def test_samplers_consume_their_stream_in_order():
-    # the estimators draw a chunk in blocks of whole rows; splitting one draw
-    # into two must not change a bit
+    # sample(seed, n) maps the first n uniforms of one stream: a shorter
+    # sample is a prefix of a longer one, bit for bit
     for entry in CATALOG:
-        rng = tails._rng_stream(7, 3)
-        split = np.concatenate((entry.model.sampler(rng, 37), entry.model.sampler(rng, 1000)))
-        whole = entry.model.sampler(tails._rng_stream(7, 3), 1037)
-        assert split.tobytes() == whole.tobytes(), entry.model.label
+        short = entry.model.sample(seed=7, n=37)
+        whole = entry.model.sample(seed=7, n=1037)
+        assert short.tobytes() == whole[:37].tobytes(), entry.model.label
 
 
 def test_uniform_maps_act_value_by_value():
@@ -148,7 +147,7 @@ def test_uniform_maps_act_value_by_value():
     for entry in CATALOG:
         m = entry.model
         full = m.from_uniform(u)
-        assert m.sampler(tails._rng_stream(3, 0), 20_000).tobytes() == full[:20_000].tobytes()
+        assert m.sample(seed=3, n=20_000).tobytes() == full[:20_000].tobytes()
         assert m.from_uniform(u[pick]).tobytes() == full[pick].tobytes(), m.label
         assert m.from_uniform(u[::-1].copy()).tobytes() == full[::-1].tobytes(), m.label
         assert all(0.0 < b < 1.0 for b in m.uniform_breaks), m.label

@@ -77,10 +77,8 @@ class TailExponents:
             ("lam2", self.lam2_bar, self.lam2_under),
             ("lam", self.lam_bar, self.lam_under),
         ):
-            if math.isnan(bar) or math.isnan(under):
-                raise ValueError(f"{name} exponents must not be NaN")
-            if bar < 0 or under < 0:
-                raise ValueError(f"{name} exponents must be nonnegative")
+            if not (bar >= 0 and under >= 0):
+                raise ValueError(f"{name} exponents must lie in [0, inf], not NaN")
             if bar > under + 1e-9:
                 raise ValueError(
                     f"{name}_bar={bar} exceeds {name}_under={under}; "
@@ -312,6 +310,8 @@ def empirical_exponents(sample, g: ScaleFunction) -> EmpiricalExponents:
     x = np.asarray(sample, dtype=float).ravel()
     if x.size < 100_000:
         raise ValueError("need at least 1e5 samples for even a coarse estimate")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sample must be finite: it holds a NaN or an infinity")
     absx = np.abs(x)
     t_lo = float(np.quantile(absx, 0.90))
     if t_lo <= 0.0:

@@ -332,11 +332,8 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     right = model.right_tail(c)
     left = model.left_tail(c)
     p_n = right + left
-    u_c = math.log(c)
-    right_breaks = [math.log(a) for a, _ in model.atoms if a > c]
-    left_breaks = [math.log(-a) for a, _ in model.atoms if -a > c]
-    mean_above = c * right + _tail_mean_u(model.log_right_tail_u, u_c, right_breaks)
-    mean_below = c * left + _tail_mean_u(model.log_left_tail_u, u_c, left_breaks)
+    mean_above = c * right + _tail_mean_u(model.log_right_tail_u, math.log(c), model.tail_breaks)
+    mean_below = c * left + _tail_mean_u(model.log_left_tail_u, math.log(c), model.tail_breaks)
     mu_n = model.mu - mean_above + mean_below
     return TruncationScheme(c_n=c, mu_n=mu_n, p_n=p_n, delta_hat_n=delta_hat)
 
@@ -636,12 +633,12 @@ def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:
     Valid only while x*M <= B; callers outside that window get an error
     rather than a silently meaningless number.
     """
-    if not B_n > 0:
-        raise ValueError("B_n must be positive")
-    if M_n < 0:
-        raise ValueError("M_n must be nonnegative")
-    if not x_n > 0:
-        raise ValueError("x_n must be positive")
+    if not 0 < B_n < math.inf:
+        raise ValueError("B_n must be positive and finite")
+    if not 0 <= M_n < math.inf:
+        raise ValueError("M_n must be nonnegative and finite")
+    if not 0 < x_n < math.inf:
+        raise ValueError("x_n must be positive and finite")
     if x_n * M_n > B_n:
         raise ValueError("outside the validity window: need x_n * M_n <= B_n")
     q = x_n * x_n / (2.0 * B_n)
@@ -650,10 +647,10 @@ def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:
 
 def kolmogorov_lower(B_n: float, x_n: float, eps: float) -> float:
     """Asymptotic floor exp(-(x^2/2B)(1 - eps)); meaningful in trend only."""
-    if not B_n > 0:
-        raise ValueError("B_n must be positive")
-    if not x_n > 0:
-        raise ValueError("x_n must be positive")
+    if not 0 < B_n < math.inf:
+        raise ValueError("B_n must be positive and finite")
+    if not 0 < x_n < math.inf:
+        raise ValueError("x_n must be positive and finite")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     return math.exp(-(x_n * x_n / (2.0 * B_n)) * (1.0 - eps))
@@ -806,9 +803,9 @@ def max_lower_bound_check(p: float, n: int) -> MaxBoundResult:
     """Check (1 and n*p)/2 <= 1 - (1-p)^n, the i.i.d. maximum lower bound."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
-    n = int(n)
-    if n < 1:
+    if not 1 <= n < math.inf:
         raise ValueError("n must be a positive integer")
+    n = int(n)
     lhs = min(1.0, n * p) / 2.0
     rhs = 1.0 if p >= 1.0 else -math.expm1(n * math.log1p(-p))
     return MaxBoundResult(p=p, n=n, lhs=lhs, rhs=rhs, passed=lhs <= rhs)
@@ -818,8 +815,10 @@ def max_lower_bound_sweep(p_values, n_values) -> int:
     """Vectorized grid sweep of max_lower_bound_check; returns the failure count."""
     p = np.asarray(p_values, dtype=float)[:, None]
     n = np.asarray(n_values, dtype=float)[None, :]
-    if np.any(p < 0) or np.any(p > 1) or np.any(n < 1):
-        raise ValueError("p must be probabilities and n positive")
+    if not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("p must be probabilities in [0, 1]")
+    if not np.all((n >= 1) & (n < math.inf)):
+        raise ValueError("n must be finite and at least 1")
     lhs = np.minimum(1.0, n * p) / 2.0
     with np.errstate(divide="ignore"):
         rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-p)))

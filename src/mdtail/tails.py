@@ -8,8 +8,10 @@ Every tail integral (truncation means, designed-side moments, `moments`
 from near t = 0 up) is taken in u on fixed panels: a 48-point
 Gauss-Legendre sum per panel, all nodes from one array call to the
 log-survival, with the gap to the 24-point sum as the panel's error
-estimate.  A panel whose estimate misses the tolerance is integrated again
-by scipy's adaptive quad.
+estimate.  Panels end at the law's `TailModel.tail_breaks`.  A panel whose
+estimate misses the tolerance is integrated again by scipy's adaptive quad.
+No catalog law needs it; kinks a law does not list do (a hand-built law, a
+designed law on `tlog`, or on `log` with t0 < e, or with q capped at 1/4).
 
 The designed and oscillating factories build laws whose tail exponents are
 prescribed in advance; they record those design values so tests can use
@@ -84,9 +86,7 @@ class OscillationSchedule:
 
     def h_of(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        starts = np.asarray(self.u_start)
-        idx = np.searchsorted(starts, u, side="right") - 1
-        idx = np.clip(idx, 0, len(self.u_start) - 1)
+        idx = np.clip(np.searchsorted(self.u_start, u, side="right") - 1, 0, len(self.u_start) - 1)
         g0 = np.asarray(self.g_start)[idx]
         h0 = np.asarray(self.h_start)[idx]
         sl = np.asarray(self.slope)[idx]
@@ -103,6 +103,8 @@ class TailModel:
     integrates them from far below t0.  The t-space methods right_tail(t) =
     P(X > t) and left_tail(t) = P(X < -t), which take t >= 0 and return a
     float for a scalar t, and `prob_greater` are derived from them.
+    tail_breaks lists, ascending, the u where a log-survival jumps or kinks
+    (log|a| per nonzero atom, log t0, an oscillating law's segment starts).
 
     A draw is one uniform mapped elementwise: from_uniform(u) takes an array
     of u in [0, 1) and returns X at each u, each value a function of its own
@@ -131,6 +133,11 @@ class TailModel:
     design_scale_label: str | None = None
     design_grid: GridSpec | None = None
     oscillation: OscillationSchedule | None = None
+
+    @property
+    def tail_breaks(self) -> tuple[float, ...]:
+        breaks = {math.log(abs(a)) for a, _ in self.atoms if a != 0.0} | {math.log(self.t0)}
+        return tuple(sorted(breaks.union(self.oscillation.u_start if self.oscillation else ())))
 
     def right_tail(self, t):
         """P(X > t) for t >= 0: exp(log_right_tail_u(log t))."""
@@ -238,8 +245,8 @@ def _tail_mean_u(log_tail_u, u_lo: float, u_breaks=()) -> float:
 
     The 23 equal panels up to t = 10^15 are 48-point Gauss-Legendre sums
     checked against 24-point sums, with scipy's quad where the two disagree
-    (see _tail_integral).  u_breaks marks known jump points of the survival
-    function (atoms) so the panels never straddle a discontinuity.
+    (see _tail_integral).  u_breaks marks the jumps and kinks of the
+    log-survival (a law's tail_breaks) so no panel straddles one.
     """
     edges = sorted(set(np.linspace(u_lo, _U_QUAD_MAX, 24)) | {b for b in u_breaks if u_lo < b < _U_QUAD_MAX})
     return sum(_tail_integral(log_tail_u, u_lo, 1, edges[1:], 1e-14, 1e-11))
@@ -250,14 +257,13 @@ def moments(model: TailModel) -> tuple[float, float]:
 
     E X = int_0^inf P(X > t) - P(X < -t) dt and E X^2 = int_0^inf 2 t
     P(|X| > t) dt, each taken in u = log t on the Gauss-Legendre panels of
-    _tail_integral, with breaks at each nonzero atom and at t0 so no panel
-    straddles a jump of the survival or the start of its analytic form.
+    _tail_integral, which end at the law's tail_breaks.
     When the second-moment integral still grows by more than 1% in the last
     decade before 10^12 the variance is reported as inf rather than a number.
     """
     # below u_lo each integral adds at most e^-40 max(t0, 1), about 4e-18 max(t0, 1)
     u_lo = math.log(max(model.t0, 1.0)) - 40.0
-    breaks = [math.log(abs(a)) for a, _ in model.atoms if a != 0.0] + [math.log(model.t0)]
+    breaks = model.tail_breaks
     mean = _tail_mean_u(model.log_right_tail_u, u_lo, breaks) - _tail_mean_u(model.log_left_tail_u, u_lo, breaks)
     r2, r_div = _tail_second_moment_u(model.log_right_tail_u, u_lo, breaks)
     l2, l_div = _tail_second_moment_u(model.log_left_tail_u, u_lo, breaks)
@@ -388,8 +394,8 @@ def pareto(alpha: float) -> TailModel:
     )
 
 
-def _admissibility_or_raise(log_tail_u, u0: float, what: str) -> float:
-    value, diverging = _tail_second_moment_u(log_tail_u, u0)
+def _admissibility_or_raise(log_tail_u, u0: float, u_breaks, what: str) -> float:
+    value, diverging = _tail_second_moment_u(log_tail_u, u0, u_breaks)
     if diverging:
         raise ValueError(
             f"{what}: the second moment diverges (tail integral still growing "
@@ -407,13 +413,13 @@ class _DesignedSide:
     second_moment_part: float
 
 
-def _decay_side(h, u0: float, what: str) -> _DesignedSide:
+def _decay_side(h, u0: float, u_breaks, what: str) -> _DesignedSide:
     """Side whose log survival beyond u0 is min(log q, -2u - h(u)), q <= 1/4.
 
     h must make w(u) = 2u + h(u) strictly increasing; quantiles invert w.
     The mean and second-moment parts add the mass q at e^u0 to the tail
-    integrals beyond it.  what labels the error raised when the second
-    moment diverges.
+    integrals beyond it, whose panels end at u_breaks (the kinks of h).
+    what labels the error raised when the second moment diverges.
     """
     log_q = min(math.log(0.25), float(-2.0 * u0 - h(u0)))
     q = math.exp(log_q)
@@ -422,7 +428,7 @@ def _decay_side(h, u0: float, what: str) -> _DesignedSide:
         u = np.asarray(u, dtype=float)
         return np.minimum(log_q, -2.0 * u - h(u))
 
-    second = _admissibility_or_raise(log_form_u, u0, what)
+    second = _admissibility_or_raise(log_form_u, u0, u_breaks, what)
 
     def w(u):
         u = np.asarray(u, dtype=float)
@@ -434,14 +440,14 @@ def _decay_side(h, u0: float, what: str) -> _DesignedSide:
         return np.exp(inverse(-np.log(np.asarray(p, dtype=float))))
 
     t0 = math.exp(u0)
-    mean_part = t0 * q + _tail_mean_u(log_form_u, u0)
+    mean_part = t0 * q + _tail_mean_u(log_form_u, u0, u_breaks)
     return _DesignedSide(q, log_form_u, quantile, mean_part, t0 * t0 * q + second)
 
 
 def _build_designed_side(lam: float, g: ScaleFunction, t0: float, what: str) -> _DesignedSide:
     u0 = math.log(t0)
     if not math.isinf(lam):
-        return _decay_side(lambda u: lam * g(u), u0, what)
+        return _decay_side(lambda u: lam * g(u), u0, (), what)
     q = float(ndtr(-t0))
     mean_part = t0 * q + _tail_mean_u(_gaussian_log_tail_u, u0)
     second_part = t0 * t0 * q + _tail_second_moment_u(_gaussian_log_tail_u, u0)[0]
@@ -656,9 +662,9 @@ def make_oscillating_tail(
         u = np.asarray(u, dtype=float)
         return -2.0 * u - lambda_lo * g(u)
 
-    _admissibility_or_raise(log_floor_u, u0, label)
+    _admissibility_or_raise(log_floor_u, u0, (), label)
     schedule = _oscillation_schedule(lambda_lo, lambda_hi, g, block_growth, u0)
-    side = _decay_side(schedule.h_of, u0, label)
+    side = _decay_side(schedule.h_of, u0, schedule.u_start, label)
     u_end = schedule.lows[-1]
     n_steps = round(math.log(u_end / u0) / math.log(block_growth))
     grid = GridSpec(u0, u_end, points=12 * n_steps + 1, spacing="geometric")

@@ -185,3 +185,9 @@ def test_empirical_exponents_rejects_small_samples():
     g = md.power_scale(1.0)
     with pytest.raises(ValueError):
         md.empirical_exponents(np.ones(10**4), g)
+    # a NaN or an infinity is named, not read as a vanishing scale or as an
+    # exceedance at every grid point
+    xs = md.pareto(3.0).sample(seed=7, n=10**5)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sample must be finite"):
+            md.empirical_exponents(np.append(xs, bad), g)

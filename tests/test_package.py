@@ -60,5 +60,5 @@ def test_removed_names_are_gone():
     assert params(exponents.empirical_exponents) == {"sample", "g"}
     assert params(exponents.GridSpec.decades) == {"t_min", "t_max"}
     assert params(tails._LogSurvivalInverse) == {"w_fn", "u_lo"}
-    assert params(tails._decay_side) == {"h", "u0", "what"}
+    assert params(tails._decay_side) == {"h", "u0", "u_breaks", "what"}
     assert "atom" not in params(tails._assemble_two_sided)

@@ -471,6 +471,16 @@ def test_exponential_upper_bound_values():
         S.kolmogorov_upper(B_n=4.0, M_n=0.5, x_n=10.0)
     with pytest.raises(ValueError):
         S.kolmogorov_upper(B_n=0.0, M_n=0.5, x_n=1.0)
+    # a NaN or an infinity names its argument instead of returning nan or 1
+    for args, name in (
+        ((1.0, math.nan, 0.5), "M_n"),
+        ((math.nan, 0.0, 1.0), "B_n"),
+        ((math.inf, 0.5, 1.0), "B_n"),
+        ((1.0, 0.0, math.nan), "x_n"),
+        ((1.0, 0.0, math.inf), "x_n"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            S.kolmogorov_upper(*args)
 
 
 def test_exponential_lower_floor_values():
@@ -485,6 +495,9 @@ def test_exponential_lower_floor_values():
         S.kolmogorov_lower(B_n=4.0, x_n=1.0, eps=1.0)
     with pytest.raises(ValueError):
         S.kolmogorov_lower(B_n=4.0, x_n=1.0, eps=-0.1)
+    for args, name in (((math.inf, 1.0, 0.1), "B_n"), ((4.0, math.inf, 0.1), "x_n")):
+        with pytest.raises(ValueError, match=name):
+            S.kolmogorov_lower(*args)
 
 
 # ------------------------------------------------- exact maximal inequalities
@@ -667,12 +680,21 @@ def test_max_lower_bound_boundaries():
         S.max_lower_bound_check(p=1.5, n=1)
     with pytest.raises(ValueError):
         S.max_lower_bound_check(p=0.5, n=0)
+    for n in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="n must"):
+            S.max_lower_bound_check(p=0.5, n=n)
 
 
 def test_max_lower_bound_sweep():
     assert S.max_lower_bound_sweep(np.linspace(0.0, 1.0, 101), np.arange(1, 200)) == 0
     with pytest.raises(ValueError):
         S.max_lower_bound_sweep([-0.1], [1])
+    # a NaN cell would compare false and count as passing
+    with pytest.raises(ValueError, match="p must"):
+        S.max_lower_bound_sweep([0.5, math.nan], [1, 2])
+    for n in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="n must"):
+            S.max_lower_bound_sweep([0.5], [1, n])
 
 
 @settings(max_examples=200, deadline=None)

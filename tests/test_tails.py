@@ -181,7 +181,7 @@ ORACLE_CONSTANTS = {
         "0x1.2c5a0cadbc72cp+0", "0x1.a199b9a1476a9p-3", "0x1.e4d43fe49199dp-1", "0x1.ae0f4e9fb5822p-9",
     ),
     "oscillating(0.5,2;t;x3)": (
-        "0x1.19b1c8c831d46p+1", "0x0.0p+0", "0x1.abf1e8fdac2f7p-1", "0x1.50385c094f425p-4",
+        "0x1.19b1c8c831d4cp+1", "0x0.0p+0", "0x1.abf1e8fdac2f7p-1", "0x1.50385c094f425p-4",
     ),
 }
 
@@ -295,10 +295,30 @@ def quad_calls(monkeypatch):
     return calls
 
 
+def test_tail_breaks_are_the_atoms_t0_and_the_schedule_kinks():
+    for entry in CATALOG:
+        m = entry.model
+        atoms = sorted(math.log(abs(a)) for a, _ in m.atoms if a != 0.0)
+        if m.label.startswith(("gaussian", "two_point", "pareto")):
+            # t0 = 1, and two_point's atoms sit at |a| = 1 too
+            assert m.tail_breaks == (0.0,), m.label
+        elif m.oscillation is None:
+            assert m.tail_breaks == (*atoms, 1.0), m.label
+        else:
+            assert m.tail_breaks == (1.0, 3.0, 12.0, 27.0, 81.0, 324.0, 729.0, 2187.0, 8748.0)
+            assert m.tail_breaks == m.oscillation.u_start and not atoms
+            # the slope of the log-survival changes at every segment start
+            u, h = np.asarray(m.tail_breaks[1:]), 1e-5
+            f = m.log_right_tail_u
+            assert np.all(np.abs((f(u + h) - 2.0 * f(u) + f(u - h)) / h) > 0.4)
+
+
 def test_kinked_panels_fall_back_to_quad(quad_calls):
+    # without its breaks the oscillating law's log-survival kinks inside
+    # panels, which go to quad; building the law passes them and sends none
     calls = quad_calls
     m = md.make_oscillating_tail(0.5, 2.0, md.power_scale(1.0), 3.0)
-    assert calls, "the schedule's kinks must send some panels to quad"
+    assert not calls, "the schedule's segment starts must be panel breaks"
     for c in _cut_levels(m):
         u = math.log(c)
         calls.clear()
@@ -310,15 +330,16 @@ def test_kinked_panels_fall_back_to_quad(quad_calls):
 
 
 def test_moments_send_no_smooth_panel_to_quad(quad_calls):
-    # with breaks at the atoms and at t0, only the oscillating law's kinks
-    # leave a panel whose 48- and 24-point sums disagree
-    for entry in CATALOG:
-        quad_calls.clear()
+    # with its panels ending at the law's tail_breaks, no catalog law leaves a
+    # panel whose 48- and 24-point sums disagree: not in its construction, in
+    # moments, or in the truncation plans on its own scale
+    fresh = catalog()
+    assert not quad_calls
+    for entry in fresh:
         md.moments(entry.model)
-        if entry.model.oscillation is None:
-            assert not quad_calls, entry.model.label
-        else:
-            assert quad_calls, entry.model.label
+        for n in CUT_NS:
+            simulate.plan_truncation(entry.model, entry.scale, n)
+        assert not quad_calls, entry.model.label
 
 
 def test_atom_breaks_keep_the_two_point_recentering_exact():

@@ -43,15 +43,23 @@ class ScaleFunction:
     label:
         Short identifier used in reports and for matching models that were
         designed against a specific scale.
+    kinks:
+        The t, ascending, where fn's slope jumps; tail integrals of laws built
+        on the scale end their panels there.
     """
 
     rho: float
     fn: Callable[[np.ndarray], np.ndarray]
     label: str
+    kinks: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not (self.rho >= 0 and math.isfinite(self.rho)):
             raise ValueError("regular variation index must be finite and nonnegative")
+        k = tuple(float(t) for t in self.kinks)
+        if not all(math.isfinite(t) and t >= 0 for t in k) or any(a >= b for a, b in zip(k, k[1:])):
+            raise ValueError("kinks must be finite, nonnegative and strictly ascending")
+        object.__setattr__(self, "kinks", k)
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -83,6 +91,7 @@ def log_scale() -> ScaleFunction:
         rho=0.0,
         fn=lambda t: np.log(np.maximum(t, 1.0)),
         label="log(max(t,1))",
+        kinks=(1.0,),
     )
 
 
@@ -92,6 +101,7 @@ def power_log_scale() -> ScaleFunction:
         rho=1.0,
         fn=lambda t: t * np.log(np.maximum(t, math.e)),
         label="t*log(max(t,e))",
+        kinks=(math.e,),
     )
 
 

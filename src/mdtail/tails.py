@@ -8,10 +8,11 @@ Every tail integral (truncation means, designed-side moments, `moments`
 from near t = 0 up) is taken in u on fixed panels: a 48-point
 Gauss-Legendre sum per panel, all nodes from one array call to the
 log-survival, with the gap to the 24-point sum as the panel's error
-estimate.  Panels end at the law's `TailModel.tail_breaks`.  A panel whose
-estimate misses the tolerance is integrated again by scipy's adaptive quad.
-No catalog law needs it; kinks a law does not list do (a hand-built law, a
-designed law on `tlog`, or on `log` with t0 < e, or with q capped at 1/4).
+estimate.  Panels end at the law's `TailModel.tail_breaks`, which list its
+jumps and kinks (scales state their own in `ScaleFunction.kinks`), so they
+pass at once; a panel whose estimate misses the tolerance is halved until
+its pieces pass, and one that never does (a jump missing from the breaks)
+raises ValueError.
 
 The designed and oscillating factories build laws whose tail exponents are
 prescribed in advance; they record those design values so tests can use
@@ -26,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
@@ -57,6 +57,8 @@ _MIN_P = 1e-300
 _GL48_NODES, _GL48_WEIGHTS = np.polynomial.legendre.leggauss(48)
 _GL24_NODES, _GL24_WEIGHTS = np.polynomial.legendre.leggauss(24)
 _GL_NODES = np.concatenate((_GL48_NODES, _GL24_NODES))
+# a tail-integral piece that misses its tolerance is halved at most this often
+_MAX_HALVINGS = 50
 
 
 def _rng_stream(seed: int, stream: int) -> Generator:
@@ -103,8 +105,10 @@ class TailModel:
     integrates them from far below t0.  The t-space methods right_tail(t) =
     P(X > t) and left_tail(t) = P(X < -t), which take t >= 0 and return a
     float for a scalar t, and `prob_greater` are derived from them.
-    tail_breaks lists, ascending, the u where a log-survival jumps or kinks
-    (log|a| per nonzero atom, log t0, an oscillating law's segment starts).
+    tail_breaks lists, ascending, the u where a log-survival jumps or kinks:
+    log|a| per nonzero atom, log t0, and the side_kinks beyond it (a designed
+    side's scale kinks and cap kink, an oscillation schedule's segment
+    starts).
 
     A draw is one uniform mapped elementwise: from_uniform(u) takes an array
     of u in [0, 1) and returns X at each u, each value a function of its own
@@ -128,6 +132,7 @@ class TailModel:
     log_left_tail_u: Callable[[np.ndarray], np.ndarray]
     from_uniform: Callable[[np.ndarray], np.ndarray]
     atoms: tuple[tuple[float, float], ...] = ()
+    side_kinks: tuple[float, ...] = ()
     uniform_breaks: tuple[float, ...] = ()
     design_exponents: TailExponents | None = None
     design_scale_label: str | None = None
@@ -137,7 +142,7 @@ class TailModel:
     @property
     def tail_breaks(self) -> tuple[float, ...]:
         breaks = {math.log(abs(a)) for a, _ in self.atoms if a != 0.0} | {math.log(self.t0)}
-        return tuple(sorted(breaks.union(self.oscillation.u_start if self.oscillation else ())))
+        return tuple(sorted(breaks.union(self.side_kinks)))
 
     def right_tail(self, t):
         """P(X > t) for t >= 0: exp(log_right_tail_u(log t))."""
@@ -183,29 +188,42 @@ def _tail_from_log_u(log_tail_u, t):
 def _tail_integral(log_tail_u, u_lo: float, power: int, edges, epsabs: float, epsrel: float) -> list[float]:
     """Integrals of e^{power u} P(X > e^u) du per panel, u_lo to edges[0] to edges[1] ...
 
-    Each panel takes a 48-point Gauss-Legendre sum, and every node of every
-    panel comes from one array call to log_tail_u.  The gap between the
-    48-point and the 24-point sum estimates the panel's error; a panel whose
-    gap exceeds epsabs + epsrel |value| (a kink or jump inside it) is
-    integrated again by scipy's adaptive quad with the same tolerances.
+    Each panel takes a 48-point Gauss-Legendre sum, and the gap to the
+    24-point sum estimates its error.  A piece whose gap exceeds epsrel
+    |value| plus its width's share of epsabs is halved and the halves are
+    checked the same way; every node of a round comes from one array call to
+    log_tail_u.  Panels that end at the law's kinks pass in the first round;
+    a stretch where the integrand falls steeply or nears a branch point of
+    h (u^rho at u = 0 for rho not an integer) passes after a few halvings.  A jump never
+    passes, since its gap shrinks with the width only as fast as the
+    tolerance does, so a piece still missing after _MAX_HALVINGS halvings
+    raises ValueError.
     """
     ends = np.asarray(edges, dtype=float)
     starts = np.concatenate(([u_lo], ends[:-1]))
-    half = 0.5 * (ends - starts)
-    u = 0.5 * (starts + ends)[:, None] + half[:, None] * _GL_NODES
-    e = power * u + np.asarray(log_tail_u(u.ravel()), dtype=float).reshape(u.shape)
-    f = np.exp(np.where(e > -745.0, e, -np.inf))
-    fine = half * (f[:, :48] @ _GL48_WEIGHTS)
-    coarse = half * (f[:, 48:] @ _GL24_WEIGHTS)
-    values = fine.tolist()
-
-    def integrand(v):
-        ev = power * v + float(np.asarray(log_tail_u(np.asarray([v]))).ravel()[0])
-        return math.exp(ev) if ev > -745.0 else 0.0
-
-    for i in np.flatnonzero(np.abs(fine - coarse) > epsabs + epsrel * np.abs(fine)):
-        values[i] = quad(integrand, starts[i], ends[i], limit=200, epsabs=epsabs, epsrel=epsrel)[0]
-    return values
+    panel_starts, panel_ends, panel_widths = starts, ends, ends - starts
+    owner = np.arange(ends.size)
+    values = np.zeros(ends.size)
+    for _ in range(_MAX_HALVINGS + 1):
+        width = ends - starts
+        half = 0.5 * width
+        mid = 0.5 * (starts + ends)
+        u = mid[:, None] + half[:, None] * _GL_NODES
+        e = power * u + np.asarray(log_tail_u(u.ravel()), dtype=float).reshape(u.shape)
+        f = np.exp(np.where(e > -745.0, e, -np.inf))
+        fine = half * (f[:, :48] @ _GL48_WEIGHTS)
+        coarse = half * (f[:, 48:] @ _GL24_WEIGHTS)
+        missed = np.abs(fine - coarse) > epsabs * (width / panel_widths[owner]) + epsrel * np.abs(fine)
+        np.add.at(values, owner[~missed], fine[~missed])
+        if not missed.any():
+            return values.tolist()
+        owner = np.tile(owner[missed], 2)
+        starts, ends = np.concatenate((starts[missed], mid[missed])), np.concatenate((mid[missed], ends[missed]))
+    a, b, near = float(panel_starts[owner[0]]), float(panel_ends[owner[0]]), float(starts[0])
+    raise ValueError(
+        f"tail-integral panel [{a!r}, {b!r}] misses its tolerance after {_MAX_HALVINGS} "
+        f"halvings near u = {near!r}: a jump there is missing from the panel breaks"
+    )
 
 
 def _tail_second_moment_u(log_tail_u, u_lo: float, u_breaks=()) -> tuple[float, bool]:
@@ -213,8 +231,8 @@ def _tail_second_moment_u(log_tail_u, u_lo: float, u_breaks=()) -> tuple[float, 
 
     Panels end at each decade of t up to the 10^12 probe and at each of
     u_breaks inside that range; each is a 48-point Gauss-Legendre sum checked
-    against the 24-point sum, with scipy's quad where the two disagree (see
-    _tail_integral).  Returns (value up to the probe horizon, diverging
+    against the 24-point sum, and a panel where the two disagree is halved
+    (see _tail_integral).  Returns (value up to the probe horizon, diverging
     flag).  The flag is a heuristic: if the last panel before 10^12 still
     contributes more than 1% of the running total, the integral is treated
     as infinite.  u_lo must lie below the probe.
@@ -244,8 +262,8 @@ def _tail_mean_u(log_tail_u, u_lo: float, u_breaks=()) -> float:
     """Integral of P(X > t) dt over [e^{u_lo}, inf) in u coordinates.
 
     The 23 equal panels up to t = 10^15 are 48-point Gauss-Legendre sums
-    checked against 24-point sums, with scipy's quad where the two disagree
-    (see _tail_integral).  u_breaks marks the jumps and kinks of the
+    checked against 24-point sums, and a panel where the two disagree is
+    halved (see _tail_integral).  u_breaks marks the jumps and kinks of the
     log-survival (a law's tail_breaks) so no panel straddles one.
     """
     edges = sorted(set(np.linspace(u_lo, _U_QUAD_MAX, 24)) | {b for b in u_breaks if u_lo < b < _U_QUAD_MAX})
@@ -411,6 +429,7 @@ class _DesignedSide:
     quantile: Callable[[np.ndarray], np.ndarray]
     mean_part: float
     second_moment_part: float
+    kinks: tuple[float, ...] = ()  # the u > u0 where log_form_u kinks
 
 
 def _decay_side(h, u0: float, u_breaks, what: str) -> _DesignedSide:
@@ -418,36 +437,39 @@ def _decay_side(h, u0: float, u_breaks, what: str) -> _DesignedSide:
 
     h must make w(u) = 2u + h(u) strictly increasing; quantiles invert w.
     The mean and second-moment parts add the mass q at e^u0 to the tail
-    integrals beyond it, whose panels end at u_breaks (the kinks of h).
+    integrals beyond it, whose panels end at the side's kinks: those of h
+    in u_breaks beyond u0 and, when q is capped, the u where w(u) = log 4.
     what labels the error raised when the second moment diverges.
     """
-    log_q = min(math.log(0.25), float(-2.0 * u0 - h(u0)))
+    log_form_u0 = float(-2.0 * u0 - h(u0))
+    log_q = min(math.log(0.25), log_form_u0)
     q = math.exp(log_q)
 
     def log_form_u(u):
         u = np.asarray(u, dtype=float)
         return np.minimum(log_q, -2.0 * u - h(u))
 
-    second = _admissibility_or_raise(log_form_u, u0, u_breaks, what)
-
     def w(u):
         u = np.asarray(u, dtype=float)
         return 2.0 * u + h(u)
 
     inverse = _LogSurvivalInverse(w, u0)
+    cap_kink = (float(inverse(math.log(4.0))),) if log_form_u0 > log_q else ()
+    kinks = tuple(sorted({b for b in u_breaks if b > u0}.union(cap_kink)))
+    second = _admissibility_or_raise(log_form_u, u0, kinks, what)
 
     def quantile(p):
         return np.exp(inverse(-np.log(np.asarray(p, dtype=float))))
 
     t0 = math.exp(u0)
-    mean_part = t0 * q + _tail_mean_u(log_form_u, u0, u_breaks)
-    return _DesignedSide(q, log_form_u, quantile, mean_part, t0 * t0 * q + second)
+    mean_part = t0 * q + _tail_mean_u(log_form_u, u0, kinks)
+    return _DesignedSide(q, log_form_u, quantile, mean_part, t0 * t0 * q + second, kinks)
 
 
 def _build_designed_side(lam: float, g: ScaleFunction, t0: float, what: str) -> _DesignedSide:
     u0 = math.log(t0)
     if not math.isinf(lam):
-        return _decay_side(lambda u: lam * g(u), u0, (), what)
+        return _decay_side(lambda u: lam * g(u), u0, g.kinks, what)
     q = float(ndtr(-t0))
     mean_part = t0 * q + _tail_mean_u(_gaussian_log_tail_u, u0)
     second_part = t0 * t0 * q + _tail_second_moment_u(_gaussian_log_tail_u, u0)[0]
@@ -518,6 +540,7 @@ def _assemble_two_sided(
         log_left_tail_u=make_log_u(left, -atom),
         from_uniform=from_uniform,
         atoms=((atom, core_mass),),
+        side_kinks=tuple(sorted({*right.kinks, *left.kinks})),
         uniform_breaks=breaks,
         design_exponents=design_exponents,
         design_scale_label=design_scale_label,
@@ -662,9 +685,9 @@ def make_oscillating_tail(
         u = np.asarray(u, dtype=float)
         return -2.0 * u - lambda_lo * g(u)
 
-    _admissibility_or_raise(log_floor_u, u0, (), label)
+    _admissibility_or_raise(log_floor_u, u0, g.kinks, label)
     schedule = _oscillation_schedule(lambda_lo, lambda_hi, g, block_growth, u0)
-    side = _decay_side(schedule.h_of, u0, schedule.u_start, label)
+    side = _decay_side(schedule.h_of, u0, schedule.u_start + g.kinks, label)
     u_end = schedule.lows[-1]
     n_steps = round(math.log(u_end / u0) / math.log(block_growth))
     grid = GridSpec(u0, u_end, points=12 * n_steps + 1, spacing="geometric")

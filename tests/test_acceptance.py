@@ -6,6 +6,7 @@ The long Monte Carlo runs share session fixtures to stay inside the
 per-criterion runtime budgets.
 """
 
+import functools
 import hashlib
 import math
 from fractions import Fraction as F
@@ -28,30 +29,19 @@ def _verdict(name, ok, detail):
 # ------------------------------------------------------------------ A1
 
 
+@functools.cache
+def _exponent_checks():
+    """{label: (verdict, detail)} of `mdtail verify exponents`, run once for A1 and A2."""
+    return {label: (ok, detail) for label, ok, detail in report._check_exponent_recovery()}
+
+
 def test_a1_designed_exponent_recovery():
-    worst = 0.0
-    worst_ident = 0.0
-    for g in (md.power_scale(1.0), md.power_scale(2.0)):
-        for lp in (0.5, 1.0, 2.0):
-            for lm in (0.5, 1.0, 2.0):
-                m = md.make_designed_tail(lp, lm, g)
-                e = md.exponents_from_tail(m, g)
-                for got, want in (
-                    (e.lam1_bar, lp),
-                    (e.lam1_under, lp),
-                    (e.lam2_bar, lm),
-                    (e.lam2_under, lm),
-                    (e.lam_bar, min(lp, lm)),
-                    (e.lam_under, min(lp, lm)),
-                ):
-                    worst = max(worst, abs(got - want) / want)
-                ident = abs(e.lam_bar - min(e.lam1_bar, e.lam2_bar))
-                worst_ident = max(worst_ident, ident / min(e.lam1_bar, e.lam2_bar))
+    rec_ok, rec = _exponent_checks()["designed exponent recovery (18 models, both scales)"]
+    ident_ok, ident = _exponent_checks()["two-sided = min(one-sided) identity"]
     ok = _verdict(
         "A1 exponent recovery",
-        worst <= 0.05 and worst_ident <= 0.02,
-        f"18 designed models, worst error {worst:.4f} (<=0.05), "
-        f"min-identity error {worst_ident:.4f} (<=0.02)",
+        rec_ok and ident_ok,
+        f"18 designed models, {rec}; min-identity {ident}",
     )
     assert ok
 
@@ -60,23 +50,8 @@ def test_a1_designed_exponent_recovery():
 
 
 def test_a2_sup_form_equivalence():
-    worst = 0.0
-    inf_ok = True
-    for entry in md.catalog():
-        a = md.exponents_from_tail(entry.model, entry.scale)
-        b = md.exponents_sup_form(entry.model, entry.scale)
-        for name in ("lam1_bar", "lam1_under", "lam2_bar", "lam2_under",
-                     "lam_bar", "lam_under"):
-            x, y = getattr(a, name), getattr(b, name)
-            if math.isinf(x) or math.isinf(y):
-                inf_ok = inf_ok and x == y
-            else:
-                worst = max(worst, abs(x - y))
-    ok = _verdict(
-        "A2 sup-form equivalence",
-        inf_ok and worst <= 0.05 + 1e-9,
-        f"full catalog, worst finite gap {worst:.4f} (<= one r-step 0.05)",
-    )
+    sup_ok, sup = _exponent_checks()["sup-form route agrees with window route (full catalog)"]
+    ok = _verdict("A2 sup-form equivalence", sup_ok, f"full catalog, {sup}")
     assert ok
 
 

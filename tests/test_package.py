@@ -44,6 +44,8 @@ def test_removed_names_are_gone():
     schedule_fields = tails.OscillationSchedule.__dataclass_fields__
     assert not {"u0", "growth", "u_end"} & set(schedule_fields)
     assert not hasattr(tails, "_piecewise_quad") and not hasattr(tails, "_chunk_edges")
+    # every tail integral takes one Gauss-Legendre path; scipy's quad is not imported
+    assert not hasattr(tails, "quad")
     assert not hasattr(exponents, "default_r_grid") and not hasattr(mdtail, "default_r_grid")
     # result fields that only copied the call's arguments
     trajectory_fields = simulate.Trajectory.__dataclass_fields__

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mdtail.scale import (
+    ScaleFunction,
     check_regular_variation,
     half_index_limit,
     log_scale,
@@ -51,6 +52,33 @@ def test_power_log_scale_values():
     assert g.rho == 1.0
     assert math.isclose(g.eval(1.0), 1.0, rel_tol=1e-15)
     assert math.isclose(g.eval(10.0), 10.0 * math.log(10.0), rel_tol=1e-15)
+
+
+def test_preset_kinks_are_where_the_slope_jumps():
+    # the second difference over h is the jump in slope at a kink (1 for
+    # log at t = 1 and for t log t at t = e); elsewhere it is h g'' plus
+    # rounding, under 1e-4 at these probes
+    h = 1e-5
+    probes = np.array([0.25, 0.5, 0.9, 1.1, 2.0, 2.5, 3.0, 10.0])
+    assert power_scale(1.0).kinks == () and power_scale(2.0).kinks == ()
+    assert log_scale().kinks == (1.0,) and power_log_scale().kinks == (math.e,)
+    for g in (power_scale(1.0), power_scale(0.5), power_scale(2.0), log_scale(), power_log_scale()):
+        def jump(t):
+            t = np.asarray(t, dtype=float)
+            return (g(t + h) - 2.0 * g(t) + g(t - h)) / h
+
+        assert np.all(np.abs(jump(g.kinks) - 1.0) < 1e-3), g.label
+        assert np.all(np.abs(jump(probes)) < 1e-4), g.label
+
+
+def test_hand_built_kinks_must_be_finite_nonnegative_and_ascending():
+    def fn(t):
+        return t
+
+    for kinks in ((math.inf,), (math.nan,), (-1.0,), (2.0, 1.0), (1.0, 1.0)):
+        with pytest.raises(ValueError, match="kinks"):
+            ScaleFunction(rho=1.0, fn=fn, label="t", kinks=kinks)
+    assert ScaleFunction(rho=1.0, fn=fn, label="t", kinks=[0, 1]).kinks == (0.0, 1.0)
 
 
 def test_scale_from_spec_round_trip_and_errors():

@@ -13,6 +13,9 @@ from mdtail.tails import _tail_mean_u, _tail_second_moment_u, catalog, model_fro
 
 CATALOG = catalog()
 CUT_NS = (62, 100, 1000, 10000)
+# the reference helpers below call scipy's quad; one that stops short of its
+# tolerance fails the test instead of returning a silent number
+pytestmark = pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 
 
 def test_catalog_shape():
@@ -222,10 +225,11 @@ def _quad_tail_mean(log_tail_u, u_lo, u_breaks=()):
     return sum(_quad_tail_integral(log_tail_u, 1, edges, 1e-14))
 
 
-def _quad_tail_second_moment(log_tail_u, u_lo):
+def _quad_tail_second_moment(log_tail_u, u_lo, u_breaks=()):
     decade = math.log(10.0)
     probe = tails._U_DIVERGENCE_PROBE
     inner = [k * decade for k in range(math.ceil(u_lo / decade), 13) if u_lo < k * decade < probe - 1e-9]
+    inner = sorted(set(inner) | {b for b in u_breaks if u_lo < b < probe})
     return sum(2.0 * v for v in _quad_tail_integral(log_tail_u, 2, [u_lo, *inner, probe], 0.5e-13))
 
 
@@ -277,22 +281,9 @@ def test_tail_mean_matches_the_gaussian_closed_form():
         want = math.exp(-0.5 * c * c) * (1.0 / math.sqrt(2.0 * math.pi) - 0.5 * c * erfcx(c / math.sqrt(2.0)))
         got = _tail_mean_u(m.log_right_tail_u, math.log(c))
         # At n = 1e4 the value is 2.3e-81, far under the absolute tolerance
-        # 1e-14, so no panel is refined and the 48-point sum stands; it is
-        # 3.9e-8 off (scipy's quad alone is 0.6% off there).
+        # 1e-14, so every panel passes its check and the 48-point sum stands;
+        # it is 3.9e-8 off (scipy's quad alone is 0.6% off there).
         assert math.isclose(got, want, rel_tol=1e-10 if n < 10000 else 1e-7), n
-
-
-@pytest.fixture
-def quad_calls(monkeypatch):
-    """The (lower, upper) limits of every panel sent to scipy's quad."""
-    calls = []
-
-    def counting_quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return quad(*args, **kwargs)
-
-    monkeypatch.setattr(tails, "quad", counting_quad)
-    return calls
 
 
 def test_tail_breaks_are_the_atoms_t0_and_the_schedule_kinks():
@@ -311,35 +302,91 @@ def test_tail_breaks_are_the_atoms_t0_and_the_schedule_kinks():
             u, h = np.asarray(m.tail_breaks[1:]), 1e-5
             f = m.log_right_tail_u
             assert np.all(np.abs((f(u + h) - 2.0 * f(u) + f(u - h)) / h) > 0.4)
+    # the tlog scale kinks at u = e, beyond u0 = log 2
+    m = md.make_designed_tail(0.5, 2.0, md.power_log_scale(), t0=2.0)
+    assert m.tail_breaks[-1] == math.e
+    # at t0 = 1.0001 both sides of designed(1,1;t) sit at their cap of 1/4
+    # until w(u) = 2u + u = log 4, so the survival kinks at u* = log(4)/3
+    m = md.make_designed_tail(1.0, 1.0, md.power_scale(1.0), t0=1.0001)
+    u0, u_star = m.tail_breaks
+    assert u0 == math.log(1.0001) and m.atoms[0][0] == 0.0
+    assert abs(u_star - math.log(4.0) / 3.0) <= 1e-12
 
 
-def test_kinked_panels_fall_back_to_quad(quad_calls):
+def test_a_panel_over_an_undeclared_kink_is_halved_and_a_jump_raises(monkeypatch):
     # without its breaks the oscillating law's log-survival kinks inside
-    # panels, which go to quad; building the law passes them and sends none
-    calls = quad_calls
+    # panels, whose 48- and 24-point sums then disagree: with halving turned
+    # off they raise, with it the pieces meet the tolerance; either way the
+    # sums match scipy's quad
     m = md.make_oscillating_tail(0.5, 2.0, md.power_scale(1.0), 3.0)
-    assert not calls, "the schedule's segment starts must be panel breaks"
+    f, breaks = m.log_right_tail_u, m.tail_breaks
     for c in _cut_levels(m):
         u = math.log(c)
-        calls.clear()
-        got = _tail_mean_u(m.log_right_tail_u, u)
-        assert calls, c
-        assert math.isclose(got, _quad_tail_mean(m.log_right_tail_u, u), rel_tol=1e-12), c
-        got = _tail_second_moment_u(m.log_right_tail_u, u)[0]
-        assert math.isclose(got, _quad_tail_second_moment(m.log_right_tail_u, u), rel_tol=1e-12), c
+        for u_breaks in ((), breaks):
+            got = _tail_mean_u(f, u, u_breaks)
+            assert math.isclose(got, _quad_tail_mean(f, u, breaks), rel_tol=1e-12), c
+            got = _tail_second_moment_u(f, u, u_breaks)[0]
+            assert math.isclose(got, _quad_tail_second_moment(f, u, breaks), rel_tol=1e-12), c
+        monkeypatch.setattr(tails, "_MAX_HALVINGS", 0)
+        for integral in (_tail_mean_u, _tail_second_moment_u):
+            with pytest.raises(ValueError, match=r"panel \[\S+, \S+\] misses its tolerance after 0 halvings"):
+                integral(f, u)
+            integral(f, u, breaks)
+        monkeypatch.undo()
+    # two_point's survival drops from 1/2 to 0 at u = 0, inside the mean's
+    # first panel from u = -1: no halving resolves a jump
+    with pytest.raises(ValueError, match=r"after 50 halvings near u = -?\d\S*: a jump there is missing"):
+        _tail_mean_u(md.two_point().log_right_tail_u, -1.0)
 
 
-def test_moments_send_no_smooth_panel_to_quad(quad_calls):
-    # with its panels ending at the law's tail_breaks, no catalog law leaves a
-    # panel whose 48- and 24-point sums disagree: not in its construction, in
-    # moments, or in the truncation plans on its own scale
-    fresh = catalog()
-    assert not quad_calls
-    for entry in fresh:
-        md.moments(entry.model)
-        for n in CUT_NS:
-            simulate.plan_truncation(entry.model, entry.scale, n)
-        assert not quad_calls, entry.model.label
+_SWEEP_SCALES = {"t": md.power_scale(1.0), "t^2": md.power_scale(2.0), "log": md.log_scale(), "tlog": md.power_log_scale()}
+
+
+@pytest.mark.parametrize("build", [
+    *(pytest.param(lambda e=e: (e.model, e.scale), id=e.model.label) for e in CATALOG),
+    *(pytest.param(lambda g=g, t0=t0: (md.make_designed_tail(2.0, math.inf, g, t0=t0), g), id=f"designed-{k}-{t0:g}")
+      for k, g in _SWEEP_SCALES.items() for t0 in (1.0001, 1.5, 2.0, math.e)),
+    *(pytest.param(lambda g=_SWEEP_SCALES[k], u0=u0: (md.make_oscillating_tail(0.5, 2.0, g, 3.0, u0=u0), g),
+                   id=f"oscillating-{k}-{u0:g}")
+      for k in ("t", "tlog") for u0 in (0.5, 1.0, 2.0)),
+])
+def test_every_panel_of_a_nameable_law_meets_its_tolerance(build, monkeypatch):
+    # every catalog law, and a designed law on any preset scale at a t0 where
+    # q is capped or where the scale kinks beyond t0, lists every kink of its
+    # log-survivals, so its construction, moments and truncation plans on
+    # its own scale halve no panel
+    monkeypatch.setattr(tails, "_MAX_HALVINGS", 0)
+    m, g = build()
+    mean, var = md.moments(m)
+    for n in CUT_NS:
+        simulate.plan_truncation(m, g, n)
+    if m.label.startswith(("designed", "oscillating")):
+        # sigma2 sums the sides' tail integrals from t0 up, on their own breaks
+        assert abs(mean) < 1e-12 and math.isclose(var, m.sigma2, rel_tol=1e-12), m.label
+
+
+@pytest.mark.parametrize(("lam", "rho", "t0", "want"), [
+    # sigma2 to the 1e12 probe horizon by mpmath's quad at 30 digits
+    (10.0, 0.5, 1.0001, 0.56729839197917357297),
+    (10.0, 0.5, 1.02, 0.53679429900152024566),
+    (10.0, 0.5, 1.0202, 0.53321218471957725413),
+    (10.0, 0.5, math.e, 0.00013075179771595640616),
+    (2.0, 0.5, 1.2, 2.2927586492198860381),
+    (10.0, 1.5, 1.0202, 0.94404222729748927461),
+    (100.0, 2.5, 1.02, 0.75350078021951888827),
+])
+def test_panels_near_a_branch_point_or_a_steep_fall_are_halved_to_tolerance(lam, rho, t0, want):
+    # u^rho has a branch point at u = 0, a few hundredths below u0 (or the
+    # cap kink) for t0 near 1, and with lambda = 100 the survival falls by
+    # e^-700 across the first decade panel; no break can be stated for
+    # either, so the panels are halved until their pieces pass
+    g = md.power_scale(rho)
+    m = md.make_designed_tail(lam, lam, g, t0=t0)
+    assert math.isclose(m.sigma2, want, rel_tol=1e-13), m.sigma2
+    mean, var = md.moments(m)
+    assert abs(mean) < 1e-12 and math.isclose(var, m.sigma2, rel_tol=1e-12)
+    for n in CUT_NS:
+        assert simulate.plan_truncation(m, g, n).mu_n == 0.0
 
 
 def test_atom_breaks_keep_the_two_point_recentering_exact():
@@ -358,6 +405,9 @@ def test_atom_breaks_keep_the_two_point_recentering_exact():
     {"preset": "designed", "lambda_plus": 0.5, "lambda_minus": 2, "scale": {"kind": "power"}},
     {"preset": "gaussian"},
     {"preset": "two_point"},
+    {"preset": "designed", "lambda_plus": 3, "lambda_minus": 2, "scale": {"kind": "log"}, "t0": 2},
+    {"preset": "designed", "lambda_plus": 0.5, "lambda_minus": 2, "scale": {"kind": "tlog"}, "t0": 2},
+    {"preset": "designed", "lambda_plus": 1, "lambda_minus": 0.5, "scale": {"kind": "power"}, "t0": 1.0001},
 ])
 def test_truncation_recentering_matches_the_quad_reference(preset, monkeypatch):
     m = model_from_spec(preset)

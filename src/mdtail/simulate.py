@@ -1,14 +1,16 @@
 """Monte Carlo estimators, exponential bounds, and exact inequality verifiers.
 
 Estimators are deterministic for a given seed: replications are cut into
-fixed-size chunks, chunk k draws from the counter-based stream (seed, k),
-and partial results are reduced in chunk order.  Worker count therefore
-changes wall time only, never output bytes.
+fixed-size chunks, chunk k draws from its own PCG64DXSM stream keyed by
+SeedSequence(seed, spawn_key=(k,)), and partial results are reduced in
+chunk order.  Worker count therefore changes wall time only, never output
+bytes.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,7 +54,7 @@ __all__ = [
     "convergence_trajectory",
 ]
 
-# A chunk (about CHUNK_TARGET = reps * n elements, one Philox stream (seed, k))
+# A chunk (about CHUNK_TARGET = reps * n elements, one stream (seed, k))
 # fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
 # a cache unit: it takes the chunk's next uniforms in order and a law maps
 # each uniform alone, so it changes nothing.
@@ -173,22 +175,31 @@ def _chunk_sizes(reps: int, n: int) -> list[int]:
     return sizes
 
 
+def _cores() -> int:
+    """CPUs this process may run on (all of the machine's where affinity is unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
     """Run chunk_fn(rng, rows) on every chunk and add its partial sums in chunk order.
 
     Chunk k draws sizes[k] of the reps rows of n values from its own stream
     (seed, k), in blocks of any size; adding the tuples of partial sums in
-    chunk order keeps the totals independent of the worker count.
+    chunk order keeps the totals independent of the worker count.  At most
+    one thread runs per core and per chunk, since more only contend.
     """
     sizes = _chunk_sizes(reps, n)
+    threads = min(workers, _cores(), len(sizes))
 
     def one_chunk(k: int):
         return chunk_fn(_rng_stream(seed, k), sizes[k])
 
-    if workers <= 1:
+    if threads <= 1:
         parts = [one_chunk(k) for k in range(len(sizes))]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_chunk, range(len(sizes))))
     totals = [0] * len(parts[0])
     for part in parts:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
@@ -62,9 +62,13 @@ _MAX_HALVINGS = 50
 
 
 def _rng_stream(seed: int, stream: int) -> Generator:
-    """Counter-based generator; (seed, stream) fully determines the draws."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    """PCG64DXSM generator keyed by SeedSequence(seed, spawn_key=(stream,)).
+
+    (seed, stream) fully determines the draws; both are taken mod 2^64, so a
+    negative seed is masked, not rejected.
+    """
+    key = SeedSequence(seed & _MASK64, spawn_key=(stream & _MASK64,))
+    return Generator(PCG64DXSM(key))
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import threading
 import tracemalloc
 import warnings
 from fractions import Fraction as F
@@ -184,9 +185,10 @@ def test_uniform_maps_stay_below_their_ceiling_table():
         assert not over.any(), (entry.model.label, u[over][:5])
 
 
-def test_the_ceiling_screen_maps_few_values_exactly():
+def test_the_ceiling_screen_maps_few_values_exactly(monkeypatch):
     # at the crude_kernel reference point, p is about 1e-4, so nearly every
-    # row can be dropped on its ceiling sum alone
+    # row can be dropped on its ceiling sum alone, and the estimate is the
+    # one that maps every value (all ceilings +inf)
     model = md.gaussian()
     mapped = []
 
@@ -197,8 +199,10 @@ def test_the_ceiling_screen_maps_few_values_exactly():
     reps = 20_000
     counted = dataclasses.replace(model, from_uniform=counting)
     est = S.crude_mc(counted, G1, n=1000, x=math.sqrt(2.0), reps=reps, seed=8)
-    assert est.p_hat > 0
     assert sum(mapped) < 0.03 * reps * 1000, sum(mapped) / (reps * 1000)
+    monkeypatch.setattr(S, "_ceiling_table", lambda model: np.full(S._CEILING_CELLS, np.inf))
+    full = S.crude_mc(model, G1, n=1000, x=math.sqrt(2.0), reps=reps, seed=8)
+    assert (est.p_hat, est.stderr) == (full.p_hat, full.stderr)
 
 
 # crude (p_hat, stderr) as float.hex at (n=37, x=1, reps=4000, seed=5) and at
@@ -206,48 +210,48 @@ def test_the_ceiling_screen_maps_few_values_exactly():
 # blocks, so every row outgrows its block
 CRUDE_PINS = {
     "gaussian": (
-        ("0x1.e353f7ced9168p-6", "0x1.5ea978fda0aa2p-9"),
-        ("0x1.916872b020c4ap-5", "0x1.3c56e047758cdp-8"),
+        ("0x1.be76c8b439581p-6", "0x1.516a1fd05fcddp-9"),
+        ("0x1.70a3d70a3d70ap-5", "0x1.2fca2201da34ep-8"),
     ),
     "two_point": (
-        ("0x1.78d4fdf3b645ap-6", "0x1.36aa05505a9c6p-9"),
-        ("0x1.a9fbe76c8b439p-5", "0x1.455d6db0153bep-8"),
+        ("0x1.6c8b439581062p-6", "0x1.31ac9b6e57a63p-9"),
+        ("0x1.851eb851eb852p-5", "0x1.37b4909087c41p-8"),
     ),
     "pareto(2.5)": (
-        ("0x1.147ae147ae148p-4", "0x1.03f8c7e6ffc6ep-8"),
-        ("0x1.916872b020c4ap-4", "0x1.b3b193a3f29b4p-8"),
+        ("0x1.083126e978d50p-4", "0x1.fd132c9676afap-9"),
+        ("0x1.ccccccccccccdp-4", "0x1.cf0c1d286d389p-8"),
     ),
     "pareto(3)": (
-        ("0x1.db22d0e560419p-6", "0x1.5bc46353b76f9p-9"),
-        ("0x1.1a9fbe76c8b44p-5", "0x1.0b7476c4068ffp-8"),
+        ("0x1.89374bc6a7efap-6", "0x1.3d2ef3c9df952p-9"),
+        ("0x1.26e978d4fdf3bp-5", "0x1.10feb89e97a8ep-8"),
     ),
     "pareto(4)": (
-        ("0x1.26e978d4fdf3bp-9", "0x1.88c5fc6bc1d3dp-11"),
-        ("0x1.89374bc6a7efap-9", "0x1.4093db8859e03p-10"),
+        ("0x1.6872b020c49bap-9", "0x1.b21e55dc44f5bp-11"),
+        ("0x1.0624dd2f1a9fcp-11", "0x1.061415ae00be1p-11"),
     ),
     "designed(1,1;t)": (
-        ("0x1.6b851eb851eb8p-4", "0x1.26ae776f4b9cap-8"),
-        ("0x1.116872b020c4ap-3", "0x1.f269df0d965a6p-8"),
+        ("0x1.5916872b020c5p-4", "0x1.1fd25316721c1p-8"),
+        ("0x1.eb851eb851eb8p-4", "0x1.dc354e36023e0p-8"),
     ),
     "designed(0.5,2;t)": (
-        ("0x1.fef9db22d0e56p-4", "0x1.5666e863deeb9p-8"),
-        ("0x1.6353f7ced9168p-3", "0x1.1576b23592108p-7"),
+        ("0x1.ec8b439581062p-4", "0x1.510862e029c72p-8"),
+        ("0x1.4083126e978d5p-3", "0x1.0a375fc66865bp-7"),
     ),
     "designed(1,0.5;t^2)": (
-        ("0x1.eb851eb851eb8p-9", "0x1.faafdc444c74fp-11"),
-        ("0x1.89374bc6a7efap-10", "0x1.c5b4c09d34814p-11"),
+        ("0x1.cac083126e979p-9", "0x1.e99148e14d1a7p-11"),
+        ("0x1.0624dd2f1a9fcp-9", "0x1.05e1b8b75e2c6p-10"),
     ),
     "oscillating(0.5,2;t;x3)": (
-        ("0x1.8e5604189374cp-4", "0x1.33074266c385ap-8"),
-        ("0x1.083126e978d50p-3", "0x1.eb363e0b70987p-8"),
+        ("0x1.7ced916872b02p-4", "0x1.2cf35338c2c66p-8"),
+        ("0x1.0000000000000p-3", "0x1.e4a52f7c75ef2p-8"),
     ),
     "designed(inf,1;t)": (
-        ("0x1.89374bc6a7efap-11", "0x1.c5e05d8c7671bp-12"),
-        ("0x1.2f1a9fbe76c8bp-5", "0x1.149df6b1a8617p-8"),
+        ("0x1.0624dd2f1a9fcp-9", "0x1.725b4fd5ecb98p-11"),
+        ("0x1.22d0e56041893p-5", "0x1.0f29b1fd5d203p-8"),
     ),
     "designed(1,inf;t)": (
-        ("0x1.ced916872b021p-5", "0x1.de7e12727fd0fp-9"),
-        ("0x1.22d0e56041893p-4", "0x1.785bd40368cbap-8"),
+        ("0x1.a7ef9db22d0e5p-5", "0x1.cb16b0350a5dap-9"),
+        ("0x1.0a3d70a3d70a4p-4", "0x1.69442a597287bp-8"),
     ),
     # sigma2 = 0.06 puts both thresholds out of reach: zero hits at both points
     "designed(inf,inf;t)": (
@@ -776,3 +780,34 @@ def test_worker_count_never_changes_results():
         threaded = fn(4)
         assert serial.p_hat == threaded.p_hat, label
         assert serial.stderr == threaded.stderr, label
+
+
+def test_eight_threads_give_the_bytes_of_one(monkeypatch):
+    # the pool is capped at the core count; claim 8 cores so 8 real threads
+    # run (the first 8 chunks meet at a barrier, which fewer threads never
+    # pass), and use small chunks so every estimator cuts at least 8
+    monkeypatch.setattr(S, "_cores", lambda: 8)
+    monkeypatch.setattr(S, "CHUNK_TARGET", 1 << 14)
+    stream = S._rng_stream
+
+    def meeting(seed, k):
+        if barrier is not None and k < 8:
+            threads.add(threading.get_ident())
+            barrier.wait()
+        return stream(seed, k)
+
+    monkeypatch.setattr(S, "_rng_stream", meeting)
+    runs = {
+        "crude": lambda w: S.crude_mc(md.pareto(3.0), G1, n=1000, x=1.0, reps=5000, seed=9, workers=w),
+        "tilted": lambda w: S.tilted_mc_truncated(TWO_POINT, G1, n=30, x=0.5, reps=5000, seed=9, workers=w),
+        "signs": lambda w: S.bounded_array_mc(
+            S.unit_sign_array(G1), G1, n=1000, r=1.0, reps=5000, seed=9, workers=w
+        ),
+    }
+    for label, fn in runs.items():
+        barrier = None
+        serial = fn(1)
+        barrier, threads = threading.Barrier(8, timeout=30), set()
+        threaded = fn(8)
+        assert len(threads) == 8, label
+        assert (serial.p_hat, serial.stderr) == (threaded.p_hat, threaded.stderr), label

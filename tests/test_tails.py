@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import PCG64DXSM, Generator, SeedSequence
 from scipy.integrate import quad
 from scipy.special import erfcx
 
@@ -131,6 +132,19 @@ def test_sampling_is_deterministic_per_seed():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         m.sample(seed=5, n=0)
+
+
+def test_rng_stream_is_pcg64dxsm_keyed_by_seed_sequence():
+    # chunk k of a run with seed s draws from stream (s, k), and the split's
+    # lower bracket from (s + 1, k): each must be its own stated stream
+    for seed, k in ((0, 0), (5, 3), (2**64 - 1, 2**64 - 1)):
+        stated = Generator(PCG64DXSM(SeedSequence(seed, spawn_key=(k,))))
+        assert tails._rng_stream(seed, k).random(64).tobytes() == stated.random(64).tobytes()
+    # seed and stream are taken mod 2^64, so a negative seed is masked
+    masked = tails._rng_stream(2**64 - 5, 2).random(64)
+    assert tails._rng_stream(-5, 2).random(64).tobytes() == masked.tobytes()
+    firsts = {tails._rng_stream(s, k).random(8).tobytes() for s, k in ((9, 4), (9, 5), (10, 4))}
+    assert len(firsts) == 3
 
 
 def test_samplers_consume_their_stream_in_order():

@@ -126,10 +126,11 @@ class GridSpec:
 
 def default_grid(model: "TailModel") -> GridSpec:
     """The grid a model should be probed on: its own design grid if it has one,
-    otherwise four-plus decades starting safely beyond t0 and ending at 1e10."""
+    otherwise from a decade beyond t0 to 1e10, or four decades further where
+    t0 > 1e5."""
     if model.design_grid is not None:
         return model.design_grid
-    return GridSpec.decades(10.0 * model.t0, 1e10)
+    return GridSpec.decades(10.0 * model.t0, max(1e10, 1e5 * model.t0))
 
 
 def _clamp(value: float) -> float:
@@ -188,7 +189,7 @@ def _probe(
         raise ValueError(
             "grid starts below the model's t0; the tail form is only valid beyond it"
         )
-    if grid.u_max - grid.u_min < 4.0 * _LN10:
+    if grid.u_max - grid.u_min < 4.0 * _LN10 - 1e-12:
         raise ValueError("grid must span at least 4 decades beyond t0")
     if g.eval(grid.u_min) <= 0.0:
         raise ValueError("g(log t) must be positive on the grid")

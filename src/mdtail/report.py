@@ -123,7 +123,7 @@ class ExperimentConfig:
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"bad model spec: {exc}") from exc
         try:
-            scale_from_spec(scale)
+            g = scale_from_spec(scale)
         except (ValueError, TypeError, KeyError) as exc:
             raise ConfigError(f"bad scale spec: {exc}") from exc
 
@@ -146,6 +146,9 @@ class ExperimentConfig:
             raise ConfigError("n_grid entries must be >= 2")
         if any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
+        for n in n_grid:
+            if not g.eval(math.log(n)) > 0.0:
+                raise ConfigError(f"g(log n) must be positive at every n in n_grid, not at n={n}")
 
         reps = _int_field(raw["reps"], "reps must be an integer")
         if reps < 1000:
@@ -220,17 +223,19 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _csv_row(n: int, x: float, method: str, values, flags: tuple[str, ...], traj) -> str:
-    """One trajectory.csv row; values are (p_hat, stderr, log_p, normalized)."""
+def _csv_row(n: int, x: float, method: str, values, flags: tuple[str, ...], band) -> str:
+    """One trajectory.csv row; values are (p_hat, stderr, log_p, normalized) and
+    band is (rate_limsup, rate_liminf, the band's flags)."""
+    band_up, band_low, band_flags = band
     return ",".join(
         (
             str(n),
             _fmt(x),
             method,
             *map(_fmt, values),
-            _fmt(traj.rate_limsup),
-            _fmt(traj.rate_liminf),
-            "|".join(flags + traj.flags),
+            _fmt(band_up),
+            _fmt(band_low),
+            "|".join(flags + band_flags),
         )
     )
 
@@ -248,11 +253,24 @@ def run_experiment(
     out = resolve_out_dir(config, out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    grid = default_grid(model)
+    computed = exponents_from_tail(model, g, grid)
+    # the band of the paper's limit takes the design exponents where they apply
+    # to this scale, the computed ones otherwise; infinite variance pins it at 0
+    spec = None
+    if not math.isinf(model.sigma2):
+        design = model.design_exponents is not None and model.design_scale_label in (None, g.label)
+        spec = RateSpec(model.sigma2, g.rho, model.design_exponents if design else computed)
+
     rows = [CSV_HEADER]
     point_errors: list[str] = []
     total_points = 0
     for x in config.x_values:
-        traj = convergence_trajectory(
+        if spec is None:
+            band = (0.0, 0.0, ("infinite_variance_band",))
+        else:
+            band = (rate_limsup(spec, x), rate_liminf(spec, x), ())
+        points = convergence_trajectory(
             model,
             g,
             x,
@@ -263,15 +281,15 @@ def run_experiment(
             eps=config.eps,
             workers=workers,
         )
-        for pt in traj.points:
+        for pt in points:
             total_points += 1
             if pt.error is not None:
                 point_errors.append(pt.error)
                 flags = ("estimator_error:" + _sanitize_flag_text(pt.error),)
-                rows.append(_csv_row(pt.n, x, config.method, (math.nan,) * 4, flags, traj))
+                rows.append(_csv_row(pt.n, x, config.method, (math.nan,) * 4, flags, band))
             for est in pt.estimates:
                 values = (est.p_hat, est.stderr, est.log_p, est.normalized)
-                rows.append(_csv_row(est.n, est.x, est.method, values, est.flags, traj))
+                rows.append(_csv_row(est.n, est.x, est.method, values, est.flags, band))
     # partial failures stay as per-row records, but a run where no point
     # produced an estimate is an estimator failure, not a result
     if total_points and len(point_errors) == total_points:
@@ -281,8 +299,6 @@ def run_experiment(
     trajectory_path = out / "trajectory.csv"
     _write_text(trajectory_path, "\n".join(rows) + "\n")
 
-    grid = default_grid(model)
-    computed = exponents_from_tail(model, g, grid)
     exponents_payload = {
         "model": model.label,
         "scale": g.label,

@@ -22,8 +22,6 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from .exponents import exponents_from_tail
-from .rate import RateSpec, rate_limsup, rate_liminf
 from .scale import ScaleFunction, truncation_level
 from .tails import TailModel, _rng_stream, _tail_mean_u
 
@@ -36,7 +34,6 @@ __all__ = [
     "TruncationScheme",
     "TriangularSignArray",
     "TrajectoryPoint",
-    "Trajectory",
     "LevyCheckResult",
     "MaxBoundResult",
     "plan_truncation",
@@ -138,14 +135,6 @@ class TrajectoryPoint:
     n: int
     estimates: tuple[Estimate, ...]
     error: str | None = None
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    rate_limsup: float
-    rate_liminf: float
-    flags: tuple[str, ...]
-    points: tuple[TrajectoryPoint, ...]
 
 
 def _scale_at_n(g: ScaleFunction, n: int) -> float:
@@ -856,13 +845,11 @@ def convergence_trajectory(
     seed: int,
     eps: float | None = None,
     workers: int = 1,
-) -> Trajectory:
-    """Run one estimator along n_grid and attach the theoretical rate band.
+) -> tuple[TrajectoryPoint, ...]:
+    """Run one estimator along n_grid, one point per n.
 
     Per-point estimator failures are recorded on the point instead of
-    aborting the sweep.  The band uses the model's recorded design exponents
-    when they apply to this scale, otherwise exponents computed from the
-    analytic tail; infinite variance forces a degenerate zero band.
+    aborting the sweep.
     """
     n_grid = [int(v) for v in n_grid]
     if len(n_grid) == 0 or any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
@@ -870,18 +857,6 @@ def convergence_trajectory(
     run = _METHODS.get(method) if isinstance(method, str) else None
     if run is None:
         raise ValueError("method must be one of " + ", ".join(map(repr, _METHODS)))
-    flags: tuple[str, ...] = ()
-    if math.isinf(model.sigma2):
-        band_up, band_low = 0.0, 0.0
-        flags += ("infinite_variance_band",)
-    else:
-        if model.design_exponents is not None and model.design_scale_label in (None, g.label):
-            exps = model.design_exponents
-        else:
-            exps = exponents_from_tail(model, g)
-        spec = RateSpec(sigma2=model.sigma2, rho=g.rho, exps=exps)
-        band_up = rate_limsup(spec, x, "upper")
-        band_low = rate_liminf(spec, x, "upper")
     points = []
     for n in n_grid:
         try:
@@ -889,9 +864,4 @@ def convergence_trajectory(
             points.append(TrajectoryPoint(n=n, estimates=ests))
         except EstimatorError as exc:
             points.append(TrajectoryPoint(n=n, estimates=(), error=str(exc)))
-    return Trajectory(
-        rate_limsup=band_up,
-        rate_liminf=band_low,
-        flags=flags,
-        points=tuple(points),
-    )
+    return tuple(points)

@@ -47,9 +47,12 @@ def test_removed_names_are_gone():
     # every tail integral takes one Gauss-Legendre path; scipy's quad is not imported
     assert not hasattr(tails, "quad")
     assert not hasattr(exponents, "default_r_grid") and not hasattr(mdtail, "default_r_grid")
-    # result fields that only copied the call's arguments
-    trajectory_fields = simulate.Trajectory.__dataclass_fields__
-    assert not {"model_label", "scale_label", "x", "method"} & set(trajectory_fields)
+    # a trajectory is its points; the rate band belongs to the report, so
+    # simulate binds no exponent or rate name
+    assert not hasattr(simulate, "Trajectory") and not hasattr(mdtail, "Trajectory")
+    assert set(simulate.TrajectoryPoint.__dataclass_fields__) == {"n", "estimates", "error"}
+    band_names = {"exponents_from_tail", "RateSpec", "rate_limsup", "rate_liminf"}
+    assert not band_names & set(vars(simulate))
     assert "x" not in split_fields
     assert "n" not in simulate.TruncationScheme.__dataclass_fields__
     assert not hasattr(tails.TailModel, "sampler")

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import mdtail as md
 import mdtail.report as report
-from mdtail import simulate
+from mdtail import exponents, simulate
 from mdtail.report import ConfigError, ExperimentConfig, CSV_HEADER
 
 _DROP = object()  # an override value that removes the key
@@ -86,6 +87,8 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"model": _OSCILLATING | {"u0": 50.0}}, r"below log\(1e12\)"),
         # the crude estimator has no eps; accepting one would silently ignore it
         ({"method": "crude", "eps": 0.1}, "not 'crude'"),
+        # g(log 2) = log(max(log 2, 1)) = 0 on the log scale: no deviation scale at n = 2
+        ({"scale": {"kind": "log"}, "n_grid": [2, 100]}, r"g\(log n\) must be positive"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -153,6 +156,80 @@ def test_a_method_table_row_serves_validation_and_the_run(tmp_path, monkeypatch)
         cfg = ExperimentConfig.from_dict(_base_config(method=method))
         csv[method] = report.run_experiment(cfg, out_dir=str(tmp_path / method))["trajectory"]
     assert csv["crude_again"].read_bytes() == csv["crude"].read_bytes()
+
+
+def _run_rows(tmp_path, **overrides):
+    """(model, rows of trajectory.csv as dicts) of a run of _base_config(**overrides)."""
+    cfg = ExperimentConfig.from_dict(_base_config(**overrides))
+    path = report.run_experiment(cfg, out_dir=str(tmp_path))["trajectory"]
+    header, *lines = path.read_text().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    return md.model_from_spec(cfg.model), rows
+
+
+def test_trajectory_band_is_degenerate_for_symmetric_design(tmp_path):
+    m, rows = _run_rows(
+        tmp_path, model=_DESIGNED | {"lambda_plus": 1.0, "lambda_minus": 1.0},
+        method="crude", n_grid=[100, 200], seed=2,
+    )
+    for row in rows:
+        assert row["rate_limsup"] == row["rate_liminf"]
+        # .17g text round-trips, so the band compares exactly
+        assert float(row["rate_limsup"]) == -min(1.0 / (2.0 * m.sigma2), 0.5)
+    assert [int(row["n"]) for row in rows] == [100, 200]
+    assert all(row["method"] == "crude" and "estimator_error" not in row["flags"] for row in rows)
+
+
+def test_trajectory_band_falls_back_to_computed_exponents_off_the_design_scale(tmp_path):
+    # designed on t^2 but run on t: the design exponents do not apply, and at
+    # x = 2 they would cap the band at -1/2
+    g = md.power_scale(1.0)
+    m, (row,) = _run_rows(
+        tmp_path, model=_DESIGNED | {"lambda_plus": 1.0, "lambda_minus": 0.5,
+                                     "scale": {"kind": "power", "rho": 2.0}},
+        method="crude", x_values=[2.0], n_grid=[100], reps=1000, seed=3,
+    )
+    spec = md.RateSpec(sigma2=m.sigma2, rho=g.rho, exps=md.exponents_from_tail(m, g))
+    assert float(row["rate_limsup"]) == md.rate_limsup(spec, 2.0, "upper")
+    assert float(row["rate_liminf"]) == md.rate_liminf(spec, 2.0, "upper")
+    design = md.RateSpec(sigma2=m.sigma2, rho=g.rho, exps=m.design_exponents)
+    assert float(row["rate_limsup"]) != md.rate_limsup(design, 2.0, "upper")
+
+
+def test_trajectory_with_infinite_variance_pins_zero_band(tmp_path):
+    _, (row,) = _run_rows(
+        tmp_path, model={"preset": "pareto", "alpha": 1.5}, method="crude", n_grid=[100], seed=2,
+    )
+    assert float(row["rate_limsup"]) == 0.0 and float(row["rate_liminf"]) == 0.0
+    assert "infinite_variance_band" in row["flags"].split("|")
+
+
+@pytest.mark.parametrize(
+    "model,scale",
+    [
+        ({"preset": "pareto", "alpha": 3.0}, {"kind": "tlog"}),
+        (_DESIGNED, {"kind": "power", "rho": 2.0}),
+    ],
+    ids=["pareto3_tlog", "designed_on_t2"],
+)
+def test_a_run_computes_its_exponents_once(tmp_path, monkeypatch, model, scale):
+    # three depths on a scale the law has no design for: the band and
+    # exponents.json share one computation, whichever module binds the name
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return exponents.exponents_from_tail(*args, **kwargs)
+
+    for module in (report, simulate):
+        if hasattr(module, "exponents_from_tail"):
+            monkeypatch.setattr(module, "exponents_from_tail", counted)
+    cfg = ExperimentConfig.from_dict(
+        _base_config(model=model, scale=scale, method="crude", x_values=[0.5, 1.0, 2.0],
+                     n_grid=[50], reps=1000)
+    )
+    report.run_experiment(cfg, out_dir=str(tmp_path))
+    assert len(calls) == 1
 
 
 def test_out_dir_priority(tmp_path, monkeypatch):
@@ -244,6 +321,32 @@ def test_cli_rejects_a_law_beyond_the_probe_horizon(tmp_path, model):
     payload = json.loads((out / "error.json").read_text())
     assert payload["error"] == "ConfigError"
     assert "1e12" in payload["message"]
+    assert not (out / "trajectory.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "lam,t0",
+    [(1.0, 1e6), (2.0, 1e10)],
+    ids=["t0_1e6", "t0_1e10"],
+)
+def test_cli_run_writes_every_artifact_for_a_tail_far_out(tmp_path, lam, t0):
+    # beyond t0 = 1e5 the default exponent grid ends four decades past 10*t0, not at 1e10
+    out = tmp_path / "out"
+    model = _DESIGNED | {"lambda_plus": lam, "lambda_minus": lam, "t0": t0}
+    cfg_path = _write_config(tmp_path, model=model, method="crude", n_grid=[100], reps=1000)
+    assert report.main(["run", str(cfg_path), "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "exponents.json", "manifest.json", "trajectory.csv",
+    ]
+
+
+def test_cli_rejects_a_scale_that_vanishes_on_the_n_grid(tmp_path):
+    out = tmp_path / "out"
+    cfg_path = _write_config(tmp_path, scale={"kind": "log"}, n_grid=[2, 100])
+    assert report.main(["run", str(cfg_path), "--out", str(out)]) == 1
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "ConfigError"
+    assert "n=2" in payload["message"]
     assert not (out / "trajectory.csv").exists()
 
 

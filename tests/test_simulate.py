@@ -719,44 +719,15 @@ def test_trajectory_validation():
         S.convergence_trajectory(TWO_POINT, G1, 1.0, [100], "exact", 2000, 0)
 
 
-def test_trajectory_band_is_degenerate_for_symmetric_design():
-    m = md.make_designed_tail(1.0, 1.0, G1)
-    traj = S.convergence_trajectory(m, G1, 1.0, [100, 200], "crude", 2000, 2)
-    assert traj.rate_limsup == traj.rate_liminf
-    assert traj.rate_limsup == -min(1.0 / (2.0 * m.sigma2), 0.5)
-    assert [p.n for p in traj.points] == [100, 200]
-    assert all(p.error is None and len(p.estimates) == 1 for p in traj.points)
-
-
-def test_trajectory_band_falls_back_to_computed_exponents_off_the_design_scale():
-    # designed on t^2 but run on t: the design exponents do not apply, and at
-    # x = 2 they would cap the band at -1/2
-    m = md.make_designed_tail(1.0, 0.5, md.power_scale(2.0))
-    traj = S.convergence_trajectory(m, G1, 2.0, [100], "crude", 1000, 3)
-    spec = md.RateSpec(sigma2=m.sigma2, rho=G1.rho, exps=md.exponents_from_tail(m, G1))
-    assert traj.rate_limsup == md.rate_limsup(spec, 2.0, "upper")
-    assert traj.rate_liminf == md.rate_liminf(spec, 2.0, "upper")
-    design = md.RateSpec(sigma2=m.sigma2, rho=G1.rho, exps=m.design_exponents)
-    assert traj.rate_limsup != md.rate_limsup(design, 2.0, "upper")
-
-
 def test_trajectory_survives_per_point_estimator_failure():
-    traj = S.convergence_trajectory(TWO_POINT, G1, 2.5, [10, 100], "tilted", 2000, 2)
-    first, second = traj.points
+    first, second = S.convergence_trajectory(TWO_POINT, G1, 2.5, [10, 100], "tilted", 2000, 2)
     assert first.estimates == () and first.error is not None
     assert "support" in first.error
     assert second.error is None and len(second.estimates) == 1
 
 
-def test_trajectory_with_infinite_variance_pins_zero_band():
-    traj = S.convergence_trajectory(md.pareto(1.5), G1, 1.0, [100], "crude", 2000, 2)
-    assert traj.rate_limsup == 0.0 and traj.rate_liminf == 0.0
-    assert "infinite_variance_band" in traj.flags
-
-
 def test_trajectory_split_records_both_estimates():
-    traj = S.convergence_trajectory(TWO_POINT, G1, 1.0, [100], "split", 2000, 2)
-    (pt,) = traj.points
+    (pt,) = S.convergence_trajectory(TWO_POINT, G1, 1.0, [100], "split", 2000, 2)
     assert [e.method for e in pt.estimates] == ["split", "conditional-lower"]
 
 

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import attrgetter
 from typing import Callable
 
 import numpy as np
@@ -33,7 +32,6 @@ __all__ = [
     "SplitEstimate",
     "TruncationScheme",
     "TriangularSignArray",
-    "TrajectoryPoint",
     "LevyCheckResult",
     "MaxBoundResult",
     "plan_truncation",
@@ -48,7 +46,6 @@ __all__ = [
     "levy_maximal_sweep",
     "max_lower_bound_check",
     "max_lower_bound_sweep",
-    "convergence_trajectory",
 ]
 
 # A chunk (about CHUNK_TARGET = reps * n elements, one stream (seed, k))
@@ -128,13 +125,6 @@ def unit_sign_array(g: ScaleFunction) -> TriangularSignArray:
         magnitude=lambda n: 1.0,
         tau=lambda n: math.sqrt(g.eval(math.log(n)) / n),
     )
-
-
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    n: int
-    estimates: tuple[Estimate, ...]
-    error: str | None = None
 
 
 def _scale_at_n(g: ScaleFunction, n: int) -> float:
@@ -823,45 +813,3 @@ def max_lower_bound_sweep(p_values, n_values) -> int:
     with np.errstate(divide="ignore"):
         rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-p)))
     return int(np.count_nonzero(lhs > rhs))
-
-
-# Estimator methods: name -> runner(model, g, n, x, reps, seed, eps, workers) returning
-# one trajectory point's estimates.  Runners look the estimators up by name when
-# called, so a patched module attribute (a tracing wrapper, say) takes effect.
-_METHODS = {
-    "crude": lambda m, g, n, x, reps, seed, eps, w: (crude_mc(m, g, n, x, reps, seed, w),),
-    "tilted": lambda *args: (tilted_mc_truncated(*args),),
-    "split": lambda *args: attrgetter("upper", "lower")(split_estimate(*args)),
-}
-
-
-def convergence_trajectory(
-    model: TailModel,
-    g: ScaleFunction,
-    x: float,
-    n_grid,
-    method: str,
-    reps: int,
-    seed: int,
-    eps: float | None = None,
-    workers: int = 1,
-) -> tuple[TrajectoryPoint, ...]:
-    """Run one estimator along n_grid, one point per n.
-
-    Per-point estimator failures are recorded on the point instead of
-    aborting the sweep.
-    """
-    n_grid = [int(v) for v in n_grid]
-    if len(n_grid) == 0 or any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
-        raise ValueError("n_grid must be nonempty and strictly increasing")
-    run = _METHODS.get(method) if isinstance(method, str) else None
-    if run is None:
-        raise ValueError("method must be one of " + ", ".join(map(repr, _METHODS)))
-    points = []
-    for n in n_grid:
-        try:
-            ests = run(model, g, n, x, reps, seed, eps, workers)
-            points.append(TrajectoryPoint(n=n, estimates=ests))
-        except EstimatorError as exc:
-            points.append(TrajectoryPoint(n=n, estimates=(), error=str(exc)))
-    return tuple(points)

@@ -9,9 +9,8 @@ per-criterion runtime budgets.
 import functools
 import hashlib
 import math
-from fractions import Fraction as F
+from pathlib import Path
 
-import numpy as np
 import pytest
 from scipy.special import ndtr
 
@@ -19,6 +18,7 @@ import mdtail as md
 from mdtail import report, simulate as S
 
 WORKERS = 8
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _verdict(name, ok, detail):
@@ -59,20 +59,10 @@ def test_a2_sup_form_equivalence():
 
 
 def test_a3_exact_inequality_sweeps():
-    laws = report.inequality_law_grid()
-    cases, failures = report.levy_full_sweep(n_max=5)
-    grid_cases, grid_failures = report.max_bound_full_sweep()
-    extra_failures = S.max_lower_bound_sweep(
-        np.linspace(1e-6, 1.0, 1000), np.arange(1, 1001)
-    )
-    ok = _verdict(
-        "A3 exact inequalities",
-        len(laws) >= 200 and failures == 0 and grid_failures == 0 and extra_failures == 0,
-        f"{len(laws)} laws, {cases} maximal-inequality cases, {failures} failures; "
-        f"max bound grid {grid_cases} cells, {grid_failures} failures "
-        f"(+{extra_failures} on the p<=1 extension)",
-    )
-    assert ok
+    checks = report._check_inequalities()
+    all_ok = all(ok for _, ok, _ in checks)
+    detail = "; ".join(f"{label}: {d}" for label, ok, d in checks)
+    assert _verdict("A3 exact inequalities", all_ok, detail)
 
 
 # ------------------------------------------------------------------ A4
@@ -235,17 +225,7 @@ def test_a8_classifier_consistency():
 
 def test_a9_worker_determinism(tmp_path):
     configs = {
-        "split": report.ExperimentConfig.from_dict(
-            {
-                "model": {"preset": "two_point"},
-                "scale": {"kind": "power", "rho": 1.0},
-                "method": "split",
-                "x_values": [1.0, 2.0],
-                "n_grid": [50, 200],
-                "reps": 5000,
-                "seed": 99,
-            }
-        ),
+        "split": report.load_config(CONFIGS / "determinism_small.json"),
         "crude": report.ExperimentConfig.from_dict(
             {
                 "model": {"preset": "gaussian"},

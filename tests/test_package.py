@@ -50,7 +50,10 @@ def test_removed_names_are_gone():
     # a trajectory is its points; the rate band belongs to the report, so
     # simulate binds no exponent or rate name
     assert not hasattr(simulate, "Trajectory") and not hasattr(mdtail, "Trajectory")
-    assert set(simulate.TrajectoryPoint.__dataclass_fields__) == {"n", "estimates", "error"}
+    # a run calls its estimator directly; report holds the one method table
+    for name in ("convergence_trajectory", "TrajectoryPoint"):
+        assert not hasattr(simulate, name) and not hasattr(mdtail, name)
+    assert not hasattr(simulate, "_METHODS")
     band_names = {"exponents_from_tail", "RateSpec", "rate_limsup", "rate_liminf"}
     assert not band_names & set(vars(simulate))
     assert "x" not in split_fields

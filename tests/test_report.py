@@ -89,6 +89,14 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"method": "crude", "eps": 0.1}, "not 'crude'"),
         # g(log 2) = log(max(log 2, 1)) = 0 on the log scale: no deviation scale at n = 2
         ({"scale": {"kind": "log"}, "n_grid": [2, 100]}, r"g\(log n\) must be positive"),
+        ({"n_grid": []}, "nonempty list"),
+        ({"n_grid": [100, 100]}, "strictly increasing"),
+        # a point mass at 0, and a law whose whole tail mass underflows: no variance to scale by
+        ({"model": {"preset": "designed", "lambda_plus": "inf", "lambda_minus": "inf",
+                    "scale": {"kind": "power"}, "t0": 1000}}, "variance must be positive"),
+        ({"model": _DESIGNED | {"lambda_plus": 2.0, "lambda_minus": 2.0,
+                                "scale": {"kind": "power", "rho": 2.0}, "t0": 1e11}},
+         "variance must be positive"),
     ],
 )
 def test_config_validation(overrides, fragment):
@@ -122,6 +130,8 @@ def test_run_experiment_artifacts(tmp_path):
     assert lines[0] == CSV_HEADER
     # two n values x one x value x (upper, lower) estimates
     assert len(lines) == 1 + 4
+    # each split point writes its upper row, then its lower row
+    assert [line.split(",")[2] for line in lines[1:]] == ["split", "conditional-lower"] * 2
     first = lines[1].split(",")
     assert first[0] == "50" and first[2] == "split"
     float(first[3]), float(first[4])  # numeric fields parse
@@ -150,12 +160,28 @@ def test_run_experiment_is_deterministic(tmp_path):
 
 
 def test_a_method_table_row_serves_validation_and_the_run(tmp_path, monkeypatch):
-    monkeypatch.setitem(simulate._METHODS, "crude_again", simulate._METHODS["crude"])
+    monkeypatch.setitem(report._METHODS, "crude_again", report._METHODS["crude"])
     csv = {}
     for method in ("crude", "crude_again"):
         cfg = ExperimentConfig.from_dict(_base_config(method=method))
         csv[method] = report.run_experiment(cfg, out_dir=str(tmp_path / method))["trajectory"]
     assert csv["crude_again"].read_bytes() == csv["crude"].read_bytes()
+
+
+def test_a_run_calls_the_estimator_bound_in_report(tmp_path, monkeypatch):
+    # a tracer wraps the estimator where report looks it up; every point must go through it
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:4])
+        return simulate.crude_mc(*args)
+
+    monkeypatch.setattr(report, "crude_mc", counted)
+    cfg = ExperimentConfig.from_dict(
+        _base_config(method="crude", x_values=[1.0, 2.0], n_grid=[50, 100], reps=1000)
+    )
+    report.run_experiment(cfg, out_dir=str(tmp_path))
+    assert calls == [(50, 1.0), (100, 1.0), (50, 2.0), (100, 2.0)]
 
 
 def _run_rows(tmp_path, **overrides):
@@ -393,6 +419,7 @@ def test_partial_estimator_failure_is_recorded_per_row(tmp_path):
     failed = lines[1].split(",")
     assert failed[3] == "nan"
     assert failed[-1].startswith("estimator_error:")
+    assert "support" in failed[-1]
     good = lines[2].split(",")
     assert float(good[3]) > 0.0
 

@@ -708,27 +708,20 @@ def test_max_lower_bound_property(p, n):
 
 
 # --------------------------------------------------------- trajectories
-
-
-def test_trajectory_validation():
-    with pytest.raises(ValueError):
-        S.convergence_trajectory(TWO_POINT, G1, 1.0, [100, 100], "crude", 2000, 0)
-    with pytest.raises(ValueError):
-        S.convergence_trajectory(TWO_POINT, G1, 1.0, [], "crude", 2000, 0)
-    with pytest.raises(ValueError):
-        S.convergence_trajectory(TWO_POINT, G1, 1.0, [100], "exact", 2000, 0)
+# A run's trajectory is one report._METHODS runner call per (x, n) point.
 
 
 def test_trajectory_survives_per_point_estimator_failure():
-    first, second = S.convergence_trajectory(TWO_POINT, G1, 2.5, [10, 100], "tilted", 2000, 2)
-    assert first.estimates == () and first.error is not None
-    assert "support" in first.error
-    assert second.error is None and len(second.estimates) == 1
+    run = report._METHODS["tilted"]
+    with pytest.raises(S.EstimatorError, match="support"):
+        run(TWO_POINT, G1, 10, 2.5, 2000, 2, None, 1)
+    (second,) = run(TWO_POINT, G1, 100, 2.5, 2000, 2, None, 1)
+    assert second.n == 100 and second.p_hat > 0.0
 
 
 def test_trajectory_split_records_both_estimates():
-    (pt,) = S.convergence_trajectory(TWO_POINT, G1, 1.0, [100], "split", 2000, 2)
-    assert [e.method for e in pt.estimates] == ["split", "conditional-lower"]
+    ests = report._METHODS["split"](TWO_POINT, G1, 100, 1.0, 2000, 2, None, 1)
+    assert [e.method for e in ests] == ["split", "conditional-lower"]
 
 
 # --------------------------------------------------------- determinism

@@ -26,7 +26,7 @@ import scipy
 
 from .exponents import TailExponents, default_grid, exponents_from_tail, exponents_sup_form
 from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
-from .scale import _SCALE_PRESETS, power_scale, scale_from_spec
+from .scale import _SCALE_PRESETS, _json_real, power_scale, scale_from_spec
 from .simulate import (
     EstimatorError,
     bounded_array_mc,
@@ -91,16 +91,6 @@ def _int_field(value, message: str) -> int:
     return int(value)
 
 
-def _real_field(value, message: str) -> float:
-    """value as a float; anything but a JSON number raises ConfigError(message)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{message}, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer literal beyond float range, as json reads 1e400
-        return math.inf if value > 0 else -math.inf
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     model: dict
@@ -149,7 +139,9 @@ class ExperimentConfig:
         x_raw = raw["x_values"]
         if not isinstance(x_raw, (list, tuple)) or len(x_raw) == 0:
             raise ConfigError("x_values must be a nonempty list")
-        x_values = tuple(_real_field(v, "x_values entries must be numbers") for v in x_raw)
+        x_values = tuple(
+            _json_real(v, "x_values entries must be numbers", ConfigError) for v in x_raw
+        )
         if any(not v > 0 or math.isinf(v) or math.isnan(v) for v in x_values):
             raise ConfigError("x_values must be finite and positive")
 
@@ -177,7 +169,7 @@ class ExperimentConfig:
         if eps is not None:
             if method == "crude":
                 raise ConfigError("eps applies only to the tilted and split methods, not 'crude'")
-            eps = _real_field(eps, "eps must be a number")
+            eps = _json_real(eps, "eps must be a number", ConfigError)
             if not 0.0 < eps < min(x_values):
                 raise ConfigError("eps must lie in (0, min(x_values))")
 

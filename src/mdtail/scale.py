@@ -105,10 +105,25 @@ def power_log_scale() -> ScaleFunction:
     )
 
 
+def _json_real(value, message: str, error: type[ValueError] = ValueError) -> float:
+    """value as a float; anything but a JSON number (a bool included) raises error(message)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{message}, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range, as json reads 1e400
+        return math.inf if value > 0 else -math.inf
+
+
+def _number(params: dict, key: str, default: float | None = None) -> float:
+    """The spec parameter params[key] (default when absent), which must be a JSON number."""
+    return _json_real(params.get(key, default), f"{key} must be a number")
+
+
 # kind -> (required keys, optional keys, builder from the spec's parameters);
 # `mdtail list-presets` prints the keys in this order
 _SCALE_PRESETS = {
-    "power": ((), ("rho",), lambda p: power_scale(float(p.get("rho", 1.0)))),
+    "power": ((), ("rho",), lambda p: power_scale(_number(p, "rho", 1.0))),
     "log": ((), (), lambda p: log_scale()),
     "tlog": ((), (), lambda p: power_log_scale()),
 }

@@ -4,7 +4,10 @@ Estimators are deterministic for a given seed: replications are cut into
 fixed-size chunks, chunk k draws from its own PCG64DXSM stream keyed by
 SeedSequence(seed, spawn_key=(k,)), and partial results are reduced in
 chunk order.  Worker count therefore changes wall time only, never output
-bytes.
+bytes.  The crude estimator reads a value's 16-bit cell from a lane of the
+chunk's raw words and, only for rows its ceiling screen keeps, the value's
+fine bits from the chunk's first child stream (seed, spawn_key=(k, 0)), at
+a position fixed by the row and value (see _crude_hits).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from itertools import accumulate
 from typing import Callable
 
 import numpy as np
+from numpy.random import PCG64DXSM
 from scipy.optimize import brentq
 
 from .scale import ScaleFunction, truncation_level
@@ -50,10 +54,10 @@ __all__ = [
 
 # A chunk (about CHUNK_TARGET = reps * n elements, one stream (seed, k))
 # fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
-# a cache unit: it takes the chunk's next uniforms in order and a law maps
-# each uniform alone, so it changes nothing.
+# a cache unit: it takes the chunk's next draws in order (the crude fine bits
+# by position) and a law maps each uniform alone, so it changes nothing.
 # The crude kernel's ceiling table bounds a law's uniform map on _CEILING_CELLS
-# equal cells of u in [0, 1).
+# equal cells of u in [0, 1), one per value of a 16-bit lane.
 CHUNK_TARGET = 1 << 22
 _BLOCK_ELEMS = 1 << 16
 _CEILING_CELLS = 1 << 16
@@ -206,44 +210,74 @@ def _ceiling_table(model: TailModel) -> np.ndarray:
     return ceiling
 
 
-def _sums_above(rng, rows: int, n: int, from_uniform, threshold: float, ceiling=None) -> np.ndarray:
+def _sums_above(rng, rows: int, n: int, from_uniform, threshold: float) -> np.ndarray:
     """The row sums above threshold, in row order, of rows x n values from_uniform(rng.random(size)).
 
-    The uniforms are drawn in blocks of whole rows.  With a ceiling table (see
-    _ceiling_table), each row is first summed over its cells' ceilings, and
-    only rows whose ceiling sum exceeds threshold are mapped exactly.  The
-    others cannot hit: rounding is monotone and numpy adds a row's n terms in
-    the same order whatever they are, so ceiling >= value term by term gives
-    ceiling sum >= exact sum.  Rows to map are gathered across blocks until
-    they fill one; without a table every block is mapped as soon as it is
-    drawn, before its buffer is drawn into again.
+    The uniforms are drawn in blocks of whole rows into one buffer, and each
+    block is mapped before the buffer is drawn into again.
     """
     block_rows = max(1, _BLOCK_ELEMS // n)
-    block = min(block_rows, rows) * n
-    # one set of buffers for every block: fresh arrays of this size are mapped
-    # and faulted in anew each time
-    u_buf = np.empty(block)
-    if ceiling is not None:
-        cells = np.empty(block, dtype=np.intp)
-        bounds = np.empty(block)
-    found, batch, held = [], [], 0
+    # one buffer for every block: fresh arrays of this size are mapped and
+    # faulted in anew each time
+    u_buf = np.empty(min(block_rows, rows) * n)
+    found = []
     for r0 in range(0, rows, block_rows):
         size = min(block_rows, rows - r0) * n
-        u = rng.random(size, out=u_buf[:size])
-        if ceiling is not None:
-            np.multiply(u, _CEILING_CELLS, out=cells[:size], casting="unsafe")
-            # every cell is in range; "wrap" only spares take its bounds check
-            np.take(ceiling, cells[:size], out=bounds[:size], mode="wrap")
-            u = u.reshape(-1, n)[bounds[:size].reshape(-1, n).sum(axis=1) > threshold].ravel()
-        batch.append(u)
-        held += u.size
-        if held >= block or r0 + block_rows >= rows:
-            # held until the next batch is mapped, so glibc does not trim and re-fault its heap
-            values = from_uniform(batch[0] if len(batch) == 1 else np.concatenate(batch))
-            sums = values.reshape(-1, n).sum(axis=1)
-            found.append(sums[sums > threshold])
-            batch, held = [], 0
+        # held until the next block is mapped, so glibc does not trim and re-fault its heap
+        values = from_uniform(rng.random(size, out=u_buf[:size]))
+        sums = values.reshape(-1, n).sum(axis=1)
+        found.append(sums[sums > threshold])
     return np.concatenate(found)
+
+
+def _crude_hits(rng, rows: int, n: int, from_uniform, threshold: float, ceiling: np.ndarray) -> int:
+    """How many of rows x n values of from_uniform have a row sum above threshold.
+
+    Row r reads W = ceil(n/4) raw words of rng's stream, and value i of the
+    row takes as its cell the 16-bit lane i % 4 of word r*W + i//4 (lane j
+    is bits 16j..16j+15 on every platform); the unused lanes of a row's last
+    word are dropped.  Each row is summed over its cells' ceilings (see
+    _ceiling_table), and only rows whose ceiling sum exceeds threshold are
+    mapped exactly.  The others cannot hit: rounding is monotone and numpy
+    adds a row's n terms in the same order whatever they are, so ceiling >=
+    value term by term gives ceiling sum >= exact sum.  A kept row draws its
+    fine words from the stream's first child, SeedSequence(seed,
+    spawn_key=(k, 0)): value i of row r takes word r*n + i, reached by
+    jumping ahead, one draw per run of consecutive kept rows.  Its uniform
+    u = (cell*2^37 + (fine >> 27)) * 2^-53 lies on Generator.random's 53-bit
+    grid and in its own cell, so every u is fixed by (seed, k, r, i)
+    whatever the block size or the screen.
+    """
+    words_per_row = -(-n // 4)
+    block_rows = max(1, _BLOCK_ELEMS // n)
+    coarse = rng.bit_generator
+    fine = PCG64DXSM(coarse.seed_seq.spawn(1)[0])
+    at = 0  # the fine stream's position, in words
+    # one buffer for every block's ceilings
+    bounds_buf = np.empty(min(block_rows, rows) * n)
+    hits = 0
+    for r0 in range(0, rows, block_rows):
+        size = min(block_rows, rows - r0)
+        words = coarse.random_raw(size * words_per_row).astype("<u8", copy=False)
+        cells = words.view("<u2").reshape(size, 4 * words_per_row)[:, :n]
+        bounds = bounds_buf[: size * n].reshape(size, n)
+        # every cell is in range; "wrap" only spares take its bounds check
+        np.take(ceiling, cells, out=bounds, mode="wrap")
+        kept = np.flatnonzero(bounds.sum(axis=1) > threshold)
+        if not kept.size:
+            continue
+        # kept[a:b] is a run of consecutive rows between two cuts
+        cuts = [0, *(np.flatnonzero(np.diff(kept) != 1) + 1).tolist(), kept.size]
+        fine_words = []
+        for a, b in zip(cuts, cuts[1:]):
+            first = (r0 + int(kept[a])) * n
+            fine.advance(first - at)
+            fine_words.append(fine.random_raw((b - a) * n))
+            at = first + (b - a) * n
+        bits = cells[kept].astype(np.uint64) << 37 | np.concatenate(fine_words).reshape(-1, n) >> 27
+        sums = from_uniform(bits.ravel() * 2.0**-53).reshape(-1, n).sum(axis=1)
+        hits += int(np.count_nonzero(sums > threshold))
+    return hits
 
 
 def _finish_estimate(
@@ -300,7 +334,7 @@ def crude_mc(
     ceiling = _ceiling_table(model)
 
     def count_hits(rng, rows: int) -> tuple[int]:
-        return (len(_sums_above(rng, rows, n, model.from_uniform, threshold, ceiling)),)
+        return (_crude_hits(rng, rows, n, model.from_uniform, threshold, ceiling),)
 
     return _hit_frequency(count_hits, reps, seed, workers, n, x, G)
 

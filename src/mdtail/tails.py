@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exponents import GridSpec, TailExponents
-from .scale import ScaleFunction, _build_preset, power_scale, scale_from_spec
+from .scale import ScaleFunction, _build_preset, _json_real, _number, power_scale, scale_from_spec
 
 __all__ = [
     "TailModel",
@@ -65,7 +65,10 @@ def _rng_stream(seed: int, stream: int) -> Generator:
     """PCG64DXSM generator keyed by SeedSequence(seed, spawn_key=(stream,)).
 
     (seed, stream) fully determines the draws; both are taken mod 2^64, so a
-    negative seed is masked, not rejected.
+    negative seed is masked, not rejected.  Tilted, split and sign-array
+    chunks and TailModel.sample draw from the generator; a crude chunk reads
+    its raw words as 16-bit cells and takes its fine bits from the key's
+    first child, SeedSequence(seed, spawn_key=(stream, 0)).
     """
     key = SeedSequence(seed & _MASK64, spawn_key=(stream & _MASK64,))
     return Generator(PCG64DXSM(key))
@@ -732,12 +735,12 @@ def catalog() -> tuple[CatalogEntry, ...]:
     )
 
 
-def _coerce_lambda(value) -> float:
-    if isinstance(value, str):
-        if value.lower() in ("inf", "infinity"):
-            return math.inf
-        raise ValueError(f"cannot parse exponent value {value!r}")
-    return float(value)
+def _lambda(params: dict, key: str) -> float:
+    """A designed law's exponent: a JSON number, or "inf"/"infinity" in any case."""
+    value = params[key]
+    if isinstance(value, str) and value.lower() in ("inf", "infinity"):
+        return math.inf
+    return _json_real(value, f"{key} must be a number or 'inf'")
 
 
 # preset -> (required keys, optional keys, builder from the spec's parameters);
@@ -745,26 +748,26 @@ def _coerce_lambda(value) -> float:
 _MODEL_PRESETS = {
     "gaussian": ((), (), lambda p: gaussian()),
     "two_point": ((), (), lambda p: two_point()),
-    "pareto": (("alpha",), (), lambda p: pareto(float(p["alpha"]))),
+    "pareto": (("alpha",), (), lambda p: pareto(_number(p, "alpha"))),
     "designed": (
         ("lambda_plus", "lambda_minus", "scale"),
         ("t0",),
         lambda p: make_designed_tail(
-            _coerce_lambda(p["lambda_plus"]),
-            _coerce_lambda(p["lambda_minus"]),
+            _lambda(p, "lambda_plus"),
+            _lambda(p, "lambda_minus"),
             scale_from_spec(p["scale"]),
-            t0=float(p.get("t0", math.e)),
+            t0=_number(p, "t0", math.e),
         ),
     ),
     "oscillating": (
         ("lambda_lo", "lambda_hi", "block_growth", "scale"),
         ("u0",),
         lambda p: make_oscillating_tail(
-            float(p["lambda_lo"]),
-            float(p["lambda_hi"]),
+            _number(p, "lambda_lo"),
+            _number(p, "lambda_hi"),
             scale_from_spec(p["scale"]),
-            float(p["block_growth"]),
-            u0=float(p.get("u0", 1.0)),
+            _number(p, "block_growth"),
+            u0=_number(p, "u0", 1.0),
         ),
     ),
 }

@@ -97,11 +97,34 @@ def _write_config(tmp_path, name="config.json", **overrides):
         ({"model": _DESIGNED | {"lambda_plus": 2.0, "lambda_minus": 2.0,
                                 "scale": {"kind": "power", "rho": 2.0}, "t0": 1e11}},
          "variance must be positive"),
+        # model and scale parameters are JSON numbers too: no strings, no bools
+        ({"model": {"preset": "pareto", "alpha": "3"}}, "alpha must be a number"),
+        ({"model": {"preset": "pareto", "alpha": True}}, "alpha must be a number"),
+        ({"model": {"preset": "pareto", "alpha": 10**400}}, "alpha must be finite"),
+        ({"scale": {"kind": "power", "rho": "1"}}, "rho must be a number"),
+        ({"scale": {"kind": "power", "rho": False}}, "rho must be a number"),
+        ({"model": _DESIGNED | {"lambda_plus": "0.5"}}, "lambda_plus must be a number or 'inf'"),
+        ({"model": _DESIGNED | {"lambda_minus": True}}, "lambda_minus must be a number or 'inf'"),
+        ({"model": _DESIGNED | {"t0": "3"}}, "t0 must be a number"),
+        ({"model": _DESIGNED | {"scale": {"kind": "power", "rho": "1"}}}, "rho must be a number"),
+        ({"model": _OSCILLATING | {"lambda_lo": "0.5"}}, "lambda_lo must be a number"),
+        ({"model": _OSCILLATING | {"lambda_hi": True}}, "lambda_hi must be a number"),
+        ({"model": _OSCILLATING | {"block_growth": "3"}}, "block_growth must be a number"),
+        ({"model": _OSCILLATING | {"u0": None}}, "u0 must be a number"),
     ],
 )
 def test_config_validation(overrides, fragment):
     with pytest.raises(ConfigError, match=fragment):
         ExperimentConfig.from_dict(_base_config(**overrides))
+
+
+def test_a_designed_lambda_may_be_spelled_inf():
+    # the one string a law parameter may be; manifest.json echoes it as written
+    spelled = _DESIGNED | {"lambda_plus": "Infinity", "lambda_minus": "inf"}
+    cfg = ExperimentConfig.from_dict(_base_config(model=spelled))
+    assert cfg.to_dict()["model"] == spelled
+    gaussian_sided = md.make_designed_tail(math.inf, math.inf, md.power_scale(1.0))
+    assert md.model_from_spec(spelled).label == gaussian_sided.label
 
 
 def test_config_roundtrip():

@@ -159,6 +159,44 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), "no screen"
 
 
+def _crude_from_the_layout(model, n, x, reps, seed):
+    # every value of every row, from the stated layout: row r of chunk k has
+    # as cell of value i the 16-bit lane i % 4 of raw word r*ceil(n/4) + i//4
+    # of stream (seed, k), and as fine word the word r*n + i of the child
+    # stream (seed, (k, 0))
+    threshold = n * model.mu + x * math.sqrt(n * math.log(n))
+    per = S.CHUNK_TARGET // n
+    words = -(-n // 4)
+    hits = 0
+    for k, r0 in enumerate(range(0, reps, per)):
+        rows = min(per, reps - r0)
+        raw = S._rng_stream(seed, k).bit_generator.random_raw(rows * words).astype("<u8")
+        cells = raw.view("<u2").reshape(rows, 4 * words)[:, :n].astype(np.uint64)
+        child = np.random.SeedSequence(seed, spawn_key=(k, 0))
+        fine = np.random.PCG64DXSM(child).random_raw(rows * n).reshape(rows, n)
+        u = ((cells << 37) + (fine >> 27)).astype(np.float64) * 2.0**-53
+        sums = model.from_uniform(u.ravel()).reshape(rows, n).sum(axis=1)
+        hits += int(np.count_nonzero(sums > threshold))
+    p = hits / reps
+    return hits, p, math.sqrt(p * (1.0 - p) / reps)
+
+
+@pytest.mark.parametrize("model", [md.gaussian(), md.pareto(3.0)], ids=lambda m: m.label)
+def test_crude_estimate_is_rebuilt_from_the_stated_layout(model, monkeypatch):
+    # n = 37 leaves three unused lanes in each row's last word; small chunks
+    # give it ten, and n = 300 spans two chunks at the shipped chunk target
+    with monkeypatch.context() as patch:
+        patch.setattr(S, "CHUNK_TARGET", 1 << 14)
+        assert len(S._chunk_sizes(4000, 37)) == 10
+        hits, *want = _crude_from_the_layout(model, 37, 1.0, 4000, 5)
+        est = S.crude_mc(model, G1, n=37, x=1.0, reps=4000, seed=5)
+        assert hits > 0 and [est.p_hat, est.stderr] == want
+    assert len(S._chunk_sizes(15_000, 300)) == 2
+    hits, *want = _crude_from_the_layout(model, 300, 0.7, 15_000, 6)
+    est = S.crude_mc(model, G1, n=300, x=0.7, reps=15_000, seed=6)
+    assert hits > 0 and [est.p_hat, est.stderr] == want
+
+
 # designed laws with an infinite lambda have a Gaussian side, whose quantile
 # no catalog law samples
 GAUSSIAN_SIDED = tuple(
@@ -210,48 +248,48 @@ def test_the_ceiling_screen_maps_few_values_exactly(monkeypatch):
 # blocks, so every row outgrows its block
 CRUDE_PINS = {
     "gaussian": (
-        ("0x1.be76c8b439581p-6", "0x1.516a1fd05fcddp-9"),
-        ("0x1.70a3d70a3d70ap-5", "0x1.2fca2201da34ep-8"),
+        ("0x1.eb851eb851eb8p-6", "0x1.6187b62ea435dp-9"),
+        ("0x1.6872b020c49bap-5", "0x1.2c8d6ada27972p-8"),
     ),
     "two_point": (
-        ("0x1.6c8b439581062p-6", "0x1.31ac9b6e57a63p-9"),
-        ("0x1.851eb851eb852p-5", "0x1.37b4909087c41p-8"),
+        ("0x1.47ae147ae147bp-6", "0x1.2223e6c8a7ee6p-9"),
+        ("0x1.89374bc6a7efap-5", "0x1.394263f7e5b64p-8"),
     ),
     "pareto(2.5)": (
-        ("0x1.083126e978d50p-4", "0x1.fd132c9676afap-9"),
-        ("0x1.ccccccccccccdp-4", "0x1.cf0c1d286d389p-8"),
+        ("0x1.16872b020c49cp-4", "0x1.04dce82cdd2bap-8"),
+        ("0x1.7ef9db22d0e56p-4", "0x1.aaa218ff66489p-8"),
     ),
     "pareto(3)": (
-        ("0x1.89374bc6a7efap-6", "0x1.3d2ef3c9df952p-9"),
-        ("0x1.26e978d4fdf3bp-5", "0x1.10feb89e97a8ep-8"),
+        ("0x1.851eb851eb852p-6", "0x1.3b914749f3de2p-9"),
+        ("0x1.f3b645a1cac08p-6", "0x1.f7fc7ff717d23p-9"),
     ),
     "pareto(4)": (
-        ("0x1.6872b020c49bap-9", "0x1.b21e55dc44f5bp-11"),
-        ("0x1.0624dd2f1a9fcp-11", "0x1.061415ae00be1p-11"),
+        ("0x1.0624dd2f1a9fcp-9", "0x1.725b4fd5ecb98p-11"),
+        ("0x1.0624dd2f1a9fcp-10", "0x1.728accf593ef2p-11"),
     ),
     "designed(1,1;t)": (
-        ("0x1.5916872b020c5p-4", "0x1.1fd25316721c1p-8"),
-        ("0x1.eb851eb851eb8p-4", "0x1.dc354e36023e0p-8"),
+        ("0x1.5e353f7ced917p-4", "0x1.21c03d53b795fp-8"),
+        ("0x1.e353f7ced9168p-4", "0x1.d8c26c0c8279ep-8"),
     ),
     "designed(0.5,2;t)": (
-        ("0x1.ec8b439581062p-4", "0x1.510862e029c72p-8"),
-        ("0x1.4083126e978d5p-3", "0x1.0a375fc66865bp-7"),
+        ("0x1.fbe76c8b43958p-4", "0x1.5584741362da2p-8"),
+        ("0x1.3851eb851eb85p-3", "0x1.076a1e0e3ca5dp-7"),
     ),
     "designed(1,0.5;t^2)": (
-        ("0x1.cac083126e979p-9", "0x1.e99148e14d1a7p-11"),
-        ("0x1.0624dd2f1a9fcp-9", "0x1.05e1b8b75e2c6p-10"),
+        ("0x1.89374bc6a7efap-9", "0x1.c55d7a288ad4cp-11"),
+        ("0x1.cac083126e979p-9", "0x1.5a2d2fe4bcffep-10"),
     ),
     "oscillating(0.5,2;t;x3)": (
-        ("0x1.7ced916872b02p-4", "0x1.2cf35338c2c66p-8"),
-        ("0x1.0000000000000p-3", "0x1.e4a52f7c75ef2p-8"),
+        ("0x1.83126e978d4fep-4", "0x1.2f1de94ebf0fcp-8"),
+        ("0x1.eb851eb851eb8p-4", "0x1.dc354e36023e0p-8"),
     ),
     "designed(inf,1;t)": (
-        ("0x1.0624dd2f1a9fcp-9", "0x1.725b4fd5ecb98p-11"),
-        ("0x1.22d0e56041893p-5", "0x1.0f29b1fd5d203p-8"),
+        ("0x1.47ae147ae147bp-9", "0x1.9df7b651068c8p-11"),
+        ("0x1.604189374bc6ap-5", "0x1.2945d43bff9bdp-8"),
     ),
     "designed(1,inf;t)": (
-        ("0x1.a7ef9db22d0e5p-5", "0x1.cb16b0350a5dap-9"),
-        ("0x1.0a3d70a3d70a4p-4", "0x1.69442a597287bp-8"),
+        ("0x1.d70a3d70a3d71p-5", "0x1.e273d4f1affbbp-9"),
+        ("0x1.16872b020c49cp-4", "0x1.70ea76dc002b4p-8"),
     ),
     # sigma2 = 0.06 puts both thresholds out of reach: zero hits at both points
     "designed(inf,inf;t)": (

@@ -191,7 +191,7 @@ def _probe(
         )
     if grid.u_max - grid.u_min < 4.0 * _LN10 - 1e-12:
         raise ValueError("grid must span at least 4 decades beyond t0")
-    if g.eval(grid.u_min) <= 0.0:
+    if not g.eval(grid.u_min) > 0.0:  # in u, not through scale's n: e^u may overflow a float
         raise ValueError("g(log t) must be positive on the grid")
     u = grid.u_values()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -199,6 +199,12 @@ def _probe(
         log_l = np.asarray(model.log_left_tail_u(u), dtype=float)
         log_abs = np.logaddexp(log_r, log_l)
     return u, g(u), grid.window_slice(), (log_r, log_l, log_abs)
+
+
+def _exponent_values(log_s: np.ndarray, u: np.ndarray, gu: np.ndarray) -> np.ndarray:
+    """-(2u + log s) / g(u), whose negated limits are the exponents; log s = -inf reads as +inf."""
+    with np.errstate(invalid="ignore"):
+        return np.where(np.isneginf(log_s), math.inf, -(2.0 * u + log_s) / gu)
 
 
 def exponents_from_tail(
@@ -210,14 +216,9 @@ def exponents_from_tail(
     if grid is None:
         grid = default_grid(model)
     u, gu, win, log_tails = _probe(model, g, grid)
-    results = []
-    for log_s in log_tails:
-        with np.errstate(invalid="ignore"):
-            y = -(2.0 * u + log_s) / gu
-        # log 0 = -inf convention: a vanished tail reads as y = +inf.
-        y = np.where(np.isneginf(log_s), math.inf, y)
-        results.append(_window_limits(y[win], gu[win]))
-    right, left, both = results
+    right, left, both = (
+        _window_limits(_exponent_values(log_s, u, gu)[win], gu[win]) for log_s in log_tails
+    )
     return TailExponents(*right, *left, *both)
 
 
@@ -336,8 +337,7 @@ def empirical_exponents(sample, g: ScaleFunction) -> EmpiricalExponents:
 
     def side_y(surv: np.ndarray) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            log_s = np.log(surv)
-        return np.where(surv == 0.0, math.inf, -(2.0 * u + log_s) / gu)
+            return _exponent_values(np.log(surv), u, gu)
 
     win = slice(_window_start(u.size), None)
     r_bar, r_under = _raw_limits(side_y(surv_r)[win])

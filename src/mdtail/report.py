@@ -26,7 +26,7 @@ import scipy
 
 from .exponents import TailExponents, default_grid, exponents_from_tail, exponents_sup_form
 from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
-from .scale import _SCALE_PRESETS, _json_real, power_scale, scale_from_spec
+from .scale import _SCALE_PRESETS, _g_log_n, _json_real, power_scale, scale_from_spec
 from .simulate import (
     EstimatorError,
     bounded_array_mc,
@@ -154,8 +154,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
         for n in n_grid:
-            if not g.eval(math.log(n)) > 0.0:
-                raise ConfigError(f"g(log n) must be positive at every n in n_grid, not at n={n}")
+            _g_log_n(g, n, ConfigError)
 
         reps = _int_field(raw["reps"], "reps must be an integer")
         if reps < 1000:
@@ -456,14 +455,19 @@ def _check_exponent_recovery() -> list[tuple[str, bool, str]]:
 
     entries = catalog()
     windows = [exponents_from_tail(entry.model, entry.scale) for entry in entries]
-    got = next(w for e, w in zip(entries, windows) if e.model.label == "oscillating(0.5,2;t;x3)")
+    osc, got = next((e, w) for e, w in zip(entries, windows)
+                    if e.model.label == "oscillating(0.5,2;t;x3)")
     err_bar = _relerr(got.lam1_bar, 0.5)
     err_under = _relerr(got.lam1_under, 2.0)
+    spec = RateSpec(osc.model.sigma2, 1.0, got)  # the band of the computed exponents
+    up, low = rate_limsup(spec, 10.0, "upper"), rate_liminf(spec, 10.0, "upper")
     checks.append(
         (
             "oscillating tail separates limsup/liminf exponents",
-            err_bar <= 0.10 and err_under <= 0.10 and got.lam1_bar < got.lam1_under,
-            f"bar {got.lam1_bar:.4f} vs 0.5, under {got.lam1_under:.4f} vs 2.0",
+            err_bar <= 0.10 and err_under <= 0.10 and got.lam1_bar < got.lam1_under
+            and abs(up + 0.25) <= 0.03 and abs(low + 1.0) <= 0.11 and up > low,
+            f"bar {got.lam1_bar:.4f} vs 0.5, under {got.lam1_under:.4f} vs 2.0; "
+            f"band at x=10 limsup {up:.4f} vs -0.25, liminf {low:.4f} vs -1",
         )
     )
 
@@ -552,8 +556,7 @@ def _check_envelopes() -> list[tuple[str, bool, str]]:
         G = g.eval(math.log(n))
         x_abs = math.sqrt(n * G)
         upper = kolmogorov_upper(float(n), 1.0, x_abs)
-        rel = est.stderr / est.p_hat if est.p_hat > 0 else math.inf
-        ok = ok and est.p_hat <= upper * (1.0 + 4.0 * rel)
+        ok = ok and est.p_hat - 4.0 * est.stderr <= upper
         details.append(f"n={n}: p_hat {est.p_hat:.3e} <= bound {upper:.3e}")
         if n == sizes[-1]:
             # the lower envelope is asymptotic; probe it at the largest n only

@@ -4,7 +4,8 @@ A scale function g maps [0, inf) to [0, inf), is nondecreasing, diverges,
 and satisfies g(x*t)/g(t) -> x**rho for every fixed x > 0.  The index rho
 is carried alongside the callable so downstream code can report predicted
 limits without re-estimating it.  Instances are immutable and safe to share
-across threads.
+across threads.  A deviation scale sqrt(n * g(log n)) needs g(log n) > 0;
+_g_log_n is the one check of that rule, and it refuses a NaN as well.
 """
 
 from __future__ import annotations
@@ -206,21 +207,26 @@ def check_regular_variation(
     )
 
 
+def _g_log_n(g: ScaleFunction, n: float, error: type[ValueError] = ValueError) -> float:
+    """g(log n); raises error unless it is positive (NaN is not): no deviation scale exists then."""
+    G = g.eval(math.log(n))
+    if not G > 0.0:
+        raise error(f"g(log n) must be positive; got {G} at n={n}")
+    return G
+
+
 def scaled_threshold(g: ScaleFunction, s: float, n: float) -> float:
     """The deviation threshold s * sqrt(n * g(log n)).
 
     n may be any real >= 2 (integer sample sizes are the common case, but
     closed-form checks like n = e**2 are convenient with real n).  Raises
-    when g(log n) = 0 because the threshold would degenerate to 0.
+    unless g(log n) > 0, since the threshold would degenerate or be undefined.
     """
     if s <= 0:
         raise ValueError("s must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
-    gn = g.eval(math.log(n))
-    if gn == 0.0:
-        raise ValueError("g(log n) = 0 at this n; the threshold scale is degenerate")
-    return s * math.sqrt(n * gn)
+    return s * math.sqrt(n * _g_log_n(g, n))
 
 
 def truncation_level(g: ScaleFunction, n: float, delta_hat: float) -> float:
@@ -229,10 +235,7 @@ def truncation_level(g: ScaleFunction, n: float, delta_hat: float) -> float:
         raise ValueError("delta_hat must be positive")
     if n < 2:
         raise ValueError("n must be at least 2")
-    gn = g.eval(math.log(n))
-    if gn == 0.0:
-        raise ValueError("g(log n) = 0 at this n; no finite cut level exists")
-    return delta_hat * math.sqrt(n / gn)
+    return delta_hat * math.sqrt(n / _g_log_n(g, n))
 
 
 @dataclass(frozen=True)
@@ -252,16 +255,14 @@ def half_index_limit(g: ScaleFunction, s: float, t_max: float) -> HalfIndexLimit
     tends to 2**(-rho): phi_s grows like sqrt(t) times a slowly varying
     factor, so log phi_s is about half of log t.  The caller compares the
     returned ratio against the predicted limit at whatever tolerance the
-    context justifies.
+    context justifies.  Raises unless g(log t_max) > 0.
     """
     if s <= 0:
         raise ValueError("s must be positive")
     if t_max <= math.e:
         raise ValueError("t_max must exceed e for the ratio to be informative")
-    base = g.eval(math.log(t_max))
-    if base == 0.0:
-        raise ValueError("g(log t_max) = 0; pick a larger t_max")
-    phi = s * math.sqrt(t_max * g.eval(math.log(max(t_max, math.e))))
+    base = _g_log_n(g, t_max)
+    phi = s * math.sqrt(t_max * base)  # t_max > e, so max(t_max, e) = t_max
     ratio = g.eval(math.log(phi)) / base
     return HalfIndexLimit(
         ratio=ratio,

@@ -7,7 +7,9 @@ chunk order.  Worker count therefore changes wall time only, never output
 bytes.  The crude estimator reads a value's 16-bit cell from a lane of the
 chunk's raw words and, only for rows its ceiling screen keeps, the value's
 fine bits from the chunk's first child stream (seed, spawn_key=(k, 0)), at
-a position fixed by the row and value (see _crude_hits).
+a position fixed by the row and value (see _crude_hits).  Every estimator
+sets up its point with one call, _point, which refuses a g(log n) that is not
+positive (scale's rule) and returns the deviation scale sqrt(n * g(log n)).
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from numpy.random import PCG64DXSM
 from scipy.optimize import brentq
 
-from .scale import ScaleFunction, truncation_level
+from .scale import ScaleFunction, _g_log_n, truncation_level
 from .tails import TailModel, _rng_stream, _tail_mean_u
 
 __all__ = [
@@ -131,14 +133,8 @@ def unit_sign_array(g: ScaleFunction) -> TriangularSignArray:
     )
 
 
-def _scale_at_n(g: ScaleFunction, n: int) -> float:
-    G = g.eval(math.log(n))
-    if G <= 0.0:
-        raise ValueError(f"g(log n) must be positive; got {G} at n={n}")
-    return G
-
-
-def _validate_mc_args(n: int, reps: int, x: float) -> tuple[int, int]:
+def _point(g: ScaleFunction, n: int, reps: int, x: float) -> tuple[int, int, float, float]:
+    """An estimator point's checked set-up (n, reps, G = g(log n), a_n = sqrt(n*G))."""
     n = int(n)
     reps = int(reps)
     if n < 2:
@@ -147,7 +143,8 @@ def _validate_mc_args(n: int, reps: int, x: float) -> tuple[int, int]:
         raise ValueError("need reps >= 1000")
     if not x > 0:
         raise ValueError("x must be positive")
-    return n, reps
+    G = _g_log_n(g, n)
+    return n, reps, G, math.sqrt(n * G)
 
 
 def _chunk_sizes(reps: int, n: int) -> list[int]:
@@ -328,9 +325,8 @@ def crude_mc(
     workers: int = 1,
 ) -> Estimate:
     """Direct frequency estimate of P(S_n - n*mu > x*sqrt(n*g(log n)))."""
-    n, reps = _validate_mc_args(n, reps, x)
-    G = _scale_at_n(g, n)
-    threshold = n * model.mu + x * math.sqrt(n * G)
+    n, reps, G, a_n = _point(g, n, reps, x)
+    threshold = n * model.mu + x * a_n
     ceiling = _ceiling_table(model)
 
     def count_hits(rng, rows: int) -> tuple[int]:
@@ -349,7 +345,7 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     n = int(n)
     if n < 2:
         raise ValueError("need n >= 2")
-    G = _scale_at_n(g, n)
+    G = _g_log_n(g, n)
     delta = max(G**-0.25, n**-0.125)
     delta_hat = max(delta, G**-0.5)
     c = truncation_level(g, n, delta_hat)
@@ -521,15 +517,14 @@ def _truncated_sum(
     Validates the arguments (eps defaults to x/10), plans the truncation,
     discretizes the law restricted to [-c_n, c_n], adds the exceedance mass
     at 0, recenters by mu_n, and estimates by tilting the probability that
-    n such summands exceed (x - eps)*sqrt(n*g(log n)).  Returns (n, reps,
-    eps, G, scheme, (values, masses, restricted_mass), p_hat, stderr).
+    n such summands exceed (x - eps)*sqrt(n*g(log n)).  Returns ((n, reps,
+    G, a_n), eps, scheme, (values, masses, restricted_mass), p_hat, stderr).
     """
-    n, reps = _validate_mc_args(n, reps, x)
+    point = n, reps, _, a_n = _point(g, n, reps, x)
     if eps is None:
         eps = x / 10.0
     if not 0.0 < eps < x:
         raise ValueError("eps must lie in (0, x)")
-    G = _scale_at_n(g, n)
     scheme = plan_truncation(model, g, n)
     law = _restricted_law(model, scheme.c_n)
     values, masses, restricted = law
@@ -537,12 +532,12 @@ def _truncated_sum(
         np.append(values, 0.0) - scheme.mu_n,
         np.append(masses, max(1.0 - restricted, 0.0)),
         n,
-        (x - eps) * math.sqrt(n * G),
+        (x - eps) * a_n,
         reps,
         seed,
         workers,
     )
-    return n, reps, eps, G, scheme, law, p_hat, stderr
+    return point, eps, scheme, law, p_hat, stderr
 
 
 def tilted_mc_truncated(
@@ -562,7 +557,7 @@ def tilted_mc_truncated(
     alias table in O(1) per draw, and reweighted by the likelihood ratio,
     which keeps the estimator unbiased.
     """
-    n, reps, _, G, _, _, p_hat, stderr = _truncated_sum(model, g, n, x, reps, seed, eps, workers)
+    (n, reps, G, _), _, _, _, p_hat, stderr = _truncated_sum(model, g, n, x, reps, seed, eps, workers)
     return _finish_estimate(p_hat, stderr, n, x, G, "tilted", reps)
 
 
@@ -583,11 +578,10 @@ def split_estimate(
     under the law conditioned on no exceedance, at threshold (x + eps),
     times the exact no-exceedance probability (1 - p_n)^n.
     """
-    n, reps, eps, G, scheme, law, p_trunc, se_trunc = _truncated_sum(
+    (n, reps, G, a_n), eps, scheme, law, p_trunc, se_trunc = _truncated_sum(
         model, g, n, x, reps, seed, eps, workers
     )
     values, masses, restricted = law
-    a_n = math.sqrt(n * G)
     max_term = n * model.right_tail(math.sqrt(n) / G)
     upper_flags: tuple[str, ...] = ()
     if max_term >= 1.0:
@@ -629,8 +623,7 @@ def bounded_array_mc(
     violating it are rejected because the comparison against the quadratic
     rate is only meaningful for negligible summands.
     """
-    n, reps = _validate_mc_args(n, reps, r)
-    G = _scale_at_n(g, n)
+    n, reps, G, a_n = _point(g, n, reps, r)
     b = float(array.magnitude(n))
     if b <= 0:
         raise ValueError("magnitude(n) must be positive")
@@ -642,7 +635,7 @@ def bounded_array_mc(
     taus = [array.tau(m) for m in (n, 2 * n, 4 * n, 8 * n)]
     if any(t2 > t1 + 1e-15 for t1, t2 in zip(taus[:-1], taus[1:])) or not taus[-1] < taus[0]:
         raise ValueError("tau must decrease toward zero along growing n")
-    threshold = r * math.sqrt(n * G)
+    threshold = r * a_n
 
     def count_hits(rng, rows: int) -> tuple[int]:
         heads = rng.binomial(n, 0.5, size=rows)

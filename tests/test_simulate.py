@@ -62,6 +62,39 @@ def test_mc_argument_validation():
         S.crude_mc(TWO_POINT, md.log_scale(), n=2, x=1.0, reps=2000, seed=0)
 
 
+# (name, scale, n) with g(log n) NaN, negative or zero; a custom scale has no checks of its own
+_BAD_SCALES = [
+    ("nan", md.ScaleFunction(1.0, lambda t: t * math.nan, "nan"), 100),
+    ("negative", md.ScaleFunction(1.0, lambda t: t - 5.0, "t-5"), 100),
+    ("zero", md.log_scale(), 2),
+]
+_SCALE_ENTRY_POINTS = {
+    "crude_mc": lambda g, n: S.crude_mc(md.gaussian(), g, n, 1.0, 2000, 0),
+    "tilted_mc_truncated": lambda g, n: S.tilted_mc_truncated(md.gaussian(), g, n, 1.0, 2000, 0),
+    "split_estimate": lambda g, n: S.split_estimate(md.gaussian(), g, n, 1.0, 2000, 0),
+    "bounded_array_mc": lambda g, n: S.bounded_array_mc(S.unit_sign_array(g), g, n, 1.0, 2000, 0),
+    "plan_truncation": lambda g, n: S.plan_truncation(md.gaussian(), g, n),
+    "scaled_threshold": lambda g, n: md.scaled_threshold(g, 1.0, n),
+    "truncation_level": lambda g, n: md.truncation_level(g, n, 0.5),
+    "half_index_limit": lambda g, n: md.half_index_limit(g, 1.0, n),
+}
+
+
+@pytest.mark.parametrize(
+    "scale, n, entry",
+    [
+        pytest.param(g, n, entry, id=f"{name}-{entry}")
+        for name, g, n in _BAD_SCALES
+        for entry in _SCALE_ENTRY_POINTS
+        # half_index_limit refuses t_max <= e first, and log_scale is positive beyond e
+        if not (name == "zero" and entry == "half_index_limit")
+    ],
+)
+def test_a_scale_without_positive_g_log_n_is_refused(scale, n, entry):
+    with pytest.raises(ValueError, match=r"g\(log n\) must be positive"):
+        _SCALE_ENTRY_POINTS[entry](scale, n)
+
+
 # ---------------------------------------------------------- truncation plan
 
 

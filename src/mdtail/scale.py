@@ -4,8 +4,9 @@ A scale function g maps [0, inf) to [0, inf), is nondecreasing, diverges,
 and satisfies g(x*t)/g(t) -> x**rho for every fixed x > 0.  The index rho
 is carried alongside the callable so downstream code can report predicted
 limits without re-estimating it.  Instances are immutable and safe to share
-across threads.  A deviation scale sqrt(n * g(log n)) needs g(log n) > 0;
-_g_log_n is the one check of that rule, and it refuses a NaN as well.
+across threads.  A deviation scale sqrt(n * g(log n)) needs a finite n >= 2
+and g(log n) > 0; _g_log_n is the one check of both rules, and it refuses a
+NaN as well.
 """
 
 from __future__ import annotations
@@ -186,18 +187,16 @@ def check_regular_variation(
         raise ValueError("x_grid must be nonempty")
     if any(x <= 0 for x in xs):
         raise ValueError("probe ratios must be positive")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     base = g.eval(t_max)
-    if base == 0.0:
-        raise ValueError("g(t_max) = 0; pick t_max large enough that g is positive")
+    if not base > 0.0:
+        raise ValueError(f"g(t_max) must be positive; got {base} at t_max={t_max}")
     entries = []
-    worst = 0.0
     for x in xs:
         ratio = g.eval(x * t_max) / base
-        dev = abs(ratio - x**g.rho)
-        worst = max(worst, dev)
-        entries.append((x, ratio, dev))
+        entries.append((x, ratio, abs(ratio - x**g.rho)))
+    worst = float(np.max([dev for _, _, dev in entries]))  # a NaN deviation propagates
     return RegularVariationReport(
         t_max=float(t_max),
         tol=float(tol),
@@ -208,7 +207,10 @@ def check_regular_variation(
 
 
 def _g_log_n(g: ScaleFunction, n: float, error: type[ValueError] = ValueError) -> float:
-    """g(log n); raises error unless it is positive (NaN is not): no deviation scale exists then."""
+    """g(log n) for a finite n >= 2; raises error otherwise, or unless g(log n) is positive
+    (NaN is not): no deviation scale exists then."""
+    if not 2 <= n < math.inf:
+        raise error(f"n must be finite and >= 2; got {n}")
     G = g.eval(math.log(n))
     if not G > 0.0:
         raise error(f"g(log n) must be positive; got {G} at n={n}")
@@ -218,23 +220,19 @@ def _g_log_n(g: ScaleFunction, n: float, error: type[ValueError] = ValueError) -
 def scaled_threshold(g: ScaleFunction, s: float, n: float) -> float:
     """The deviation threshold s * sqrt(n * g(log n)).
 
-    n may be any real >= 2 (integer sample sizes are the common case, but
+    n may be any finite real >= 2 (integer sample sizes are the common case, but
     closed-form checks like n = e**2 are convenient with real n).  Raises
     unless g(log n) > 0, since the threshold would degenerate or be undefined.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be finite and positive")
     return s * math.sqrt(n * _g_log_n(g, n))
 
 
 def truncation_level(g: ScaleFunction, n: float, delta_hat: float) -> float:
     """The cut level delta_hat * sqrt(n / g(log n)) used by truncation schemes."""
-    if delta_hat <= 0:
-        raise ValueError("delta_hat must be positive")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not 0 < delta_hat < math.inf:
+        raise ValueError("delta_hat must be finite and positive")
     return delta_hat * math.sqrt(n / _g_log_n(g, n))
 
 
@@ -257,10 +255,10 @@ def half_index_limit(g: ScaleFunction, s: float, t_max: float) -> HalfIndexLimit
     returned ratio against the predicted limit at whatever tolerance the
     context justifies.  Raises unless g(log t_max) > 0.
     """
-    if s <= 0:
-        raise ValueError("s must be positive")
-    if t_max <= math.e:
-        raise ValueError("t_max must exceed e for the ratio to be informative")
+    if not 0 < s < math.inf:
+        raise ValueError("s must be finite and positive")
+    if not math.e < t_max < math.inf:
+        raise ValueError("t_max must be finite and exceed e for the ratio to be informative")
     base = _g_log_n(g, t_max)
     phi = s * math.sqrt(t_max * base)  # t_max > e, so max(t_max, e) = t_max
     ratio = g.eval(math.log(phi)) / base

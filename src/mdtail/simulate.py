@@ -8,8 +8,9 @@ bytes.  The crude estimator reads a value's 16-bit cell from a lane of the
 chunk's raw words and, only for rows its ceiling screen keeps, the value's
 fine bits from the chunk's first child stream (seed, spawn_key=(k, 0)), at
 a position fixed by the row and value (see _crude_hits).  Every estimator
-sets up its point with one call, _point, which refuses a g(log n) that is not
-positive (scale's rule) and returns the deviation scale sqrt(n * g(log n)).
+sets up its point with one call, _point, which refuses a non-integral n or
+reps, an n below 2 and a g(log n) that is not positive (scale's rules), and
+returns the deviation scale sqrt(n * g(log n)).
 """
 
 from __future__ import annotations
@@ -133,17 +134,22 @@ def unit_sign_array(g: ScaleFunction) -> TriangularSignArray:
     )
 
 
+def _whole(value, name: str) -> int:
+    """value as an int; raises unless it is integral, where int() would round 2.9 down to 2."""
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer; got {value!r}")
+    return int(value)
+
+
 def _point(g: ScaleFunction, n: int, reps: int, x: float) -> tuple[int, int, float, float]:
     """An estimator point's checked set-up (n, reps, G = g(log n), a_n = sqrt(n*G))."""
-    n = int(n)
-    reps = int(reps)
-    if n < 2:
-        raise ValueError("need n >= 2 so the deviation scale is positive")
+    G = _g_log_n(g, n)
+    n = _whole(n, "n")
+    reps = _whole(reps, "reps")
     if reps < 1000:
         raise ValueError("need reps >= 1000")
-    if not x > 0:
-        raise ValueError("x must be positive")
-    G = _g_log_n(g, n)
+    if not 0 < x < math.inf:
+        raise ValueError("x must be finite and positive")
     return n, reps, G, math.sqrt(n * G)
 
 
@@ -342,10 +348,8 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
     variance stabilizes at practical n, and is clamped from below so that
     sqrt(n)/g(log n) never exceeds it.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError("need n >= 2")
     G = _g_log_n(g, n)
+    n = _whole(n, "n")
     delta = max(G**-0.25, n**-0.125)
     delta_hat = max(delta, G**-0.5)
     c = truncation_level(g, n, delta_hat)

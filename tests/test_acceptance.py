@@ -26,18 +26,44 @@ def _verdict(name, ok, detail):
     return ok
 
 
-# ------------------------------------------------------------------ A1
+# The deterministic clauses read the `mdtail verify` suites, and the Monte Carlo
+# clauses draw the rows of the shipped configs that reproduce them.
 
 
 @functools.cache
-def _exponent_checks():
-    """{label: (verdict, detail)} of `mdtail verify exponents`, run once for A1, A2 and A7."""
-    return {label: (ok, detail) for label, ok, detail in report._check_exponent_recovery()}
+def _suite(name):
+    """{label: (verdict, detail)} of `mdtail verify NAME`, run once for every check."""
+    return {label: (ok, detail) for label, ok, detail in report._SUITES[name]()}
+
+
+def _all_of(checks):
+    """(every verdict, the 'label: detail' pairs joined) of {label: (verdict, detail)}."""
+    return all(ok for ok, _ in checks.values()), "; ".join(
+        f"{label}: {detail}" for label, (_, detail) in checks.items()
+    )
+
+
+def _config_row(name, n):
+    """The estimates of configs/NAME's run at its one x and at n, drawn as `mdtail run` draws them."""
+    cfg = report.load_config(CONFIGS / name)
+    assert n in cfg.n_grid
+    (x,) = cfg.x_values
+    return report._METHODS[cfg.method](
+        md.model_from_spec(cfg.model), md.scale_from_spec(cfg.scale), n, x, cfg.reps, cfg.seed,
+        cfg.eps, WORKERS,
+    )
+
+
+A4_TREND = "gaussian oracle approaches its limit -1 at x=sqrt(2) along n"
+A5_LIMIT = "pareto alpha=3: right exponent alpha-2, sigma2 3/4, plateau limit -1/2 at x=5"
+
+
+# ------------------------------------------------------------------ A1
 
 
 def test_a1_designed_exponent_recovery():
-    rec_ok, rec = _exponent_checks()["designed exponent recovery (18 models, both scales)"]
-    ident_ok, ident = _exponent_checks()["two-sided = min(one-sided) identity"]
+    rec_ok, rec = _suite("exponents")["designed exponent recovery (18 models, both scales)"]
+    ident_ok, ident = _suite("exponents")["two-sided = min(one-sided) identity"]
     ok = _verdict(
         "A1 exponent recovery",
         rec_ok and ident_ok,
@@ -50,7 +76,7 @@ def test_a1_designed_exponent_recovery():
 
 
 def test_a2_sup_form_equivalence():
-    sup_ok, sup = _exponent_checks()["sup-form route agrees with window route (full catalog)"]
+    sup_ok, sup = _suite("exponents")["sup-form route agrees with window route (full catalog)"]
     ok = _verdict("A2 sup-form equivalence", sup_ok, f"full catalog, {sup}")
     assert ok
 
@@ -59,42 +85,20 @@ def test_a2_sup_form_equivalence():
 
 
 def test_a3_exact_inequality_sweeps():
-    checks = report._check_inequalities()
-    all_ok = all(ok for _, ok, _ in checks)
-    detail = "; ".join(f"{label}: {d}" for label, ok, d in checks)
-    assert _verdict("A3 exact inequalities", all_ok, detail)
+    assert _verdict("A3 exact inequalities", *_all_of(_suite("inequalities")))
 
 
 # ------------------------------------------------------------------ A4
 
 
 def test_a4_gaussian_oracle_convergence():
-    x = math.sqrt(2.0)
-    n_grid = (100, 1000, 10_000, 100_000)
-    normalized = []
-    for n in n_grid:
-        G = math.log(n)
-        p = float(ndtr(-x * math.sqrt(G)))
-        normalized.append(math.log(p) / G)
-    deviations = [abs(v + 1.0) for v in normalized]
-    decreasing = all(b < a for a, b in zip(deviations[:-1], deviations[1:]))
-    ok = _verdict(
-        "A4 gaussian oracle trend",
-        deviations[-1] <= 0.25 and decreasing,
-        f"normalized at n=1e5: {normalized[-1]:.4f} (within 0.25 of -1: "
-        f"{deviations[-1]:.4f}); deviation sequence "
-        + " > ".join(f"{d:.3f}" for d in deviations),
-    )
-    assert ok
+    assert _verdict("A4 gaussian oracle trend", *_suite("rates")[A4_TREND])
 
 
 def test_a4_gaussian_crude_mc_matches_oracle():
-    x = math.sqrt(2.0)
-    n = 1000
-    est = S.crude_mc(md.gaussian(), md.power_scale(1.0), n=n, x=x,
-                     reps=1_000_000, seed=42, workers=WORKERS)
-    p = float(ndtr(-x * math.sqrt(math.log(n))))
-    se = math.sqrt(p * (1.0 - p) / 1_000_000)
+    (est,) = _config_row("gaussian_mdp.json", 1000)
+    p = float(ndtr(-est.x * math.sqrt(math.log(est.n))))
+    se = math.sqrt(p * (1.0 - p) / est.reps)
     z = (est.p_hat - p) / se
     ok = _verdict(
         "A4 gaussian crude MC",
@@ -109,25 +113,12 @@ def test_a4_gaussian_crude_mc_matches_oracle():
 
 @pytest.fixture(scope="session")
 def a5_crude():
-    return S.crude_mc(md.pareto(3.0), md.power_scale(1.0), n=10_000, x=5.0,
-                      reps=1_000_000, seed=77, workers=WORKERS)
+    (est,) = _config_row("pareto_plateau.json", 10_000)
+    return est
 
 
 def test_a5_predicted_plateau_limit():
-    m = md.pareto(3.0)
-    g = md.power_scale(1.0)
-    e = md.exponents_from_tail(m, g)
-    spec = md.RateSpec(m.sigma2, 1.0, e)
-    predicted = md.rate_limsup(spec, 5.0, side="upper")
-    ok = _verdict(
-        "A5 predicted limit",
-        math.isclose(m.sigma2, 0.75, rel_tol=1e-12)
-        and abs(e.lam1_bar - 1.0) <= 0.02
-        and abs(predicted + 0.5) <= 0.01,
-        f"sigma2 {m.sigma2:.4f}, lam1_bar {e.lam1_bar:.4f}, "
-        f"rate -min(x^2/2s^2, lam/2) = {predicted:.4f} (want -0.5)",
-    )
-    assert ok
+    assert _verdict("A5 predicted limit", *_suite("exponents")[A5_LIMIT])
 
 
 def test_a5_crude_normalized_near_limit(a5_crude):
@@ -147,17 +138,16 @@ def test_a5_crude_normalized_near_limit(a5_crude):
 
 def test_a5_sandwich_brackets_crude(a5_crude):
     crude = a5_crude
-    sp = S.split_estimate(md.pareto(3.0), md.power_scale(1.0), n=10_000, x=5.0,
-                          reps=20_000, seed=78, workers=WORKERS)
-    tol_up = 4.0 * math.sqrt(sp.upper.stderr**2 + crude.stderr**2)
-    tol_lo = 4.0 * math.sqrt(sp.lower.stderr**2 + crude.stderr**2)
-    ok_up = crude.p_hat <= sp.upper.p_hat + tol_up
-    ok_lo = sp.lower.p_hat <= crude.p_hat + tol_lo
+    upper, lower = _config_row("pareto_sandwich.json", 10_000)
+    tol_up = 4.0 * math.sqrt(upper.stderr**2 + crude.stderr**2)
+    tol_lo = 4.0 * math.sqrt(lower.stderr**2 + crude.stderr**2)
+    ok_up = crude.p_hat <= upper.p_hat + tol_up
+    ok_lo = lower.p_hat <= crude.p_hat + tol_lo
     ok = _verdict(
         "A5 split sandwich",
         ok_up and ok_lo,
-        f"lower {sp.lower.p_hat:.3e} <= crude {crude.p_hat:.3e} <= "
-        f"upper {sp.upper.p_hat:.3e} at 4 combined stderr",
+        f"lower {lower.p_hat:.3e} <= crude {crude.p_hat:.3e} <= "
+        f"upper {upper.p_hat:.3e} at 4 combined stderr",
     )
     assert ok
 
@@ -166,32 +156,18 @@ def test_a5_sandwich_brackets_crude(a5_crude):
 
 
 def test_a6_kolmogorov_envelopes():
+    # the criterion of `mdtail verify envelopes`, on twice its 2e5 reps
     g = md.power_scale(1.0)
-    arr = S.unit_sign_array(g)
-    details = []
-    ok = True
-    last_norm = None
-    last_floor = None
-    for n in (1000, 10_000):
-        G = math.log(n)
-        x_n = math.sqrt(n * G)
-        est = S.bounded_array_mc(arr, g, n=n, r=1.0, reps=400_000, seed=20260814,
-                                 workers=WORKERS)
-        upper = S.kolmogorov_upper(B_n=float(n), M_n=1.0, x_n=x_n)
-        ok = ok and est.p_hat - 4.0 * est.stderr <= upper
-        details.append(f"n={n}: p_hat {est.p_hat:.3e} <= upper {upper:.3e}")
-        last_norm = est.normalized
-        last_floor = math.log(S.kolmogorov_lower(B_n=float(n), x_n=x_n, eps=0.001)) / G
-    ok = ok and last_norm >= last_floor - 0.3
-    details.append(f"normalized {last_norm:.4f} >= floor {last_floor - 0.3:.4f}")
-    assert _verdict("A6 exponential envelopes", ok, "; ".join(details))
+    ests = [S.bounded_array_mc(S.unit_sign_array(g), g, n=n, r=1.0, reps=400_000, seed=20260814,
+                               workers=WORKERS) for n in (1000, 10_000)]
+    assert _verdict("A6 exponential envelopes", *report._envelope_verdict(g, ests))
 
 
 # ------------------------------------------------------------------ A7
 
 
 def test_a7_oscillation_witness():
-    osc_ok, osc = _exponent_checks()["oscillating tail separates limsup/liminf exponents"]
+    osc_ok, osc = _suite("exponents")["oscillating tail separates limsup/liminf exponents"]
     ok = _verdict("A7 oscillation witness", osc_ok, f"oscillating(0.5,2;t;x3), {osc}")
     assert ok
 
@@ -200,10 +176,8 @@ def test_a7_oscillation_witness():
 
 
 def test_a8_classifier_consistency():
-    checks = report._check_rates()
-    all_ok = all(ok for _, ok, _ in checks)
-    detail = "; ".join(f"{label}: {d}" for label, ok, d in checks)
-    assert _verdict("A8 classifier consistency", all_ok, detail)
+    checks = {label: c for label, c in _suite("rates").items() if label != A4_TREND}
+    assert _verdict("A8 classifier consistency", *_all_of(checks))
 
 
 # ------------------------------------------------------------------ A9

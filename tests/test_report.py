@@ -479,11 +479,6 @@ def test_verify_suite_streams_one_line_per_check():
     assert all("[exponents]" in line for line in lines[:-1])
 
 
-def test_verify_suite_envelopes_passes():
-    buf = io.StringIO()
-    assert report.verify_suite("envelopes", stream=buf) is True
-
-
 def test_verify_suite_unknown_name():
     with pytest.raises(ConfigError):
         report.verify_suite("everything")
@@ -499,6 +494,14 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_cli_verify_success_exit_code(capsys):
-    assert report.main(["verify", "inequalities"]) == 0
+    # tests/test_acceptance.py reads its deterministic clauses from these checks, so `verify
+    # all` prints the numbers Tier-1 prints; A6 draws its own estimates at twice the reps
+    # through the same criterion, so only the label of that line is compared
+    assert report.main(["verify", "all"]) == 0
     out = capsys.readouterr().out
-    assert "checks passed" in out
+    assert "suite 'all': 15/15 checks passed" in out
+    for suite, run in report._SUITES.items():
+        for label, _, detail in run():
+            if label == "sign-array estimates inside both envelopes":
+                detail = ""
+            assert f"PASS [{suite}] {label}: {detail}" in out

@@ -124,6 +124,21 @@ def test_regular_variation_power_is_exact():
     assert rep.max_deviation <= 1e-12
 
 
+def test_regular_variation_refuses_or_fails_a_scale_that_is_not_positive():
+    # NaN or negative at t_max is refused; NaN only beyond t_max gives a NaN ratio, which
+    # fails the report (max(0.0, nan) would keep 0.0 and pass it)
+    for g in (ScaleFunction(1.0, lambda t: t * math.nan, "nan"),
+              ScaleFunction(1.0, lambda t: t - 2e6, "t-2e6")):
+        with pytest.raises(ValueError, match=r"g\(t_max\) must be positive"):
+            check_regular_variation(g, [0.5, 2.0], 1e6, 0.1)
+    nan_above = ScaleFunction(1.0, lambda t: np.where(t <= 1e6, t, math.nan), "nan above 1e6")
+    rep = check_regular_variation(nan_above, [0.5, 2.0], 1e6, 0.1)
+    assert math.isnan(rep.max_deviation)
+    assert not rep.passed
+    with pytest.raises(ValueError, match="tol must be positive"):
+        check_regular_variation(power_scale(1.0), [2.0], 1e6, math.nan)
+
+
 def test_regular_variation_tlog_deviation_closed_form():
     # g(2t)/g(t) - 2 = 2*log(2)/log(t) for the t*log t scale
     rep = check_regular_variation(power_log_scale(), [2.0], 1e8, 0.2)

@@ -95,6 +95,45 @@ def test_a_scale_without_positive_g_log_n_is_refused(scale, n, entry):
         _SCALE_ENTRY_POINTS[entry](scale, n)
 
 
+# id -> (a call with one input out of range, the refusal it must raise); unrefused, these
+# returned a zero-hit estimate or a NaN or infinite value, blamed eps, or rounded n or reps down
+_BAD_POINTS = {
+    "crude_mc-x=inf": (lambda: S.crude_mc(TWO_POINT, G1, 100, math.inf, 2000, 0), "x must be finite"),
+    "bounded_array_mc-r=inf": (
+        lambda: S.bounded_array_mc(S.unit_sign_array(G1), G1, 100, math.inf, 2000, 0),
+        "x must be finite",
+    ),
+    "tilted_mc_truncated-x=inf": (
+        lambda: S.tilted_mc_truncated(TWO_POINT, G1, 100, math.inf, 2000, 0), "x must be finite"
+    ),
+    "split_estimate-x=inf": (
+        lambda: S.split_estimate(TWO_POINT, G1, 100, math.inf, 2000, 0), "x must be finite"
+    ),
+    "crude_mc-n=2.9": (lambda: S.crude_mc(TWO_POINT, G1, 2.9, 1.0, 2000, 0), "n must be an integer"),
+    "crude_mc-n=nan": (lambda: S.crude_mc(TWO_POINT, G1, math.nan, 1.0, 2000, 0), "n must be finite"),
+    "crude_mc-reps=1000.7": (
+        lambda: S.crude_mc(TWO_POINT, G1, 100, 1.0, 1000.7, 0), "reps must be an integer"
+    ),
+    "plan_truncation-n=2.9": (lambda: S.plan_truncation(TWO_POINT, G1, 2.9), "n must be an integer"),
+    "scaled_threshold-s=nan": (lambda: md.scaled_threshold(G1, math.nan, 100), "s must be finite"),
+    "scaled_threshold-s=inf": (lambda: md.scaled_threshold(G1, math.inf, 100), "s must be finite"),
+    "scaled_threshold-n=inf": (lambda: md.scaled_threshold(G1, 1.0, math.inf), "n must be finite"),
+    "truncation_level-delta_hat=nan": (
+        lambda: md.truncation_level(G1, 100, math.nan), "delta_hat must be finite"
+    ),
+    "half_index_limit-s=nan": (lambda: md.half_index_limit(G1, math.nan, 100), "s must be finite"),
+    "half_index_limit-t_max=inf": (
+        lambda: md.half_index_limit(G1, 1.0, math.inf), "t_max must be finite"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_POINTS.values(), ids=_BAD_POINTS)
+def test_a_point_input_out_of_range_is_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------- truncation plan
 
 

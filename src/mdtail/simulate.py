@@ -5,12 +5,16 @@ fixed-size chunks, chunk k draws from its own PCG64DXSM stream keyed by
 SeedSequence(seed, spawn_key=(k,)), and partial results are reduced in
 chunk order.  Worker count therefore changes wall time only, never output
 bytes.  The crude estimator reads a value's 16-bit cell from a lane of the
-chunk's raw words and, only for rows its ceiling screen keeps, the value's
-fine bits from the chunk's first child stream (seed, spawn_key=(k, 0)), at
-a position fixed by the row and value (see _crude_hits).  Every estimator
-sets up its point with one call, _point, which refuses a non-integral n or
-reps, an n below 2 and a g(log n) that is not positive (scale's rules), and
-returns the deviation scale sqrt(n * g(log n)).
+chunk's raw words and its fine bits from the chunk's first child stream
+(seed, spawn_key=(k, 0)), at a position fixed by the row and value.  It
+screens rows on per-cell bounds whose top edge is the largest uniform it
+builds, 1 - 2^-53, then re-screens the kept rows with their loose values
+(top cell, +inf cells) mapped exactly, reading those values' fine bits
+through a second generator on the same child seed; only the rows left are
+mapped whole (see _crude_hits).  Every estimator sets up its point with
+one call, _point, which refuses a non-integral n or reps, an n below 2 and
+a g(log n) that is not positive (scale's rules), and returns the deviation
+scale sqrt(n * g(log n)).
 """
 
 from __future__ import annotations
@@ -198,13 +202,17 @@ def _ceiling_table(model: TailModel) -> np.ndarray:
 
     Between two uniform breaks the map is monotone, so on a cell the larger of
     its two edge values bounds it; a 1e-9 relative margin covers the map's
-    rounding (ulps of ndtri, the 1e-13 bisection of the designed laws).  A cell
-    that holds a break or ends at one, and a cell with a non-finite edge
-    value, is bounded by +inf.
+    rounding (ulps of ndtri, the 1e-13 bisection of the designed laws).  The
+    top cell's upper edge is taken at 1 - 2^-53, the largest uniform the
+    crude kernel builds (see _crude_hits), so a law whose map is finite there
+    (gaussian, pareto) has a finite top bound.  A cell that holds a break or
+    ends at one, and a cell with a non-finite edge value, is bounded by +inf.
     """
     cells = _CEILING_CELLS
+    u = np.arange(cells + 1) / cells
+    u[-1] = 1.0 - 2.0**-53
     with np.errstate(all="ignore"):
-        edges = model.from_uniform(np.arange(cells + 1) / cells)
+        edges = model.from_uniform(u)
         ceiling = np.maximum(edges[:-1], edges[1:])
         ceiling += 1e-9 * np.abs(ceiling)
     ceiling[~np.isfinite(ceiling)] = np.inf
@@ -233,29 +241,61 @@ def _sums_above(rng, rows: int, n: int, from_uniform, threshold: float) -> np.nd
     return np.concatenate(found)
 
 
+def _draw_runs(bits: PCG64DXSM, at: int, items: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+    """Draw items (sorted, distinct) from bits, which stands at word at; return them and the new at.
+
+    Item j is the width words from word items[j]*width of the stream.  Each
+    run of consecutive items is reached by one jump ahead and drawn by one
+    call, so dense items cost no Python loop per item.
+    """
+    cuts = [0, *(np.flatnonzero(np.diff(items) != 1) + 1).tolist(), items.size]
+    words = []
+    for a, b in zip(cuts, cuts[1:]):
+        first = int(items[a]) * width
+        bits.advance(first - at)
+        words.append(bits.random_raw((b - a) * width))
+        at = first + (b - a) * width
+    return np.concatenate(words), at
+
+
+def _grid_uniform(cells: np.ndarray, fine: np.ndarray) -> np.ndarray:
+    """u = (cell*2^37 + (fine >> 27)) * 2^-53 for 16-bit cells and 64-bit fine words."""
+    return (cells.astype(np.uint64) << 37 | fine >> 27) * 2.0**-53
+
+
 def _crude_hits(rng, rows: int, n: int, from_uniform, threshold: float, ceiling: np.ndarray) -> int:
     """How many of rows x n values of from_uniform have a row sum above threshold.
 
     Row r reads W = ceil(n/4) raw words of rng's stream, and value i of the
     row takes as its cell the 16-bit lane i % 4 of word r*W + i//4 (lane j
     is bits 16j..16j+15 on every platform); the unused lanes of a row's last
-    word are dropped.  Each row is summed over its cells' ceilings (see
-    _ceiling_table), and only rows whose ceiling sum exceeds threshold are
-    mapped exactly.  The others cannot hit: rounding is monotone and numpy
-    adds a row's n terms in the same order whatever they are, so ceiling >=
-    value term by term gives ceiling sum >= exact sum.  A kept row draws its
-    fine words from the stream's first child, SeedSequence(seed,
-    spawn_key=(k, 0)): value i of row r takes word r*n + i, reached by
-    jumping ahead, one draw per run of consecutive kept rows.  Its uniform
+    word are dropped.  A value's fine word is word r*n + i of the stream's
+    first child, SeedSequence(seed, spawn_key=(k, 0)), and its uniform
     u = (cell*2^37 + (fine >> 27)) * 2^-53 lies on Generator.random's 53-bit
-    grid and in its own cell, so every u is fixed by (seed, k, r, i)
-    whatever the block size or the screen.
+    grid, at most 1 - 2^-53, and in its own cell, so every u is fixed by
+    (seed, k, r, i) whatever the block size or the screens.
+
+    Each row is summed over its cells' ceilings (see _ceiling_table), and
+    only rows whose ceiling sum exceeds threshold are kept.  The others
+    cannot hit: rounding is monotone and numpy adds a row's n terms in the
+    same order whatever they are, so ceiling >= value term by term gives
+    ceiling sum >= exact sum.  A kept row's loose values, those in the top
+    cell or in a cell bounded by +inf, then take their exact values as
+    bounds (an exact value bounds itself, and a value does not depend on its
+    call-mates), with fine words drawn by a second generator on the same
+    child seed; the row is summed again in the same order and dropped unless
+    that sum exceeds threshold.  Only the rows left draw their fine words and
+    are mapped exactly.  Both generators reach their words by jumping ahead,
+    one draw per run of consecutive positions.
     """
     words_per_row = -(-n // 4)
     block_rows = max(1, _BLOCK_ELEMS // n)
     coarse = rng.bit_generator
-    fine = PCG64DXSM(coarse.seed_seq.spawn(1)[0])
-    at = 0  # the fine stream's position, in words
+    child = coarse.seed_seq.spawn(1)[0]
+    fine, probe = PCG64DXSM(child), PCG64DXSM(child)
+    fine_at = probe_at = 0  # each generator's position, in words
+    loose_cell = np.isinf(ceiling)
+    loose_cell[-1] = True
     # one buffer for every block's ceilings
     bounds_buf = np.empty(min(block_rows, rows) * n)
     hits = 0
@@ -269,16 +309,25 @@ def _crude_hits(rng, rows: int, n: int, from_uniform, threshold: float, ceiling:
         kept = np.flatnonzero(bounds.sum(axis=1) > threshold)
         if not kept.size:
             continue
-        # kept[a:b] is a run of consecutive rows between two cuts
-        cuts = [0, *(np.flatnonzero(np.diff(kept) != 1) + 1).tolist(), kept.size]
-        fine_words = []
-        for a, b in zip(cuts, cuts[1:]):
-            first = (r0 + int(kept[a])) * n
-            fine.advance(first - at)
-            fine_words.append(fine.random_raw((b - a) * n))
-            at = first + (b - a) * n
-        bits = cells[kept].astype(np.uint64) << 37 | np.concatenate(fine_words).reshape(-1, n) >> 27
-        sums = from_uniform(bits.ravel() * 2.0**-53).reshape(-1, n).sum(axis=1)
+        kept_cells = cells[kept]
+        # flat indices f of the loose values in the kept rows, in stream order:
+        # f is value f % n of row r0 + kept[f // n], so its fine word is word
+        # f + (r0 + kept[f // n] - f // n) * n
+        loose = np.flatnonzero(loose_cell[kept_cells])
+        if loose.size:
+            row = loose // n
+            positions = loose + (r0 + kept[row] - row) * n
+            probe_words, probe_at = _draw_runs(probe, probe_at, positions, 1)
+            exact = from_uniform(_grid_uniform(kept_cells.ravel()[loose], probe_words))
+            tight = bounds[kept]  # a fresh contiguous copy, so ravel() is a view
+            tight.ravel()[loose] = exact
+            survive = tight.sum(axis=1) > threshold
+            kept, kept_cells = kept[survive], kept_cells[survive]
+            if not kept.size:
+                continue
+        fine_words, fine_at = _draw_runs(fine, fine_at, r0 + kept, n)
+        u = _grid_uniform(kept_cells, fine_words.reshape(-1, n))
+        sums = from_uniform(u.ravel()).reshape(-1, n).sum(axis=1)
         hits += int(np.count_nonzero(sums > threshold))
     return hits
 

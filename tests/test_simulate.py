@@ -223,10 +223,21 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
         for run, ref in zip(runs, base):
             est = run()
             assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), (est.method, block)
-    # every ceiling +inf: the screen keeps every row and each takes the exact map
     monkeypatch.undo()
+    # the second screen at work: a finite top bound (gaussian, and pareto(3)
+    # at n = 1e4, whose top-cell rows all pass the table), loose break cells
+    # (two_point, designed) and a bisection map (designed)
+    crude = runs[1:] + [
+        lambda: S.crude_mc(md.pareto(3.0), G1, n=10_000, x=0.5, reps=1000, seed=4),
+        lambda: S.crude_mc(TWO_POINT, G1, n=300, x=0.5, reps=1000, seed=4),
+    ]
+    screened = base[1:] + [run() for run in crude[2:]]
+    assert all(est.p_hat > 0 for est in screened)
+    # every ceiling +inf: the table keeps every row, every value is loose and
+    # takes its exact value in the second screen, and only the rows left
+    # draw their fine words again and take the exact map
     monkeypatch.setattr(S, "_ceiling_table", lambda model: np.full(S._CEILING_CELLS, np.inf))
-    for run, ref in zip(runs[1:], base[1:]):
+    for run, ref in zip(crude, screened):
         est = run()
         assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), "no screen"
 
@@ -291,28 +302,36 @@ def test_uniform_maps_stay_below_their_ceiling_table():
     for entry in (*md.catalog(), *GAUSSIAN_SIDED):
         ceiling = S._ceiling_table(entry.model)
         assert ceiling.shape == (cells,)
+        # the top edge is taken at 1 - 2^-53, where every law's map is finite
+        # (gaussian about 8.2, pareto(3) about 2.08e5)
+        assert np.isfinite(ceiling[-1]), entry.model.label
         over = entry.model.from_uniform(u) > ceiling[j]
         assert not over.any(), (entry.model.label, u[over][:5])
 
 
 def test_the_ceiling_screen_maps_few_values_exactly(monkeypatch):
-    # at the crude_kernel reference point, p is about 1e-4, so nearly every
-    # row can be dropped on its ceiling sum alone, and the estimate is the
-    # one that maps every value (all ceilings +inf)
-    model = md.gaussian()
-    mapped = []
+    # at the crude_kernel reference point (p about 1e-4) and at the A5 point
+    # (p about 3e-6) nearly every row is dropped on its ceiling sum, or on its
+    # loose values' exact values, so beyond the table build (2^16 + 1 values)
+    # almost nothing is mapped; the estimate is the one that maps every value
+    # (all ceilings +inf)
+    points = [(md.gaussian(), 1000, math.sqrt(2.0), 20_000), (md.pareto(3.0), 10_000, 5.0, 2000)]
+    screened = []
+    for model, n, x, reps in points:
+        mapped = []
 
-    def counting(u):
-        mapped.append(u.size)
-        return model.from_uniform(u)
+        def counting(u):
+            mapped.append(u.size)
+            return model.from_uniform(u)
 
-    reps = 20_000
-    counted = dataclasses.replace(model, from_uniform=counting)
-    est = S.crude_mc(counted, G1, n=1000, x=math.sqrt(2.0), reps=reps, seed=8)
-    assert sum(mapped) < 0.03 * reps * 1000, sum(mapped) / (reps * 1000)
+        counted = dataclasses.replace(model, from_uniform=counting)
+        screened.append(S.crude_mc(counted, G1, n=n, x=x, reps=reps, seed=8))
+        share = (sum(mapped) - (S._CEILING_CELLS + 1)) / (reps * n)
+        assert share < 1e-4, (model.label, share)
     monkeypatch.setattr(S, "_ceiling_table", lambda model: np.full(S._CEILING_CELLS, np.inf))
-    full = S.crude_mc(model, G1, n=1000, x=math.sqrt(2.0), reps=reps, seed=8)
-    assert (est.p_hat, est.stderr) == (full.p_hat, full.stderr)
+    for (model, n, x, reps), est in zip(points, screened):
+        full = S.crude_mc(model, G1, n=n, x=x, reps=reps, seed=8)
+        assert (est.p_hat, est.stderr) == (full.p_hat, full.stderr), model.label
 
 
 # crude (p_hat, stderr) as float.hex at (n=37, x=1, reps=4000, seed=5) and at

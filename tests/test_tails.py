@@ -159,14 +159,26 @@ def test_samplers_consume_their_stream_in_order():
 def test_uniform_maps_act_value_by_value():
     # the crude screen maps only some rows' uniforms: a value must not depend
     # on which other uniforms share its call, or on their order
-    u = np.concatenate((tails._rng_stream(3, 0).random(20_000), [0.0, 0.25, 0.5, 1.0 - 2.0**-53]))
+    # uniforms of the crude kernel's top cell, built as it builds them, close the list
+    fine = tails._rng_stream(3, 2).bit_generator.random_raw(16)
+    top = (np.uint64(0xFFFF << 37) | fine >> 27) * 2.0**-53
+    u = np.concatenate(
+        (tails._rng_stream(3, 0).random(20_000), [0.0, 0.25, 0.5, 1.0 - 2.0**-53], top)
+    )
     pick = tails._rng_stream(3, 1).permutation(u.size)[:777]
+    # the second crude screen maps a row's few loose values per call: single
+    # values and calls shorter than a SIMD width, at the ends of u and inside
+    # it, and each of the last 20 (the fixed and top-cell uniforms) alone
+    short = [(a, a + size) for size in range(1, 8) for a in (0, 9_999, 20_000, u.size - size)]
+    short += [(j, j + 1) for j in range(u.size - 20, u.size)]
     for entry in CATALOG:
         m = entry.model
         full = m.from_uniform(u)
         assert m.sample(seed=3, n=20_000).tobytes() == full[:20_000].tobytes()
         assert m.from_uniform(u[pick]).tobytes() == full[pick].tobytes(), m.label
         assert m.from_uniform(u[::-1].copy()).tobytes() == full[::-1].tobytes(), m.label
+        for a, b in short:
+            assert m.from_uniform(u[a:b].copy()).tobytes() == full[a:b].tobytes(), (m.label, a, b)
         assert all(0.0 < b < 1.0 for b in m.uniform_breaks), m.label
 
 

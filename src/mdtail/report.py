@@ -29,6 +29,7 @@ from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
 from .scale import _SCALE_PRESETS, _g_log_n, _json_real, power_scale, scale_from_spec
 from .simulate import (
     EstimatorError,
+    _point,
     bounded_array_mc,
     crude_mc,
     kolmogorov_lower,
@@ -142,8 +143,6 @@ class ExperimentConfig:
         x_values = tuple(
             _json_real(v, "x_values entries must be numbers", ConfigError) for v in x_raw
         )
-        if any(not v > 0 or math.isinf(v) or math.isnan(v) for v in x_values):
-            raise ConfigError("x_values must be finite and positive")
 
         n_raw = raw["n_grid"]
         if not isinstance(n_raw, (list, tuple)) or len(n_raw) == 0:
@@ -151,12 +150,8 @@ class ExperimentConfig:
         n_grid = [_int_field(v, "n_grid entries must be integers") for v in n_raw]
         if any(b <= a for a, b in zip(n_grid[:-1], n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
-        for n in n_grid:
-            _g_log_n(g, n, ConfigError)
 
         reps = _int_field(raw["reps"], "reps must be an integer")
-        if reps < 1000:
-            raise ConfigError("reps must be >= 1000")
 
         seed = _int_field(raw["seed"], "seed must be an integer")
         if seed < 0:
@@ -167,8 +162,10 @@ class ExperimentConfig:
             if method == "crude":
                 raise ConfigError("eps applies only to the tilted and split methods, not 'crude'")
             eps = _json_real(eps, "eps must be a number", ConfigError)
-            if not 0.0 < eps < min(x_values):
-                raise ConfigError("eps must lie in (0, min(x_values))")
+        # every grid point passes the estimators' own point rules
+        for n in n_grid:
+            for x in x_values:
+                _point(g, n, reps, x, eps, ConfigError)
 
         out_dir = raw.get("out_dir")
         if out_dir is not None and not isinstance(out_dir, str):
@@ -255,7 +252,10 @@ def run_experiment(
     model = model_from_spec(config.model)
     g = scale_from_spec(config.scale)
     out = resolve_out_dir(config, out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at out or above it, or no permission
+        raise ConfigError(f"cannot write artifacts to {out}: {exc}") from exc
 
     grid = default_grid(model)
     computed = exponents_from_tail(model, g, grid)
@@ -731,6 +731,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "run" and args.workers < 1:
+            parser.error(f"--workers must be >= 1; got {args.workers}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

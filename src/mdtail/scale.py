@@ -4,9 +4,11 @@ A scale function g maps [0, inf) to [0, inf), is nondecreasing, diverges,
 and satisfies g(x*t)/g(t) -> x**rho for every fixed x > 0.  The index rho
 is carried alongside the callable so downstream code can report predicted
 limits without re-estimating it.  Instances are immutable and safe to share
-across threads.  A deviation scale sqrt(n * g(log n)) needs a finite n >= 2
-and g(log n) > 0; _g_log_n is the one check of both rules, and it refuses a
-NaN as well.
+across threads.  The input rules have one owner each, called with the
+error type to raise: _whole refuses a value that is not integral rather
+than round it, _finite_positive refuses zero, negatives, infinities and NaN,
+and _g_log_n, for the deviation scale sqrt(n * g(log n)), refuses an n that
+is not finite and >= 2 and a g(log n) that is not positive (NaN included).
 """
 
 from __future__ import annotations
@@ -206,6 +208,20 @@ def check_regular_variation(
     )
 
 
+def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """value as an int; raises error unless it is integral, where int() would round 2.9 down to 2."""
+    if not float(value).is_integer():
+        raise error(f"{name} must be an integer; got {value!r}")
+    return int(value)
+
+
+def _finite_positive(value: float, name: str, error: type[ValueError] = ValueError) -> float:
+    """value, unless it is not finite and positive (NaN is not): then raises error."""
+    if not 0 < value < math.inf:
+        raise error(f"{name} must be finite and positive; got {value!r}")
+    return value
+
+
 def _g_log_n(g: ScaleFunction, n: float, error: type[ValueError] = ValueError) -> float:
     """g(log n) for a finite n >= 2; raises error otherwise, or unless g(log n) is positive
     (NaN is not): no deviation scale exists then."""
@@ -224,16 +240,12 @@ def scaled_threshold(g: ScaleFunction, s: float, n: float) -> float:
     closed-form checks like n = e**2 are convenient with real n).  Raises
     unless g(log n) > 0, since the threshold would degenerate or be undefined.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("s must be finite and positive")
-    return s * math.sqrt(n * _g_log_n(g, n))
+    return _finite_positive(s, "s") * math.sqrt(n * _g_log_n(g, n))
 
 
 def truncation_level(g: ScaleFunction, n: float, delta_hat: float) -> float:
     """The cut level delta_hat * sqrt(n / g(log n)) used by truncation schemes."""
-    if not 0 < delta_hat < math.inf:
-        raise ValueError("delta_hat must be finite and positive")
-    return delta_hat * math.sqrt(n / _g_log_n(g, n))
+    return _finite_positive(delta_hat, "delta_hat") * math.sqrt(n / _g_log_n(g, n))
 
 
 @dataclass(frozen=True)
@@ -255,8 +267,7 @@ def half_index_limit(g: ScaleFunction, s: float, t_max: float) -> HalfIndexLimit
     returned ratio against the predicted limit at whatever tolerance the
     context justifies.  Raises unless g(log t_max) > 0.
     """
-    if not 0 < s < math.inf:
-        raise ValueError("s must be finite and positive")
+    _finite_positive(s, "s")
     if not math.e < t_max < math.inf:
         raise ValueError("t_max must be finite and exceed e for the ratio to be informative")
     base = _g_log_n(g, t_max)

@@ -11,10 +11,10 @@ screens rows on per-cell bounds whose top edge is the largest uniform it
 builds, 1 - 2^-53, then re-screens the kept rows with their loose values
 (top cell, +inf cells) mapped exactly, reading those values' fine bits
 through a second generator on the same child seed; only the rows left are
-mapped whole (see _crude_hits).  Every estimator sets up its point with
-one call, _point, which refuses a non-integral n or reps, an n below 2 and
-a g(log n) that is not positive (scale's rules), and returns the deviation
-scale sqrt(n * g(log n)).
+mapped whole (see _crude_hits).  _point is the one statement of a point:
+every estimator and a config's grid check (n, reps, x, eps) there, through
+scale's rules, and get the deviation scale sqrt(n * g(log n)); the exact
+checks take n through scale's _whole, so none rounds a fractional n down.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from numpy.random import PCG64DXSM
 from scipy.optimize import brentq
 
-from .scale import ScaleFunction, _g_log_n, truncation_level
+from .scale import ScaleFunction, _finite_positive, _g_log_n, _whole, truncation_level
 from .tails import TailModel, _rng_stream, _tail_mean_u
 
 __all__ = [
@@ -138,22 +138,18 @@ def unit_sign_array(g: ScaleFunction) -> TriangularSignArray:
     )
 
 
-def _whole(value, name: str) -> int:
-    """value as an int; raises unless it is integral, where int() would round 2.9 down to 2."""
-    if not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer; got {value!r}")
-    return int(value)
-
-
-def _point(g: ScaleFunction, n: int, reps: int, x: float) -> tuple[int, int, float, float]:
-    """An estimator point's checked set-up (n, reps, G = g(log n), a_n = sqrt(n*G))."""
-    G = _g_log_n(g, n)
-    n = _whole(n, "n")
-    reps = _whole(reps, "reps")
+def _point(g: ScaleFunction, n: int, reps: int, x: float, eps: float | None = None,
+           error: type[ValueError] = ValueError) -> tuple[int, int, float, float]:
+    """An estimator point's checked set-up (n, reps, G = g(log n), a_n = sqrt(n*G)); raises
+    error unless n >= 2 and reps >= 1000 are integers, g(log n) > 0, x > 0 and eps in (0, x)."""
+    G = _g_log_n(g, n, error)
+    n = _whole(n, "n", error)
+    reps = _whole(reps, "reps", error)
     if reps < 1000:
-        raise ValueError("need reps >= 1000")
-    if not 0 < x < math.inf:
-        raise ValueError("x must be finite and positive")
+        raise error(f"need reps >= 1000; got {reps}")
+    _finite_positive(x, "x", error)
+    if eps is not None and not 0.0 < eps < x:
+        raise error(f"eps must lie in (0, x); got eps={eps!r} at x={x!r}")
     return n, reps, G, math.sqrt(n * G)
 
 
@@ -180,6 +176,9 @@ def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
     chunk order keeps the totals independent of the worker count.  At most
     one thread runs per core and per chunk, since more only contend.
     """
+    workers = _whole(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1; got {workers!r}")
     sizes = _chunk_sizes(reps, n)
     threads = min(workers, _cores(), len(sizes))
 
@@ -567,17 +566,15 @@ def _truncated_sum(
 ):
     """Set-up and truncated-sum estimate shared by tilted_mc_truncated and split_estimate.
 
-    Validates the arguments (eps defaults to x/10), plans the truncation,
+    Checks the point (eps defaults to x/10), plans the truncation,
     discretizes the law restricted to [-c_n, c_n], adds the exceedance mass
     at 0, recenters by mu_n, and estimates by tilting the probability that
     n such summands exceed (x - eps)*sqrt(n*g(log n)).  Returns ((n, reps,
     G, a_n), eps, scheme, (values, masses, restricted_mass), p_hat, stderr).
     """
-    point = n, reps, _, a_n = _point(g, n, reps, x)
     if eps is None:
         eps = x / 10.0
-    if not 0.0 < eps < x:
-        raise ValueError("eps must lie in (0, x)")
+    point = n, reps, _, a_n = _point(g, n, reps, x, eps)
     scheme = plan_truncation(model, g, n)
     law = _restricted_law(model, scheme.c_n)
     values, masses, restricted = law
@@ -677,9 +674,7 @@ def bounded_array_mc(
     rate is only meaningful for negligible summands.
     """
     n, reps, G, a_n = _point(g, n, reps, r)
-    b = float(array.magnitude(n))
-    if b <= 0:
-        raise ValueError("magnitude(n) must be positive")
+    b = _finite_positive(float(array.magnitude(n)), "magnitude(n)")
     envelope = array.tau(n) * math.sqrt(n / G)
     if b > envelope * (1.0 + 1e-9):
         raise ValueError(
@@ -703,12 +698,10 @@ def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:
     Valid only while x*M <= B; callers outside that window get an error
     rather than a silently meaningless number.
     """
-    if not 0 < B_n < math.inf:
-        raise ValueError("B_n must be positive and finite")
+    _finite_positive(B_n, "B_n")
     if not 0 <= M_n < math.inf:
         raise ValueError("M_n must be nonnegative and finite")
-    if not 0 < x_n < math.inf:
-        raise ValueError("x_n must be positive and finite")
+    _finite_positive(x_n, "x_n")
     if x_n * M_n > B_n:
         raise ValueError("outside the validity window: need x_n * M_n <= B_n")
     q = x_n * x_n / (2.0 * B_n)
@@ -717,10 +710,8 @@ def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:
 
 def kolmogorov_lower(B_n: float, x_n: float, eps: float) -> float:
     """Asymptotic floor exp(-(x^2/2B)(1 - eps)); meaningful in trend only."""
-    if not 0 < B_n < math.inf:
-        raise ValueError("B_n must be positive and finite")
-    if not 0 < x_n < math.inf:
-        raise ValueError("x_n must be positive and finite")
+    _finite_positive(B_n, "B_n")
+    _finite_positive(x_n, "x_n")
     if not 0.0 <= eps < 1.0:
         raise ValueError("eps must lie in [0, 1)")
     return math.exp(-(x_n * x_n / (2.0 * B_n)) * (1.0 - eps))
@@ -810,7 +801,7 @@ def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     the sorted statistics; only the results are built as Fractions.
     """
     law = _as_law(weights)
-    n = int(n)
+    n = _whole(n, "n")
     if not 1 <= n <= 6:
         raise ValueError("enumeration supports 1 <= n <= 6")
     dv = math.lcm(*(v.denominator for v, _ in law))
@@ -873,9 +864,9 @@ def max_lower_bound_check(p: float, n: int) -> MaxBoundResult:
     """Check (1 and n*p)/2 <= 1 - (1-p)^n, the i.i.d. maximum lower bound."""
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must be a probability")
-    if not 1 <= n < math.inf:
+    n = _whole(n, "n")
+    if n < 1:
         raise ValueError("n must be a positive integer")
-    n = int(n)
     lhs = min(1.0, n * p) / 2.0
     rhs = 1.0 if p >= 1.0 else -math.expm1(n * math.log1p(-p))
     return MaxBoundResult(p=p, n=n, lhs=lhs, rhs=rhs, passed=lhs <= rhs)

@@ -31,7 +31,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .exponents import GridSpec, TailExponents
-from .scale import ScaleFunction, _build_preset, _json_real, _number, power_scale, scale_from_spec
+from .scale import ScaleFunction, _build_preset, _json_real, _number, _whole, power_scale, scale_from_spec
 
 __all__ = [
     "TailModel",
@@ -177,9 +177,10 @@ class TailModel:
         return float(out[0]) if np.isscalar(v) or np.asarray(v).ndim == 0 else out
 
     def sample(self, seed: int, n: int) -> np.ndarray:
+        n = _whole(n, "n")
         if n < 1:
             raise ValueError("need n >= 1 samples")
-        return self.from_uniform(_rng_stream(seed, 0).random(int(n)))
+        return self.from_uniform(_rng_stream(seed, 0).random(n))
 
 
 def _tail_from_log_u(log_tail_u, t):
@@ -439,14 +440,20 @@ class _DesignedSide:
     kinks: tuple[float, ...] = ()  # the u > u0 where log_form_u kinks
 
 
+def _side(q: float, log_form_u, quantile, t0: float, u0: float, kinks, what: str) -> _DesignedSide:
+    """Side with mass q at t0 = e^u0 and tail log_form_u beyond it, its integrals' panels ending
+    at kinks; what labels the error raised when the second moment diverges."""
+    second = _admissibility_or_raise(log_form_u, u0, kinks, what)
+    mean_part = t0 * q + _tail_mean_u(log_form_u, u0, kinks)
+    return _DesignedSide(q, log_form_u, quantile, mean_part, t0 * t0 * q + second, kinks)
+
+
 def _decay_side(h, u0: float, u_breaks, what: str) -> _DesignedSide:
     """Side whose log survival beyond u0 is min(log q, -2u - h(u)), q <= 1/4.
 
     h must make w(u) = 2u + h(u) strictly increasing; quantiles invert w.
-    The mean and second-moment parts add the mass q at e^u0 to the tail
-    integrals beyond it, whose panels end at the side's kinks: those of h
-    in u_breaks beyond u0 and, when q is capped, the u where w(u) = log 4.
-    what labels the error raised when the second moment diverges.
+    The side's kinks are those of h in u_breaks beyond u0 and, when q is
+    capped, the u where w(u) = log 4.
     """
     log_form_u0 = float(-2.0 * u0 - h(u0))
     log_q = min(math.log(0.25), log_form_u0)
@@ -463,28 +470,22 @@ def _decay_side(h, u0: float, u_breaks, what: str) -> _DesignedSide:
     inverse = _LogSurvivalInverse(w, u0)
     cap_kink = (float(inverse(math.log(4.0))),) if log_form_u0 > log_q else ()
     kinks = tuple(sorted({b for b in u_breaks if b > u0}.union(cap_kink)))
-    second = _admissibility_or_raise(log_form_u, u0, kinks, what)
 
     def quantile(p):
         return np.exp(inverse(-np.log(np.asarray(p, dtype=float))))
 
-    t0 = math.exp(u0)
-    mean_part = t0 * q + _tail_mean_u(log_form_u, u0, kinks)
-    return _DesignedSide(q, log_form_u, quantile, mean_part, t0 * t0 * q + second, kinks)
+    return _side(q, log_form_u, quantile, math.exp(u0), u0, kinks, what)
 
 
 def _build_designed_side(lam: float, g: ScaleFunction, t0: float, what: str) -> _DesignedSide:
     u0 = math.log(t0)
     if not math.isinf(lam):
         return _decay_side(lambda u: lam * g(u), u0, g.kinks, what)
-    q = float(ndtr(-t0))
-    mean_part = t0 * q + _tail_mean_u(_gaussian_log_tail_u, u0)
-    second_part = t0 * t0 * q + _tail_second_moment_u(_gaussian_log_tail_u, u0)[0]
 
     def quantile(p):
         return -ndtri(np.asarray(p, dtype=float))
 
-    return _DesignedSide(q, _gaussian_log_tail_u, quantile, mean_part, second_part)
+    return _side(float(ndtr(-t0)), _gaussian_log_tail_u, quantile, t0, u0, (), what)
 
 
 def _assemble_two_sided(

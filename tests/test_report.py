@@ -118,6 +118,26 @@ def test_config_validation(overrides, fragment):
         ExperimentConfig.from_dict(_base_config(**overrides))
 
 
+@pytest.mark.parametrize(
+    "scale, n, reps, x, eps",
+    [
+        ({"kind": "power"}, 100, 999, 1.0, None),
+        ({"kind": "power"}, 100, 2000, 0.0, None),
+        ({"kind": "power"}, 100, 2000, 1.0, 1.0),
+        ({"kind": "log"}, 2, 2000, 1.0, None),
+    ],
+    ids=["reps=999", "x=0", "eps=x", "n=2-on-log"],
+)
+def test_config_and_estimator_refuse_a_point_alike(scale, n, reps, x, eps):
+    raw = _base_config(scale=scale, x_values=[x], n_grid=[n], reps=reps, eps=eps)
+    with pytest.raises(ConfigError) as config_error:
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError) as estimator_error:
+        simulate.split_estimate(md.two_point(), md.scale_from_spec(scale), n, x, reps, 7, eps)
+    assert type(estimator_error.value) is ValueError
+    assert str(config_error.value) == str(estimator_error.value)
+
+
 def test_a_designed_lambda_may_be_spelled_inf():
     # the one string a law parameter may be; manifest.json echoes it as written
     spelled = _DESIGNED | {"lambda_plus": "Infinity", "lambda_minus": "inf"}
@@ -387,6 +407,31 @@ def test_cli_run_writes_every_artifact_for_a_tail_far_out(tmp_path, lam, t0):
     assert sorted(p.name for p in out.iterdir()) == [
         "exponents.json", "manifest.json", "trajectory.csv",
     ]
+
+
+@pytest.mark.parametrize("workers", ["0", "-5"])
+def test_cli_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    cfg_path = _write_config(tmp_path, n_grid=[50], reps=1000)
+    out = tmp_path / "out"
+    assert report.main(["run", str(cfg_path), "--out", str(out), "--workers", workers]) == 1
+    assert f"error: --workers must be >= 1; got {workers}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_output_directory_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg_path = _write_config(tmp_path, n_grid=[50], reps=1000)
+    in_config = _write_config(tmp_path, name="in_config.json", n_grid=[50], reps=1000,
+                              out_dir=str(blocker))
+    assert report.main(["run", str(cfg_path), "--out", str(blocker)]) == 1
+    assert report.main(["run", str(in_config)]) == 1
+    monkeypatch.setenv(report.OUT_DIR_ENV, str(blocker / "below"))
+    assert report.main(["run", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error: cannot write artifacts to ") == 3
+    assert err.count("\n") == 3
+    assert blocker.read_text() == ""
 
 
 def test_cli_rejects_a_scale_that_vanishes_on_the_n_grid(tmp_path):

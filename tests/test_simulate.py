@@ -125,6 +125,25 @@ _BAD_POINTS = {
     "half_index_limit-t_max=inf": (
         lambda: md.half_index_limit(G1, 1.0, math.inf), "t_max must be finite"
     ),
+    "levy_maximal_check-n=2.5": (
+        lambda: S.levy_maximal_check([(-1, F(1, 2)), (1, F(1, 2))], 2.5, 1), "n must be an integer"
+    ),
+    "max_lower_bound_check-n=2.5": (lambda: S.max_lower_bound_check(0.3, 2.5), "n must be an integer"),
+    "sample-n=2.5": (lambda: md.gaussian().sample(1, 2.5), "n must be an integer"),
+    "bounded_array_mc-magnitude=nan": (
+        lambda: S.bounded_array_mc(
+            S.TriangularSignArray("nan", magnitude=lambda n: math.nan, tau=lambda n: 1.0 / n),
+            G1, 100, 1.0, 2000, 0,
+        ),
+        r"magnitude\(n\) must be finite and positive",
+    ),
+    "crude_mc-workers=0": (
+        lambda: S.crude_mc(TWO_POINT, G1, 100, 1.0, 2000, 0, workers=0), "workers must be >= 1"
+    ),
+    "tilted_mc_truncated-workers=1.5": (
+        lambda: S.tilted_mc_truncated(TWO_POINT, G1, 100, 1.0, 2000, 0, workers=1.5),
+        "workers must be an integer",
+    ),
 }
 
 

@@ -422,6 +422,96 @@ def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
         assert got == CRUDE_PINS[m.label], m.label
 
 
+# tilted_mc_truncated's (p_hat, stderr), then split_estimate's upper and lower
+# brackets, as float.hex, at (n=100, x=1, reps=2000, seed=7), one chunk, and
+# at (n=1000, x=1, reps=4500, seed=8), whose reps span two chunks; both n lie
+# above every law's smallest n with a tilt root (62 for the designed law)
+TILTED_PINS = {
+    "gaussian": (
+        (
+            ("0x1.b4f505435727fp-6", "0x1.cf4236bb07369p-11"),
+            ("0x1.0000000000000p+0", "0x1.cf4236bb07369p-11"),
+            ("0x1.d0cc91dcfaa8ap-8", "0x1.1cef28d3ff2bbp-12"),
+        ),
+        (
+            ("0x1.27350b3a8cb1cp-7", "0x1.d160bdf0a0234p-13"),
+            ("0x1.742b87e4d296fp-7", "0x1.d160bdf0a0234p-13"),
+            ("0x1.f6c86f631e965p-10", "0x1.ae3adaf69d144p-15"),
+        ),
+    ),
+    "two_point": (
+        (
+            ("0x1.e34bb1d118ba8p-6", "0x1.e548beec13495p-11"),
+            ("0x1.e34bb1d118ba8p-6", "0x1.e548beec13495p-11"),
+            ("0x1.69943f1f3dd42p-7", "0x1.8ffcf8a7893e6p-12"),
+        ),
+        (
+            ("0x1.19fabaa432ffcp-7", "0x1.c481a4d310baep-13"),
+            ("0x1.19fabaa432ffcp-7", "0x1.c481a4d310baep-13"),
+            ("0x1.052fc770fb109p-9", "0x1.c3c04d8974c95p-15"),
+        ),
+    ),
+    "pareto(3)": (
+        (
+            ("0x1.d88b5f020bb9cp-15", "0x1.768217ece0684p-19"),
+            ("0x1.0000000000000p+0", "0x1.768217ece0684p-19"),
+            ("0x1.dec7dc8cf4bc0p-44", "0x1.014ee51ee1196p-47"),
+        ),
+        (
+            ("0x1.41fad1650d0d9p-12", "0x1.361376c8d2041p-17"),
+            ("0x1.0000000000000p+0", "0x1.361376c8d2041p-17"),
+            ("0x1.a391f5e8f6083p-27", "0x1.fe815050b0aeep-32"),
+        ),
+    ),
+    "designed(0.5,2;t)": (
+        (
+            ("0x1.2dc25448c620ep-9", "0x1.a142beefdad09p-14"),
+            ("0x1.0000000000000p+0", "0x1.a142beefdad09p-14"),
+            ("0x1.7a35301f6d973p-42", "0x1.724273db2d2d7p-46"),
+        ),
+        (
+            ("0x1.e3c7cd66a10d1p-6", "0x1.60621143b47f4p-11"),
+            ("0x1.0000000000000p+0", "0x1.60621143b47f4p-11"),
+            ("0x1.08e3c14cccbeap-26", "0x1.1720ac193c047p-31"),
+        ),
+    ),
+    "oscillating(0.5,2;t;x3)": (
+        (
+            ("0x1.b21dcd586cc27p-7", "0x1.f8e3c4a1b01d6p-12"),
+            ("0x1.0000000000000p+0", "0x1.f8e3c4a1b01d6p-12"),
+            ("0x1.6dc829171db40p-20", "0x1.cdc18d1158b51p-25"),
+        ),
+        (
+            ("0x1.70589057921e1p-5", "0x1.f8f6408383455p-11"),
+            ("0x1.0000000000000p+0", "0x1.f8f6408383455p-11"),
+            ("0x1.3f4139385b33bp-8", "0x1.d748ba76ad992p-14"),
+        ),
+    ),
+}
+
+
+def test_tilted_bits_are_pinned(monkeypatch):
+    entries = {e.model.label: e for e in md.catalog()}
+    points = ((100, 1.0, 2000, 7), (1000, 1.0, 4500, 8))
+
+    def pinned(label, workers):
+        m, g = entries[label].model, entries[label].scale
+        got = []
+        for n, x, reps, seed in points:
+            t = S.tilted_mc_truncated(m, g, n=n, x=x, reps=reps, seed=seed, workers=workers)
+            s = S.split_estimate(m, g, n=n, x=x, reps=reps, seed=seed, workers=workers)
+            got.append(tuple((e.p_hat.hex(), e.stderr.hex()) for e in (t, s.upper, s.lower)))
+        return tuple(got)
+
+    assert len(S._chunk_sizes(2000, 100)) == 1 and len(S._chunk_sizes(4500, 1000)) == 2
+    for label, pins in TILTED_PINS.items():
+        assert pinned(label, 1) == pins, label
+        assert pinned(label, 2) == pins, label
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "_BLOCK_ELEMS", 256)
+            assert pinned(label, 1) == pins, label
+
+
 def test_crude_chunk_memory_stays_bounded():
     # a chunk is drawn in cache-sized blocks, never as one reps * n array
     def run():

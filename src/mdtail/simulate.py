@@ -11,16 +11,21 @@ screens rows on per-cell bounds whose top edge is the largest uniform it
 builds, 1 - 2^-53, then re-screens the kept rows with their loose values
 (top cell, +inf cells) mapped exactly, reading those values' fine bits
 through a second generator on the same child seed; only the rows left are
-mapped whole (see _crude_hits).  _point is the one statement of a point:
-every estimator and a config's grid check (n, reps, x, eps) there, through
-scale's rules, and get the deviation scale sqrt(n * g(log n)); the exact
-checks take n through scale's _whole, so none rounds a fractional n down.
+mapped whole (see _crude_hits).  The tilted and split estimators draw from
+an alias table with one gather per draw on interleaved (value, alias value)
+pairs, in a block-sized workspace that each thread keeps and reuses across
+blocks, chunks and estimates (see _alias_sums_above).  _point is the one
+statement of a point: every estimator and a config's grid check (n, reps,
+x, eps) there, through scale's rules, and get the deviation scale
+sqrt(n * g(log n)); the exact checks, max_lower_bound_sweep's n included,
+take n through scale's _whole, so none rounds or takes a fractional n.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -62,7 +67,9 @@ __all__ = [
 # A chunk (about CHUNK_TARGET = reps * n elements, one stream (seed, k))
 # fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
 # a cache unit: it takes the chunk's next draws in order (the crude fine bits
-# by position) and a law maps each uniform alone, so it changes nothing.
+# by position) and a law maps each uniform alone, so it changes nothing.  It
+# also sizes the tilted kernel's workspace, which each thread keeps (see
+# _workspace), so sampling allocates no block-sized array once a thread has one.
 # The crude kernel's ceiling table bounds a law's uniform map on _CEILING_CELLS
 # equal cells of u in [0, 1), one per value of a 16-bit lane.
 CHUNK_TARGET = 1 << 22
@@ -218,26 +225,6 @@ def _ceiling_table(model: TailModel) -> np.ndarray:
     for b in model.uniform_breaks:
         ceiling[max(math.ceil(b * cells) - 1, 0) : math.floor(b * cells) + 1] = np.inf
     return ceiling
-
-
-def _sums_above(rng, rows: int, n: int, from_uniform, threshold: float) -> np.ndarray:
-    """The row sums above threshold, in row order, of rows x n values from_uniform(rng.random(size)).
-
-    The uniforms are drawn in blocks of whole rows into one buffer, and each
-    block is mapped before the buffer is drawn into again.
-    """
-    block_rows = max(1, _BLOCK_ELEMS // n)
-    # one buffer for every block: fresh arrays of this size are mapped and
-    # faulted in anew each time
-    u_buf = np.empty(min(block_rows, rows) * n)
-    found = []
-    for r0 in range(0, rows, block_rows):
-        size = min(block_rows, rows - r0) * n
-        # held until the next block is mapped, so glibc does not trim and re-fault its heap
-        values = from_uniform(rng.random(size, out=u_buf[:size]))
-        sums = values.reshape(-1, n).sum(axis=1)
-        found.append(sums[sums > threshold])
-    return np.concatenate(found)
 
 
 def _draw_runs(bits: PCG64DXSM, at: int, items: np.ndarray, width: int) -> tuple[np.ndarray, int]:
@@ -507,20 +494,61 @@ def _alias_table(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-def _alias_map(s: np.ndarray, prob: np.ndarray, outcomes: np.ndarray) -> np.ndarray:
-    """Draws from an alias table, one per uniform of s (s is overwritten).
+# each thread's kept tilted-kernel buffers (see _workspace)
+_local = threading.local()
 
-    outcomes holds each column's own value followed by its alias's value.
-    The uniform u picks column c = floor(u*K) and its fraction u*K - c is
-    the coin.  u <= 1 - 2**-53 and K < 2**53, so u*K rounds below K and c
-    stays in range.
+
+def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Buffers (uniforms, columns, probabilities, coins) of at least size elements each.
+
+    Up to _BLOCK_ELEMS elements the calling thread gets the one set it keeps
+    (about 1.6 MiB), so its blocks, chunks and estimates fault no fresh
+    pages in; a row longer than a block gets a set that is not kept.
+    """
+    kept = getattr(_local, "workspace", None)
+    # a kept set sized for another _BLOCK_ELEMS (tests patch it) is replaced
+    if size <= _BLOCK_ELEMS and kept is not None and len(kept[0]) == _BLOCK_ELEMS:
+        return kept
+    size = max(size, _BLOCK_ELEMS)
+    buffers = np.empty(size), np.empty(size, np.intp), np.empty(size), np.empty(size, np.bool_)
+    if size == _BLOCK_ELEMS:
+        _local.workspace = buffers
+    return buffers
+
+
+def _alias_sums_above(
+    rng, rows: int, n: int, prob: np.ndarray, pairs: np.ndarray, threshold: float
+) -> np.ndarray:
+    """The row sums above threshold, in row order, of rows x n draws from an alias table.
+
+    pairs interleaves each column's own value with its alias's value.  The
+    uniform u picks column c = floor(u*K), and its fraction u*K - c is the
+    coin: the draw is pairs[2c] if the fraction is below prob[c] and
+    pairs[2c + 1] otherwise, one gather.  u <= 1 - 2**-53 and K < 2**53, so
+    u*K rounds below K and c stays in range.  The uniforms are drawn in
+    blocks of whole rows, and every step of a block writes into the
+    thread's workspace.
     """
     cells = len(prob)
-    s *= cells
-    c = s.astype(np.intp)
-    s -= c
-    c += cells * (s >= prob[c])
-    return outcomes[c]
+    block_rows = max(1, _BLOCK_ELEMS // n)
+    workspace = _workspace(min(block_rows, rows) * n)
+    found = []
+    for r0 in range(0, rows, block_rows):
+        size = min(block_rows, rows - r0) * n
+        u, c, p, coins = (buf[:size] for buf in workspace)
+        rng.random(size, out=u)
+        u *= cells
+        np.copyto(c, u, casting="unsafe")  # truncates, as astype(np.intp) does
+        u -= c
+        # every index is in range; "wrap" spares take its bounds check and a copy of out
+        np.take(prob, c, out=p, mode="wrap")
+        np.greater_equal(u, p, out=coins)
+        c <<= 1
+        c += coins
+        np.take(pairs, c, out=u, mode="wrap")
+        sums = u.reshape(-1, n).sum(axis=1)
+        found.append(sums[sums > threshold])
+    return np.concatenate(found)
 
 
 def _tilted_sum_estimate(
@@ -540,10 +568,10 @@ def _tilted_sum_estimate(
     theta = _solve_tilt(values, log_masses, target_sum / n)
     K, _, tilted = _cumulant(values, log_masses, theta)
     prob, alias = _alias_table(tilted)
-    outcomes = np.concatenate((values, values[alias]))
+    pairs = np.stack((values, values[alias]), axis=1).ravel()
 
     def weight_sums(rng, rows: int) -> tuple[float, float]:
-        T = _sums_above(rng, rows, n, lambda u: _alias_map(u, prob, outcomes), target_sum)
+        T = _alias_sums_above(rng, rows, n, prob, pairs, target_sum)
         # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
         w = np.exp(n * K - theta * T)
         return float(w.sum()), float((w * w).sum())
@@ -880,6 +908,8 @@ def max_lower_bound_sweep(p_values, n_values) -> int:
         raise ValueError("p must be probabilities in [0, 1]")
     if not np.all((n >= 1) & (n < math.inf)):
         raise ValueError("n must be finite and at least 1")
+    for v in n.ravel().tolist():
+        _whole(v, "n")
     lhs = np.minimum(1.0, n * p) / 2.0
     with np.errstate(divide="ignore"):
         rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-p)))

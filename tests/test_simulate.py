@@ -129,6 +129,7 @@ _BAD_POINTS = {
         lambda: S.levy_maximal_check([(-1, F(1, 2)), (1, F(1, 2))], 2.5, 1), "n must be an integer"
     ),
     "max_lower_bound_check-n=2.5": (lambda: S.max_lower_bound_check(0.3, 2.5), "n must be an integer"),
+    "max_lower_bound_sweep-n=2.5": (lambda: S.max_lower_bound_sweep([0.3], [2.5]), "n must be an integer"),
     "sample-n=2.5": (lambda: md.gaussian().sample(1, 2.5), "n must be an integer"),
     "bounded_array_mc-magnitude=nan": (
         lambda: S.bounded_array_mc(
@@ -575,24 +576,78 @@ def test_alias_column_stays_below_the_cell_count():
     assert np.all(np.floor(u_max * cells.astype(float)) < cells)
 
     class TopRng:
-        def random(self, size):
-            return np.full(size, u_max)
+        def random(self, size, out):
+            out[:] = u_max
+            return out
 
     for K in (1, 2, 32769):
         prob, alias = S._alias_table(np.ones(K))
-        draws = S._alias_map(TopRng().random(3), prob, np.arange(2 * K))
-        assert np.all(draws == K - 1), K
+        # pairs[2c] = 2c: the draw 2c is column c keeping its own cell
+        draws = S._alias_sums_above(TopRng(), 3, 1, prob, np.arange(2.0 * K), -math.inf)
+        assert np.all(draws == 2 * (K - 1)), K
 
 
 def test_alias_draws_match_the_law():
     law = np.array([0.05, 0.4, 0.01, 0.3, 0.24])
     prob, alias = S._alias_table(law)
-    outcomes = np.concatenate((np.arange(5), alias))
+    pairs = np.stack((np.arange(5), alias), axis=1).ravel().astype(float)
     draws = 400_000
-    idx = S._alias_map(np.random.default_rng(2024).random(draws), prob, outcomes)
-    counts = np.bincount(idx, minlength=5)
+    # rows of one draw: each row sum is the draw itself
+    idx = S._alias_sums_above(np.random.default_rng(2024), draws, 1, prob, pairs, -math.inf)
+    counts = np.bincount(idx.astype(np.intp), minlength=5)
     sd = np.sqrt(draws * law * (1.0 - law))
     assert np.all(np.abs(counts - draws * law) <= 5.0 * sd), counts
+
+
+def test_the_workspace_carries_no_state(monkeypatch):
+    # one thread reuses its workspace across estimates of other row lengths
+    # (n = 30 leaves stale draws of n = 300 beyond its blocks) and keeps it
+    # through a row longer than a block, which gets buffers of its own
+    def estimate(n):
+        est = S.tilted_mc_truncated(md.gaussian(), G1, n=n, x=1.0, reps=2000, seed=3)
+        return est.p_hat, est.stderr
+
+    def long_row():
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "_BLOCK_ELEMS", 256)
+            return estimate(300)
+
+    def in_a_fresh_thread(call):
+        out = []
+        thread = threading.Thread(target=lambda: out.append(call()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and len(out) == 1
+        return out[0]
+
+    calls = (lambda: estimate(300), long_row, lambda: estimate(30), lambda: estimate(300))
+    fresh = [in_a_fresh_thread(call) for call in calls]
+
+    def one_thread():
+        return [call() for call in calls]
+
+    assert in_a_fresh_thread(one_thread) == fresh
+    assert all(p > 0 for p, _ in fresh)
+
+
+def test_the_tilted_kernel_allocates_nothing_per_block():
+    # gaussian discretized on 2^15 cells; n = 1000 fills two blocks of 65 whole rows
+    values = np.linspace(-5.0, 5.0, 1 << 15)
+    prob, alias = S._alias_table(np.exp(-0.5 * values**2))
+    pairs = np.stack((values, values[alias]), axis=1).ravel()
+
+    def run():
+        return S._alias_sums_above(S._rng_stream(1, 0), 130, 1000, prob, pairs, 30.0)
+
+    first = run()  # the thread's workspace is made here, and kept
+    tracemalloc.start()
+    try:
+        second = run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second) and first.size > 0
+    assert peak < 128 << 10, peak
 
 
 # ------------------------------------------------------------ split bounds

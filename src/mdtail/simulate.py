@@ -3,15 +3,19 @@
 Estimators are deterministic for a given seed: replications are cut into
 fixed-size chunks, chunk k draws from its own PCG64DXSM stream keyed by
 SeedSequence(seed, spawn_key=(k,)), and partial results are reduced in
-chunk order.  Worker count therefore changes wall time only, never output
-bytes.  The crude estimator reads a value's 16-bit cell from a lane of the
-chunk's raw words and its fine bits from the chunk's first child stream
-(seed, spawn_key=(k, 0)), at a position fixed by the row and value.  It
-screens rows on per-cell bounds whose top edge is the largest uniform it
-builds, 1 - 2^-53, then re-screens the kept rows with their loose values
-(top cell, +inf cells) mapped exactly, reading those values' fine bits
-through a second generator on the same child seed; only the rows left are
-mapped whole (see _crude_hits).  The tilted and split estimators draw from
+chunk order.  Threads run one per core and per span: a span is a run of
+a chunk's rows that reaches its first row's words by jumping the chunk's
+stream ahead, so threads share a chunk and a chunk's pieces are joined in
+row order before it is reduced (see _chunked_sums).  Worker count therefore
+changes wall time only, never output bytes.  The crude estimator reads a
+value's 16-bit cell from a lane of the chunk's raw words and its fine bits
+from the chunk's first child stream (seed, spawn_key=(k, 0)), at a position
+fixed by the row and value.  It screens rows on per-cell bounds whose top
+edge is the largest uniform it builds, 1 - 2^-53, then re-screens the kept
+rows with their loose values (+inf cells and the end cell of u with the
+larger bound) mapped exactly, reading those values' fine bits through a
+second generator on the same child seed; only the rows left are mapped
+whole (see _crude_hits).  The tilted and split estimators draw from
 an alias table with one gather per draw on interleaved (value, alias value)
 pairs, in a block-sized workspace that each thread keeps and reuses across
 blocks, chunks and estimates (see _alias_sums_above).  _point is the one
@@ -30,7 +34,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Callable
 
 import numpy as np
@@ -175,32 +179,55 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _chunked_sums(chunk_fn, reps: int, n: int, seed: int, workers: int) -> list:
-    """Run chunk_fn(rng, rows) on every chunk and add its partial sums in chunk order.
+def _chunked_sums(
+    draw, reduce, reps: int, n: int, seed: int, workers: int, row_words: int | None
+) -> list:
+    """Draw every span of every chunk and add the chunks' partial sums in chunk order.
 
-    Chunk k draws sizes[k] of the reps rows of n values from its own stream
-    (seed, k), in blocks of any size; adding the tuples of partial sums in
-    chunk order keeps the totals independent of the worker count.  At most
-    one thread runs per core and per chunk, since more only contend.
+    Chunk k holds sizes[k] of the reps rows of n values and draws them from
+    its own stream (seed, k).  When more than one thread runs, each chunk's
+    rows are cut into near-equal spans, one per thread: the span of rows
+    [first, first + rows) builds the chunk's stream and jumps it ahead by
+    first * row_words words (PCG jump-ahead), so each row reads the words it
+    reads when the chunk is drawn whole, and threads share a chunk.
+    draw(rng, first, rows) returns a span's piece, and reduce(pieces) turns a
+    chunk's pieces, in row order, into its tuple of partial sums; adding the
+    tuples in chunk order keeps the totals independent of the worker count.
+    row_words None (a row takes a varying number of words) keeps each chunk
+    one span.  At most one thread runs per core and per span, since more
+    only contend.
     """
     workers = _whole(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1; got {workers!r}")
     sizes = _chunk_sizes(reps, n)
-    threads = min(workers, _cores(), len(sizes))
+    threads = min(workers, _cores())
+    spans, per_chunk = [], []  # spans (k, first, end) in chunk and row order
+    for k, size in enumerate(sizes):
+        cuts = 1 if row_words is None else min(threads, size)
+        spans += [(k, size * j // cuts, size * (j + 1) // cuts) for j in range(cuts)]
+        per_chunk.append(cuts)
 
-    def one_chunk(k: int):
-        return chunk_fn(_rng_stream(seed, k), sizes[k])
+    def one_span(span):
+        k, first, end = span
+        rng = _rng_stream(seed, k)
+        if first:
+            rng.bit_generator.advance(first * row_words)
+        return draw(rng, first, end - first)
 
-    if threads <= 1:
-        parts = [one_chunk(k) for k in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_chunk, range(len(sizes))))
-    totals = [0] * len(parts[0])
-    for part in parts:
-        totals = [t + v for t, v in zip(totals, part)]
-    return totals
+    def add_in_chunk_order(pieces) -> list:
+        pieces = iter(pieces)
+        totals = None
+        for cuts in per_chunk:
+            part = reduce(list(islice(pieces, cuts)))
+            totals = part if totals is None else [t + v for t, v in zip(totals, part)]
+        return list(totals)
+
+    pool_size = min(threads, len(spans))
+    if pool_size <= 1:
+        return add_in_chunk_order(map(one_span, spans))
+    with ThreadPoolExecutor(max_workers=pool_size) as pool:
+        return add_in_chunk_order(pool.map(one_span, spans))
 
 
 def _ceiling_table(model: TailModel) -> np.ndarray:
@@ -213,6 +240,15 @@ def _ceiling_table(model: TailModel) -> np.ndarray:
     crude kernel builds (see _crude_hits), so a law whose map is finite there
     (gaussian, pareto) has a finite top bound.  A cell that holds a break or
     ends at one, and a cell with a non-finite edge value, is bounded by +inf.
+
+    _crude_hits takes as loose (maps exactly once a row is kept) the cells
+    bounded by +inf and the one end cell, 0 or the top, with the larger
+    bound: the right tail's end, which is the top cell for gaussian,
+    two_point and pareto and cell 0 for the designed and oscillating laws,
+    whose from_uniform puts large values at u -> 0.  Any set of loose cells
+    gives the same hits; the cost of a loose end cell is only its values'
+    exact maps in the rows kept, where a tight bound there would keep every
+    row that holds such a value.
     """
     cells = _CEILING_CELLS
     u = np.arange(cells + 1) / cells
@@ -249,13 +285,16 @@ def _grid_uniform(cells: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return (cells.astype(np.uint64) << 37 | fine >> 27) * 2.0**-53
 
 
-def _crude_hits(rng, rows: int, n: int, from_uniform, threshold: float, ceiling: np.ndarray) -> int:
-    """How many of rows x n values of from_uniform have a row sum above threshold.
+def _crude_hits(
+    rng, first: int, rows: int, n: int, from_uniform, threshold: float, ceiling: np.ndarray
+) -> int:
+    """How many of the rows [first, first + rows) of a chunk have a sum above threshold.
 
-    Row r reads W = ceil(n/4) raw words of rng's stream, and value i of the
-    row takes as its cell the 16-bit lane i % 4 of word r*W + i//4 (lane j
-    is bits 16j..16j+15 on every platform); the unused lanes of a row's last
-    word are dropped.  A value's fine word is word r*n + i of the stream's
+    rng is the chunk's stream jumped ahead to row first.  Row r of the chunk
+    reads W = ceil(n/4) raw words of the stream, and value i of the row takes
+    as its cell the 16-bit lane i % 4 of word r*W + i//4 (lane j is bits
+    16j..16j+15 on every platform); the unused lanes of a row's last word
+    are dropped.  A value's fine word is word r*n + i of the stream's
     first child, SeedSequence(seed, spawn_key=(k, 0)), and its uniform
     u = (cell*2^37 + (fine >> 27)) * 2^-53 lies on Generator.random's 53-bit
     grid, at most 1 - 2^-53, and in its own cell, so every u is fixed by
@@ -265,8 +304,8 @@ def _crude_hits(rng, rows: int, n: int, from_uniform, threshold: float, ceiling:
     only rows whose ceiling sum exceeds threshold are kept.  The others
     cannot hit: rounding is monotone and numpy adds a row's n terms in the
     same order whatever they are, so ceiling >= value term by term gives
-    ceiling sum >= exact sum.  A kept row's loose values, those in the top
-    cell or in a cell bounded by +inf, then take their exact values as
+    ceiling sum >= exact sum.  A kept row's loose values, those in a loose
+    cell (see _ceiling_table), then take their exact values as
     bounds (an exact value bounds itself, and a value does not depend on its
     call-mates), with fine words drawn by a second generator on the same
     child seed; the row is summed again in the same order and dropped unless
@@ -281,12 +320,12 @@ def _crude_hits(rng, rows: int, n: int, from_uniform, threshold: float, ceiling:
     fine, probe = PCG64DXSM(child), PCG64DXSM(child)
     fine_at = probe_at = 0  # each generator's position, in words
     loose_cell = np.isinf(ceiling)
-    loose_cell[-1] = True
+    loose_cell[-1 if ceiling[-1] >= ceiling[0] else 0] = True
     # one buffer for every block's ceilings
     bounds_buf = np.empty(min(block_rows, rows) * n)
     hits = 0
-    for r0 in range(0, rows, block_rows):
-        size = min(block_rows, rows - r0)
+    for r0 in range(first, first + rows, block_rows):
+        size = min(block_rows, first + rows - r0)
         words = coarse.random_raw(size * words_per_row).astype("<u8", copy=False)
         cells = words.view("<u2").reshape(size, 4 * words_per_row)[:, :n]
         bounds = bounds_buf[: size * n].reshape(size, n)
@@ -347,10 +386,23 @@ def _finish_estimate(
 
 
 def _hit_frequency(
-    count_hits, reps: int, seed: int, workers: int, n: int, x: float, G: float
+    count_hits,
+    reps: int,
+    seed: int,
+    workers: int,
+    n: int,
+    x: float,
+    G: float,
+    row_words: int | None,
 ) -> Estimate:
-    """Binomial estimate from per-chunk hit counts: p_hat = hits/reps and its stderr."""
-    (hits,) = _chunked_sums(count_hits, reps, n, seed, workers)
+    """Binomial estimate from per-span hit counts: p_hat = hits/reps and its stderr.
+
+    count_hits(rng, first, rows) counts a span's hits (see _chunked_sums);
+    counts are integers, so a chunk's spans add to the chunk's count exactly.
+    """
+    (hits,) = _chunked_sums(
+        count_hits, lambda counts: (sum(counts),), reps, n, seed, workers, row_words
+    )
     p_hat = hits / reps
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / reps)
     return _finish_estimate(p_hat, stderr, n, x, G, "crude", reps)
@@ -370,10 +422,11 @@ def crude_mc(
     threshold = n * model.mu + x * a_n
     ceiling = _ceiling_table(model)
 
-    def count_hits(rng, rows: int) -> tuple[int]:
-        return (_crude_hits(rng, rows, n, model.from_uniform, threshold, ceiling),)
+    def count_hits(rng, first: int, rows: int) -> int:
+        return _crude_hits(rng, first, rows, n, model.from_uniform, threshold, ceiling)
 
-    return _hit_frequency(count_hits, reps, seed, workers, n, x, G)
+    # a row's cells take ceil(n/4) words of the chunk's stream
+    return _hit_frequency(count_hits, reps, seed, workers, n, x, G, -(-n // 4))
 
 
 def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationScheme:
@@ -570,13 +623,19 @@ def _tilted_sum_estimate(
     prob, alias = _alias_table(tilted)
     pairs = np.stack((values, values[alias]), axis=1).ravel()
 
-    def weight_sums(rng, rows: int) -> tuple[float, float]:
-        T = _alias_sums_above(rng, rows, n, prob, pairs, target_sum)
+    def sums_above(rng, first: int, rows: int) -> np.ndarray:
+        return _alias_sums_above(rng, rows, n, prob, pairs, target_sum)
+
+    def weight_sums(found: list[np.ndarray]) -> tuple[float, float]:
+        # a chunk's row sums joined in row order, so the float sums below
+        # add the same array whatever the spans
+        T = found[0] if len(found) == 1 else np.concatenate(found)
         # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
         w = np.exp(n * K - theta * T)
         return float(w.sum()), float((w * w).sum())
 
-    s1, s2 = _chunked_sums(weight_sums, reps, n, seed, workers)
+    # Generator.random takes one word per double, so a row takes n words
+    s1, s2 = _chunked_sums(sums_above, weight_sums, reps, n, seed, workers, n)
     p_hat = s1 / reps
     var = max(s2 - reps * p_hat * p_hat, 0.0) / max(reps - 1, 1)
     return p_hat, math.sqrt(var / reps)
@@ -700,6 +759,10 @@ def bounded_array_mc(
     magnitude(n) <= tau(n)*sqrt(n/g(log n)) with tau decreasing; arrays
     violating it are rejected because the comparison against the quadratic
     rate is only meaningful for negligible summands.
+
+    A row's binomial draw takes a varying number of words of the chunk's
+    stream, so no jump reaches a row's first word and each chunk stays one
+    span, drawn by one thread (see _chunked_sums).
     """
     n, reps, G, a_n = _point(g, n, reps, r)
     b = _finite_positive(float(array.magnitude(n)), "magnitude(n)")
@@ -713,11 +776,11 @@ def bounded_array_mc(
         raise ValueError("tau must decrease toward zero along growing n")
     threshold = r * a_n
 
-    def count_hits(rng, rows: int) -> tuple[int]:
+    def count_hits(rng, first: int, rows: int) -> int:
         heads = rng.binomial(n, 0.5, size=rows)
-        return (int(np.count_nonzero(b * (2.0 * heads - n) > threshold)),)
+        return int(np.count_nonzero(b * (2.0 * heads - n) > threshold))
 
-    return _hit_frequency(count_hits, reps, seed, workers, n, r, G)
+    return _hit_frequency(count_hits, reps, seed, workers, n, r, G, None)
 
 
 def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:

@@ -333,11 +333,19 @@ def test_the_ceiling_screen_maps_few_values_exactly(monkeypatch):
     # at the crude_kernel reference point (p about 1e-4) and at the A5 point
     # (p about 3e-6) nearly every row is dropped on its ceiling sum, or on its
     # loose values' exact values, so beyond the table build (2^16 + 1 values)
-    # almost nothing is mapped; the estimate is the one that maps every value
-    # (all ceilings +inf)
-    points = [(md.gaussian(), 1000, math.sqrt(2.0), 20_000), (md.pareto(3.0), 10_000, 5.0, 2000)]
+    # almost nothing is mapped.  The designed and oscillating laws put their
+    # right tail's end in cell 0, which is loose: the rows that hit (a few
+    # percent) are mapped whole, and at most one more percent of the values.
+    # Each estimate is the one that maps every value (all ceilings +inf)
+    laws = {e.model.label: e.model for e in md.catalog()}
+    points = [
+        (md.gaussian(), 1000, math.sqrt(2.0), 20_000, lambda p: 1e-4),
+        (md.pareto(3.0), 10_000, 5.0, 2000, lambda p: 1e-4),
+        (laws["designed(0.5,2;t)"], 1000, 1.0, 4000, lambda p: p + 0.01),
+        (laws["oscillating(0.5,2;t;x3)"], 1000, 1.0, 4000, lambda p: p + 0.01),
+    ]
     screened = []
-    for model, n, x, reps in points:
+    for model, n, x, reps, bound in points:
         mapped = []
 
         def counting(u):
@@ -345,11 +353,12 @@ def test_the_ceiling_screen_maps_few_values_exactly(monkeypatch):
             return model.from_uniform(u)
 
         counted = dataclasses.replace(model, from_uniform=counting)
-        screened.append(S.crude_mc(counted, G1, n=n, x=x, reps=reps, seed=8))
+        est = S.crude_mc(counted, G1, n=n, x=x, reps=reps, seed=8)
+        screened.append(est)
         share = (sum(mapped) - (S._CEILING_CELLS + 1)) / (reps * n)
-        assert share < 1e-4, (model.label, share)
+        assert share < bound(est.p_hat), (model.label, share, est.p_hat)
     monkeypatch.setattr(S, "_ceiling_table", lambda model: np.full(S._CEILING_CELLS, np.inf))
-    for (model, n, x, reps), est in zip(points, screened):
+    for (model, n, x, reps, _), est in zip(points, screened):
         full = S.crude_mc(model, G1, n=n, x=x, reps=reps, seed=8)
         assert (est.p_hat, est.stderr) == (full.p_hat, full.stderr), model.label
 
@@ -411,16 +420,28 @@ CRUDE_PINS = {
 
 
 def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
+    # each point is one chunk; two workers cut it into two spans, and eight
+    # (eight claimed cores) into eight.  The block size moves no bit, so the
+    # span legs run the second point at the shipped block size (spans in
+    # 256-value blocks: test_spans_give_the_bits_of_one_thread)
     entries = (*md.catalog(), *GAUSSIAN_SIDED)
     assert [e.model.label for e in entries] == list(CRUDE_PINS)
+    assert len(S._chunk_sizes(4000, 37)) == 1 and len(S._chunk_sizes(2000, 300)) == 1
+
+    def pinned(m, g, workers, block):
+        first = S.crude_mc(m, g, n=37, x=1.0, reps=4000, seed=5, workers=workers)
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "_BLOCK_ELEMS", block)
+            second = S.crude_mc(m, g, n=300, x=0.7, reps=2000, seed=6, workers=workers)
+        return tuple((e.p_hat.hex(), e.stderr.hex()) for e in (first, second))
+
     for entry in entries:
         m, g = entry.model, entry.scale
-        first = S.crude_mc(m, g, n=37, x=1.0, reps=4000, seed=5)
+        assert pinned(m, g, 1, 256) == CRUDE_PINS[m.label], m.label
+        assert pinned(m, g, 2, S._BLOCK_ELEMS) == CRUDE_PINS[m.label], m.label
         with monkeypatch.context() as patch:
-            patch.setattr(S, "_BLOCK_ELEMS", 256)
-            second = S.crude_mc(m, g, n=300, x=0.7, reps=2000, seed=6)
-        got = tuple((e.p_hat.hex(), e.stderr.hex()) for e in (first, second))
-        assert got == CRUDE_PINS[m.label], m.label
+            patch.setattr(S, "_cores", lambda: 8)
+            assert pinned(m, g, 8, S._BLOCK_ELEMS) == CRUDE_PINS[m.label], m.label
 
 
 # tilted_mc_truncated's (p_hat, stderr), then split_estimate's upper and lower
@@ -511,6 +532,10 @@ def test_tilted_bits_are_pinned(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(S, "_BLOCK_ELEMS", 256)
             assert pinned(label, 1) == pins, label
+        # eight claimed cores cut every chunk into eight spans
+        with monkeypatch.context() as patch:
+            patch.setattr(S, "_cores", lambda: 8)
+            assert pinned(label, 8) == pins, label
 
 
 def test_crude_chunk_memory_stays_bounded():
@@ -1039,10 +1064,62 @@ def test_worker_count_never_changes_results():
         assert serial.stderr == threaded.stderr, label
 
 
+def test_one_chunk_is_shared_by_two_threads(monkeypatch):
+    # a point whose rows fit one chunk draws them on two threads: the chunk's
+    # two spans each build its stream (seed, 0) and meet at a barrier that
+    # one thread alone never passes; the bits are the pinned ones
+    monkeypatch.setattr(S, "_cores", lambda: 2)
+    stream = S._rng_stream
+    barrier, seen = threading.Barrier(2, timeout=30), []
+
+    def meeting(seed, k):
+        seen.append((k, threading.get_ident()))
+        barrier.wait()
+        return stream(seed, k)
+
+    monkeypatch.setattr(S, "_rng_stream", meeting)
+    assert len(S._chunk_sizes(2000, 100)) == 1
+    est = S.tilted_mc_truncated(TWO_POINT, G1, n=100, x=1.0, reps=2000, seed=7, workers=2)
+    assert sorted(k for k, _ in seen) == [0, 0] and len({t for _, t in seen}) == 2
+    assert (est.p_hat.hex(), est.stderr.hex()) == TILTED_PINS["two_point"][0][0]
+
+
+@pytest.mark.parametrize(
+    "threads, n, reps, target, block",
+    [
+        # spans start at rows 666 and 1333, inside blocks of 655 rows
+        (3, 100, 2000, S.CHUNK_TARGET, S._BLOCK_ELEMS),
+        # one-row blocks of 256 values: every row outgrows its block
+        (2, 300, 2000, S.CHUNK_TARGET, 256),
+        # chunks of 54 rows cut into 8 spans of 6 or 7 rows, and a last
+        # chunk of 3 rows cut into 3 spans of one row
+        (8, 300, 1029, 1 << 14, 256),
+    ],
+    ids=["mid-block", "rows-outgrow-blocks", "fewer-rows-than-threads"],
+)
+def test_spans_give_the_bits_of_one_thread(monkeypatch, threads, n, reps, target, block):
+    designed = md.make_designed_tail(0.5, 2.0, G1)
+    runs = [
+        lambda w: S.tilted_mc_truncated(md.gaussian(), G1, n=n, x=2.0, reps=reps, seed=4, workers=w),
+        lambda w: S.crude_mc(md.gaussian(), G1, n=n, x=0.5, reps=reps, seed=4, workers=w),
+        lambda w: S.crude_mc(designed, G1, n=n, x=0.5, reps=reps, seed=4, workers=w),
+    ]
+    monkeypatch.setattr(S, "CHUNK_TARGET", target)
+    monkeypatch.setattr(S, "_BLOCK_ELEMS", block)
+    serial = [run(1) for run in runs]
+    assert all(est.p_hat > 0 for est in serial)
+    monkeypatch.setattr(S, "_cores", lambda: threads)
+    for run, ref in zip(runs, serial):
+        est = run(threads)
+        assert (est.p_hat, est.stderr) == (ref.p_hat, ref.stderr), est.method
+
+
 def test_eight_threads_give_the_bytes_of_one(monkeypatch):
     # the pool is capped at the core count; claim 8 cores so 8 real threads
-    # run (the first 8 chunks meet at a barrier, which fewer threads never
-    # pass), and use small chunks so every estimator cuts at least 8
+    # run (every span of the first 8 chunks meets at a barrier, which fewer
+    # threads never pass: 8 spans per chunk for crude and tilted, whose
+    # chunks hold at least 8 rows, and one for the sign array), and use small
+    # chunks so every estimator cuts at least 8
     monkeypatch.setattr(S, "_cores", lambda: 8)
     monkeypatch.setattr(S, "CHUNK_TARGET", 1 << 14)
     stream = S._rng_stream

@@ -5,19 +5,3 @@ import mdtail as md
 for g in (md.power_scale(1.0), md.power_scale(0.5), md.power_scale(2.0),
           md.log_scale(), md.power_log_scale()):
     print(f"{g.label:12s} rho={g.rho:>4}  g(10)={g.eval(10.0):10.3f}  g(100)={g.eval(100.0):12.3f}")
-
-print()
-print("regular variation check, ratios g(xt)/g(t) against x^rho at t -> 1e8:")
-for g in (md.power_scale(0.5), md.log_scale()):
-    rep = md.check_regular_variation(g, x_grid=(0.5, 2.0, 5.0), t_max=1e8, tol=0.1)
-    print(f"  {g.label}: max deviation {rep.max_deviation:.5f}, passed={rep.passed}")
-    for x, ratio, dev in rep.entries:
-        print(f"    x={x:<5g} ratio={ratio:.6f} dev={dev:.6f}")
-
-print()
-print("evaluating g at the log of the deviation threshold s*sqrt(t*g(log t))")
-print("instead of log t rescales g by 2^(-rho) in the limit:")
-for g in (md.power_scale(1.0), md.power_scale(2.0), md.log_scale()):
-    lim = md.half_index_limit(g, s=0.5, t_max=1e10)
-    print(f"  {g.label:14s} ratio={lim.ratio:.6f}  predicted={lim.predicted:.6f}")
-print("(the power presets close in slowly; the log preset is already there)")

@@ -1,8 +1,7 @@
-"""Extract tail exponents three ways and compare.
+"""Extract tail exponents two ways and compare, then read the plateau they set.
 
 1. window route: limits of exponent windows along the analytic tail
 2. sup route: a single running-supremum pass over a coarse r-grid
-3. empirical route: the same machinery on simulated samples
 """
 
 import mdtail as md
@@ -23,17 +22,7 @@ print("liminf-flavored one the steep envelope (2.0); the two-sided values pick")
 print("up a log(2) finite-window correction because both sides carry mass.")
 print()
 
-# empirical route needs a lot of samples before the top of the grid has
-# enough exceedances to say anything
-for n in (10**5, 10**6):
-    xs = md.pareto(3.0).sample(seed=7, n=n)
-    emp = md.empirical_exponents(xs, g)
-    e = emp.exps
-    print(f"pareto(3), {n:>8d} draws: lam1 window ({e.lam1_bar:.3f}, {e.lam1_under:.3f})"
-          f"  exceedances at top {emp.exceedances_at_max}  flags {emp.flags}")
-
-print()
 print("prediction arithmetic: with rho=1 the normalized tail limit is")
-print("-min(x^2/2sigma^2, lam/2); the exponent pair feeds straight in:")
-pred = md.scaled_tail_predictions(window, rho=1.0)
-print(f"  limsup branch {pred.sqrt_tg_limsup:+.4f}, liminf branch {pred.sqrt_tg_liminf:+.4f}")
+print("-min(x^2/2sigma^2, lam/2); far past the kink only the plateau -lam/2 is left:")
+spec = md.RateSpec(m.sigma2, g.rho, window)
+print(f"  limsup branch {md.rate_limsup(spec, 1e3):+.4f}, liminf branch {md.rate_liminf(spec, 1e3):+.4f}")

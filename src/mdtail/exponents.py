@@ -1,4 +1,4 @@
-"""Tail exponents on a scale g: windowed limits, sup-form cross-checks, predictions.
+"""Tail exponents on a scale g: windowed limits and sup-form cross-checks.
 
 For a law with survival functions R(t) = P(X > t) and L(t) = P(X < -t) the
 six exponents are the negated limsup/liminf of
@@ -29,12 +29,8 @@ __all__ = [
     "LAMBDA_MAX",
     "TailExponents",
     "GridSpec",
-    "ScaledTailPredictions",
-    "EmpiricalExponents",
     "exponents_from_tail",
     "exponents_sup_form",
-    "scaled_tail_predictions",
-    "empirical_exponents",
     "default_grid",
 ]
 
@@ -46,15 +42,6 @@ _LN10 = math.log(10.0)
 
 # candidate exponents 0, 0.05, ..., 50 for the sup-form search
 _R_GRID = np.linspace(0.0, LAMBDA_MAX, 1001)
-
-# grid points of the empirical probe over the top decile of |sample|
-_EMPIRICAL_POINTS = 25
-
-
-def _window_start(points: int) -> int:
-    """First index of the trailing window, the last third of the points."""
-    return (2 * points) // 3
-
 
 @dataclass(frozen=True)
 class TailExponents:
@@ -121,7 +108,7 @@ class GridSpec:
         return np.geomspace(self.u_min, self.u_max, self.points)
 
     def window_slice(self) -> slice:
-        return slice(_window_start(self.points), None)
+        return slice((2 * self.points) // 3, None)
 
 
 def default_grid(model: "TailModel") -> GridSpec:
@@ -260,97 +247,3 @@ def exponents_sup_form(model: "TailModel", g: ScaleFunction) -> TailExponents:
     margin = 1e-9 * max(1.0, float(gu[-1]))
     right, left, both = (_sup_form_side(log_s[win], u[win], gu[win], margin) for log_s in log_tails)
     return TailExponents(*right, *left, *both)
-
-
-@dataclass(frozen=True)
-class ScaledTailPredictions:
-    """Predicted limits of log(n * P(X > s*threshold(n))) / g(log n).
-
-    Both threshold shapes sqrt(t * g(log t)) and sqrt(t / g(log t)) share the
-    same pair of limits, so one pair serves both: the right-tail exponents
-    divided by 2**rho, negated.  Values are extended reals; an infinite
-    exponent predicts -inf.
-    """
-
-    sqrt_tg_limsup: float
-    sqrt_tg_liminf: float
-
-
-def scaled_tail_predictions(exps: TailExponents, rho: float) -> ScaledTailPredictions:
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    scale = 2.0**rho
-
-    def limit(lam: float) -> float:
-        return -math.inf if math.isinf(lam) else -lam / scale
-
-    return ScaledTailPredictions(
-        sqrt_tg_limsup=limit(exps.lam1_bar),
-        sqrt_tg_liminf=limit(exps.lam1_under),
-    )
-
-
-@dataclass(frozen=True)
-class EmpiricalExponents:
-    """Plug-in exponents from a sample.  Order-of-magnitude quality only."""
-
-    exps: TailExponents
-    flags: tuple[str, ...]
-    u_min: float
-    u_max: float
-    exceedances_at_max: int
-
-
-def empirical_exponents(sample, g: ScaleFunction) -> EmpiricalExponents:
-    """Plug the empirical survival function into the exponent formulas.
-
-    The probe grid is confined to the top decile of |sample| and stops near
-    the largest order statistics, where the estimate runs out of data; a
-    flag is raised when fewer than 100 exceedances support the largest grid
-    point.  No bias correction or extrapolation is attempted.
-    """
-    x = np.asarray(sample, dtype=float).ravel()
-    if x.size < 100_000:
-        raise ValueError("need at least 1e5 samples for even a coarse estimate")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sample must be finite: it holds a NaN or an infinity")
-    absx = np.abs(x)
-    t_lo = float(np.quantile(absx, 0.90))
-    if t_lo <= 0.0:
-        raise ValueError("top decile of |sample| is zero; no tail to probe")
-    # Stop where roughly 120 exceedances remain, so the top of the grid is
-    # still supported by data; a bounded sample collapses the quantile onto
-    # its support edge and the floor pushes the grid just past it, where the
-    # empirical tail is exactly zero and the exponents report infinity.
-    t_hi = max(float(np.quantile(absx, 1.0 - 120.0 / x.size)), t_lo * 1.02)
-    u = np.linspace(math.log(t_lo), math.log(t_hi), _EMPIRICAL_POINTS)
-    gu = g(np.maximum(u, 0.0))
-    keep = gu > 0.0
-    u, gu = u[keep], gu[keep]
-    if u.size < 9:
-        raise ValueError("scale vanishes on most of the probe grid")
-    t = np.exp(u)
-    xs = np.sort(x)
-    n = x.size
-    surv_r = (n - np.searchsorted(xs, t, side="right")) / n
-    surv_l = np.searchsorted(xs, -t, side="left") / n
-
-    def side_y(surv: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return _exponent_values(np.log(surv), u, gu)
-
-    win = slice(_window_start(u.size), None)
-    r_bar, r_under = _raw_limits(side_y(surv_r)[win])
-    l_bar, l_under = _raw_limits(side_y(surv_l)[win])
-    a_bar, a_under = _raw_limits(side_y(surv_r + surv_l)[win])
-    exceed = int(round((surv_r[-1] + surv_l[-1]) * n))
-    flags = []
-    if exceed < 100:
-        flags.append("low_tail_support")
-    return EmpiricalExponents(
-        exps=TailExponents(r_bar, r_under, l_bar, l_under, a_bar, a_under),
-        flags=tuple(flags),
-        u_min=float(u[0]),
-        u_max=float(u[-1]),
-        exceedances_at_max=exceed,
-    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .exponents import TailExponents
 
-__all__ = ["RateSpec", "Regime", "rate_limsup", "rate_liminf", "rate_curve_csv", "classify"]
+__all__ = ["RateSpec", "Regime", "rate_limsup", "rate_liminf", "classify"]
 
 # side -> the TailExponents field prefix of its exponent pair
 _SIDE_FIELDS = {"upper": "lam1", "lower": "lam2", "two-sided": "lam"}
@@ -109,28 +109,11 @@ def classify(sigma2: float, mean_matches_eta: bool, exps: TailExponents) -> Regi
 def _fmt(value: float) -> str:
     """Round-trip text of a float: `.17g`, with nan, inf and -inf spelled out.
 
-    The one float formatter of the package: rate curves and trajectory.csv
-    use it directly, exponents.json for its non-finite values.
+    The one float formatter of the package: trajectory.csv uses it
+    directly, exponents.json for its non-finite values.
     """
     if math.isnan(value):
         return "nan"
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return format(float(value), ".17g")
-
-
-def rate_curve_csv(spec: RateSpec, x_values, side: str = "upper") -> str:
-    """Plot-ready curve of both rate flavors, one row per x."""
-    lines = ["x,rate_limsup,rate_liminf"]
-    for x in x_values:
-        x = float(x)
-        lines.append(
-            ",".join(
-                (
-                    _fmt(x),
-                    _fmt(rate_limsup(spec, x, side)),
-                    _fmt(rate_liminf(spec, x, side)),
-                )
-            )
-        )
-    return "\n".join(lines) + "\n"

@@ -1,4 +1,4 @@
-"""Nondecreasing regularly varying scale functions and thresholds built from them.
+"""Nondecreasing regularly varying scale functions and the truncation level built from them.
 
 A scale function g maps [0, inf) to [0, inf), is nondecreasing, diverges,
 and satisfies g(x*t)/g(t) -> x**rho for every fixed x > 0.  The index rho
@@ -15,22 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "ScaleFunction",
-    "RegularVariationReport",
-    "HalfIndexLimit",
     "power_scale",
     "log_scale",
     "power_log_scale",
     "scale_from_spec",
-    "check_regular_variation",
-    "scaled_threshold",
     "truncation_level",
-    "half_index_limit",
 ]
 
 
@@ -160,54 +155,6 @@ def scale_from_spec(spec: dict) -> ScaleFunction:
     return _build_preset(spec, "kind", _SCALE_PRESETS, "scale")
 
 
-@dataclass(frozen=True)
-class RegularVariationReport:
-    """Deviations |g(x*t_max)/g(t_max) - x**rho| for each probe ratio x."""
-
-    t_max: float
-    tol: float
-    entries: tuple[tuple[float, float, float], ...]  # (x, ratio, deviation)
-    max_deviation: float
-    passed: bool
-
-
-def check_regular_variation(
-    g: ScaleFunction,
-    x_grid: Sequence[float],
-    t_max: float,
-    tol: float,
-) -> RegularVariationReport:
-    """Probe g(x*t)/g(t) against x**rho at the largest grid point.
-
-    The limit statement is about t -> inf; this evaluates the ratio at the
-    single point t_max and flags each probe by whether the deviation is
-    within tol.  Callers compare reports at increasing t_max to see the
-    convergence trend.
-    """
-    xs = [float(x) for x in x_grid]
-    if not xs:
-        raise ValueError("x_grid must be nonempty")
-    if any(x <= 0 for x in xs):
-        raise ValueError("probe ratios must be positive")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    base = g.eval(t_max)
-    if not base > 0.0:
-        raise ValueError(f"g(t_max) must be positive; got {base} at t_max={t_max}")
-    entries = []
-    for x in xs:
-        ratio = g.eval(x * t_max) / base
-        entries.append((x, ratio, abs(ratio - x**g.rho)))
-    worst = float(np.max([dev for _, _, dev in entries]))  # a NaN deviation propagates
-    return RegularVariationReport(
-        t_max=float(t_max),
-        tol=float(tol),
-        entries=tuple(entries),
-        max_deviation=worst,
-        passed=worst <= tol,
-    )
-
-
 def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
     """value as an int; raises error unless it is integral, where int() would round 2.9 down to 2."""
     if not float(value).is_integer():
@@ -233,49 +180,6 @@ def _g_log_n(g: ScaleFunction, n: float, error: type[ValueError] = ValueError) -
     return G
 
 
-def scaled_threshold(g: ScaleFunction, s: float, n: float) -> float:
-    """The deviation threshold s * sqrt(n * g(log n)).
-
-    n may be any finite real >= 2 (integer sample sizes are the common case, but
-    closed-form checks like n = e**2 are convenient with real n).  Raises
-    unless g(log n) > 0, since the threshold would degenerate or be undefined.
-    """
-    return _finite_positive(s, "s") * math.sqrt(n * _g_log_n(g, n))
-
-
 def truncation_level(g: ScaleFunction, n: float, delta_hat: float) -> float:
     """The cut level delta_hat * sqrt(n / g(log n)) used by truncation schemes."""
     return _finite_positive(delta_hat, "delta_hat") * math.sqrt(n / _g_log_n(g, n))
-
-
-@dataclass(frozen=True)
-class HalfIndexLimit:
-    """Value of g(log phi_s(t)) / g(log t) at t_max, with its predicted limit."""
-
-    ratio: float
-    predicted: float
-    t_max: float
-    s: float
-
-
-def half_index_limit(g: ScaleFunction, s: float, t_max: float) -> HalfIndexLimit:
-    """Evaluate g(log phi_s(t)) / g(log t) at t = t_max.
-
-    Here phi_s(t) = s * sqrt(t * g(log(max(t, e)))).  As t grows the ratio
-    tends to 2**(-rho): phi_s grows like sqrt(t) times a slowly varying
-    factor, so log phi_s is about half of log t.  The caller compares the
-    returned ratio against the predicted limit at whatever tolerance the
-    context justifies.  Raises unless g(log t_max) > 0.
-    """
-    _finite_positive(s, "s")
-    if not math.e < t_max < math.inf:
-        raise ValueError("t_max must be finite and exceed e for the ratio to be informative")
-    base = _g_log_n(g, t_max)
-    phi = s * math.sqrt(t_max * base)  # t_max > e, so max(t_max, e) = t_max
-    ratio = g.eval(math.log(phi)) / base
-    return HalfIndexLimit(
-        ratio=ratio,
-        predicted=2.0 ** (-g.rho),
-        t_max=float(t_max),
-        s=float(s),
-    )

@@ -1,8 +1,7 @@
-"""Tail exponent extraction: window limits, sup form, sample version."""
+"""Tail exponent extraction: window limits and sup form."""
 
 import math
 
-import numpy as np
 import pytest
 
 import mdtail as md
@@ -134,60 +133,3 @@ def test_lambda_cap_keeps_values_finite_or_inf():
     e = md.exponents_from_tail(md.gaussian(), g)
     assert e.lam1_bar == INF and e.lam2_under == INF
 
-
-def test_prediction_arithmetic():
-    e = md.TailExponents(1.0, 1.0, INF, INF, 1.0, 1.0)
-    p = md.scaled_tail_predictions(e, 1.0)
-    assert p.sqrt_tg_limsup == -0.5
-    assert p.sqrt_tg_liminf == -0.5
-
-    p = md.scaled_tail_predictions(
-        md.TailExponents(INF, INF, INF, INF, INF, INF), 1.0
-    )
-    assert p.sqrt_tg_limsup == -INF and p.sqrt_tg_liminf == -INF
-
-    p = md.scaled_tail_predictions(md.TailExponents(2.0, 2.0, INF, INF, 2.0, 2.0), 0.0)
-    assert p.sqrt_tg_limsup == -2.0
-
-    # liminf side reads the under-flavor exponent
-    p = md.scaled_tail_predictions(md.TailExponents(1.0, 3.0, INF, INF, 1.0, 3.0), 1.0)
-    assert p.sqrt_tg_limsup == -0.5
-    assert p.sqrt_tg_liminf == -1.5
-
-    with pytest.raises(ValueError):
-        md.scaled_tail_predictions(e, -0.5)
-
-
-def test_empirical_exponents_on_large_samples():
-    g = md.power_scale(1.0)
-
-    xs = md.pareto(3.0).sample(seed=7, n=10**6)
-    emp = md.empirical_exponents(xs, g)
-    assert 0.6 <= emp.exps.lam1_bar <= 1.4
-    assert 0.6 <= emp.exps.lam1_under <= 1.4
-    assert emp.flags == ()
-    assert emp.exceedances_at_max >= 100
-
-    xs = md.make_designed_tail(0.5, 2.0, g).sample(seed=7, n=10**6)
-    emp = md.empirical_exponents(xs, g)
-    assert 0.3 <= emp.exps.lam1_bar <= 0.8
-    assert 0.3 <= emp.exps.lam1_under <= 0.8
-
-    # bounded support: every grid point past the support edge has zero
-    # exceedances, so all six estimates blow up and the flag records it
-    xs = md.two_point().sample(seed=7, n=10**6)
-    emp = md.empirical_exponents(xs, g)
-    assert emp.exps.lam1_bar == INF and emp.exps.lam_under == INF
-    assert "low_tail_support" in emp.flags
-
-
-def test_empirical_exponents_rejects_small_samples():
-    g = md.power_scale(1.0)
-    with pytest.raises(ValueError):
-        md.empirical_exponents(np.ones(10**4), g)
-    # a NaN or an infinity is named, not read as a vanishing scale or as an
-    # exceedance at every grid point
-    xs = md.pareto(3.0).sample(seed=7, n=10**5)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="sample must be finite"):
-            md.empirical_exponents(np.append(xs, bad), g)

@@ -28,8 +28,18 @@ def test_removed_names_are_gone():
     assert not hasattr(tails.TailModel, "survival")
     assert not hasattr(tails, "model_preset_names") and not hasattr(mdtail, "model_preset_names")
     assert not hasattr(rate.Regime, "BOUNDED_NONZERO_LIMSUP")
-    prediction_fields = exponents.ScaledTailPredictions.__dataclass_fields__
-    assert set(prediction_fields) == {"sqrt_tg_limsup", "sqrt_tg_liminf"}
+    # the plateau -lam/2^rho is rate's cap, the deviation threshold is simulate._point's,
+    # and every scale preset is a closed form with a stated rho
+    removed = {
+        exponents: ("empirical_exponents", "EmpiricalExponents", "_EMPIRICAL_POINTS",
+                    "scaled_tail_predictions", "ScaledTailPredictions", "_window_start"),
+        scale: ("check_regular_variation", "RegularVariationReport", "half_index_limit",
+                "HalfIndexLimit", "scaled_threshold", "Sequence"),
+        rate: ("rate_curve_csv",),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert not hasattr(module, name) and not hasattr(mdtail, name), name
     split_fields = simulate.SplitEstimate.__dataclass_fields__
     assert "x_upper_target" not in split_fields and "x_lower_target" not in split_fields
     model_fields = tails.TailModel.__dataclass_fields__
@@ -65,7 +75,6 @@ def test_removed_names_are_gone():
         return set(inspect.signature(fn).parameters)
 
     assert params(exponents.exponents_sup_form) == {"model", "g"}
-    assert params(exponents.empirical_exponents) == {"sample", "g"}
     assert params(exponents.GridSpec.decades) == {"t_min", "t_max"}
     assert params(tails._LogSurvivalInverse) == {"w_fn", "u_lo"}
     assert params(tails._decay_side) == {"h", "u0", "u_breaks", "what"}

@@ -28,6 +28,10 @@ def test_worked_examples_upper_side():
     assert math.isclose(md.rate_limsup(s, 0.999), -(0.999**2) / 2.0, rel_tol=1e-12)
     assert md.rate_limsup(s, 1.001) == -0.5
 
+    # rho = 0: the plateau is -lam itself
+    flat = md.RateSpec(1.0, 0.0, _exps(2.0, 2.0))
+    assert md.rate_limsup(flat, 10.0) == -2.0
+
 
 def test_worked_examples_liminf_and_oscillation():
     sym = md.RateSpec(1.0, 1.0, _exps(1.0, 1.0))
@@ -185,19 +189,3 @@ def test_classifier_mixed_and_validation():
     with pytest.raises(ValueError):
         md.classify(float("nan"), True, _exps(1.0, 1.0))
 
-
-def test_rate_curve_csv():
-    s = md.RateSpec(1.0, 1.0, _exps(1.0, 1.0))
-    text = md.rate_curve_csv(s, [0.5, 1.5])
-    lines = text.splitlines()
-    assert lines[0] == "x,rate_limsup,rate_liminf"
-    assert lines[1] == "0.5,-0.125,-0.125"
-    assert lines[2] == "1.5,-0.5,-0.5"
-    # parses back as floats
-    for line in lines[1:]:
-        x, a, b = (float(v) for v in line.split(","))
-        assert a == md.rate_limsup(s, x)
-        assert b == md.rate_liminf(s, x)
-    light = md.RateSpec(1.0, 1.0, _exps(INF, INF))
-    text = md.rate_curve_csv(light, [2.0], side="upper")
-    assert text.splitlines()[1] == "2,-2,-2"

@@ -454,12 +454,16 @@ def test_cli_rejects_a_scale_that_vanishes_on_the_n_grid(tmp_path):
         (0.1, "0.10000000000000001", "0.1"),
         (1e-300, "1e-300", "1e-300"),
         (2.0**-1074, "4.9406564584124654e-324", "5e-324"),
+        (2.0, "2", "2.0"),
+        (-2.0 / 3.0, "-0.66666666666666663", "-0.6666666666666666"),
     ],
 )
 def test_float_text_on_csv_and_json_paths(value, csv_text, json_text):
-    # trajectory.csv and rate curves print _fmt; exponents.json dumps _json_value
+    # trajectory.csv prints _fmt; exponents.json dumps _json_value
     assert report._fmt(value) == csv_text
     assert json.dumps(report._json_value(value)) == json_text
+    # the text reads back as the same float, bit for bit
+    assert float(csv_text).hex() == float(value).hex()
 
 
 def test_cli_estimator_failure_writes_error_artifact(tmp_path):

@@ -1,4 +1,4 @@
-"""Scale-function behavior: presets, ratio probes, derived thresholds."""
+"""Scale-function behavior: presets and the truncation level."""
 
 import math
 
@@ -9,13 +9,10 @@ from hypothesis import strategies as st
 
 from mdtail.scale import (
     ScaleFunction,
-    check_regular_variation,
-    half_index_limit,
     log_scale,
     power_log_scale,
     power_scale,
     scale_from_spec,
-    scaled_threshold,
     truncation_level,
 )
 
@@ -92,95 +89,12 @@ def test_scale_from_spec_round_trip_and_errors():
         scale_from_spec({"kind": "log", "rho": 2})
 
 
-def test_scaled_threshold_closed_form():
-    g = power_scale(1.0)
-    want = math.sqrt(1e8 * math.log(1e8))
-    got = scaled_threshold(g, 1.0, 1e8)
-    assert math.isclose(got, want, rel_tol=1e-12)
-    assert math.isclose(got, 42919.32052578695, rel_tol=1e-12)
-
-
-def test_scaled_threshold_rejects_degenerate_scale():
-    # log scale vanishes at n = 2 because log(log 2) floors to zero
-    with pytest.raises(ValueError):
-        scaled_threshold(log_scale(), 1.0, 2.0)
-    with pytest.raises(ValueError):
-        scaled_threshold(power_scale(1.0), -1.0, 100.0)
-    with pytest.raises(ValueError):
-        scaled_threshold(power_scale(1.0), 1.0, 1.5)
-
-
 def test_truncation_level_closed_form():
     g = power_scale(1.0)
     got = truncation_level(g, 100.0, 0.5)
     assert math.isclose(got, 0.5 * math.sqrt(100.0 / math.log(100.0)), rel_tol=1e-14)
     with pytest.raises(ValueError):
         truncation_level(g, 100.0, 0.0)
-
-
-def test_regular_variation_power_is_exact():
-    rep = check_regular_variation(power_scale(1.0), [0.5, 2.0, 7.0], 1e8, 1e-9)
-    assert rep.passed
-    assert rep.max_deviation <= 1e-12
-
-
-def test_regular_variation_refuses_or_fails_a_scale_that_is_not_positive():
-    # NaN or negative at t_max is refused; NaN only beyond t_max gives a NaN ratio, which
-    # fails the report (max(0.0, nan) would keep 0.0 and pass it)
-    for g in (ScaleFunction(1.0, lambda t: t * math.nan, "nan"),
-              ScaleFunction(1.0, lambda t: t - 2e6, "t-2e6")):
-        with pytest.raises(ValueError, match=r"g\(t_max\) must be positive"):
-            check_regular_variation(g, [0.5, 2.0], 1e6, 0.1)
-    nan_above = ScaleFunction(1.0, lambda t: np.where(t <= 1e6, t, math.nan), "nan above 1e6")
-    rep = check_regular_variation(nan_above, [0.5, 2.0], 1e6, 0.1)
-    assert math.isnan(rep.max_deviation)
-    assert not rep.passed
-    with pytest.raises(ValueError, match="tol must be positive"):
-        check_regular_variation(power_scale(1.0), [2.0], 1e6, math.nan)
-
-
-def test_regular_variation_tlog_deviation_closed_form():
-    # g(2t)/g(t) - 2 = 2*log(2)/log(t) for the t*log t scale
-    rep = check_regular_variation(power_log_scale(), [2.0], 1e8, 0.2)
-    want = 2.0 * math.log(2.0) / math.log(1e8)
-    assert math.isclose(rep.max_deviation, want, rel_tol=1e-12)
-    assert math.isclose(rep.max_deviation, 0.07525749891599487, rel_tol=1e-12)
-    assert rep.passed
-
-
-def test_regular_variation_log_deviation_closed_form():
-    rep = check_regular_variation(log_scale(), [2.0], 1e8, 0.05)
-    want = math.log(2.0) / math.log(1e8)
-    assert math.isclose(rep.max_deviation, want, rel_tol=1e-12)
-    assert rep.passed
-    tight = check_regular_variation(log_scale(), [2.0], 1e8, 0.01)
-    assert not tight.passed
-
-
-def test_half_index_limit_power_closed_form():
-    # g(log phi)/g(log t) with g(t)=t equals (L/2 + log(L)/2)/L at L = log t
-    h = half_index_limit(power_scale(1.0), 1.0, 1e8)
-    L = math.log(1e8)
-    want = (0.5 * L + 0.5 * math.log(L)) / L
-    assert math.isclose(h.ratio, want, rel_tol=1e-12)
-    assert math.isclose(h.ratio, 0.5790816047307129, rel_tol=1e-12)
-    assert h.predicted == 0.5
-
-
-def test_half_index_limit_log_closed_form():
-    h = half_index_limit(log_scale(), 1.0, 1e8)
-    L = math.log(1e8)
-    phi = math.sqrt(1e8 * math.log(L))
-    want = math.log(math.log(phi)) / math.log(L)
-    assert math.isclose(h.ratio, want, rel_tol=1e-12)
-    assert math.isclose(h.ratio, 0.7814573682660914, rel_tol=1e-12)
-    assert h.predicted == 1.0
-
-
-def test_half_index_limit_converges_toward_prediction():
-    g = power_scale(1.0)
-    devs = [abs(half_index_limit(g, 1.0, t).ratio - 0.5) for t in (1e4, 1e8, 1e16)]
-    assert devs[0] > devs[1] > devs[2]
 
 
 @settings(max_examples=60, deadline=None)

@@ -74,9 +74,7 @@ _SCALE_ENTRY_POINTS = {
     "split_estimate": lambda g, n: S.split_estimate(md.gaussian(), g, n, 1.0, 2000, 0),
     "bounded_array_mc": lambda g, n: S.bounded_array_mc(S.unit_sign_array(g), g, n, 1.0, 2000, 0),
     "plan_truncation": lambda g, n: S.plan_truncation(md.gaussian(), g, n),
-    "scaled_threshold": lambda g, n: md.scaled_threshold(g, 1.0, n),
     "truncation_level": lambda g, n: md.truncation_level(g, n, 0.5),
-    "half_index_limit": lambda g, n: md.half_index_limit(g, 1.0, n),
 }
 
 
@@ -86,8 +84,6 @@ _SCALE_ENTRY_POINTS = {
         pytest.param(g, n, entry, id=f"{name}-{entry}")
         for name, g, n in _BAD_SCALES
         for entry in _SCALE_ENTRY_POINTS
-        # half_index_limit refuses t_max <= e first, and log_scale is positive beyond e
-        if not (name == "zero" and entry == "half_index_limit")
     ],
 )
 def test_a_scale_without_positive_g_log_n_is_refused(scale, n, entry):
@@ -115,15 +111,8 @@ _BAD_POINTS = {
         lambda: S.crude_mc(TWO_POINT, G1, 100, 1.0, 1000.7, 0), "reps must be an integer"
     ),
     "plan_truncation-n=2.9": (lambda: S.plan_truncation(TWO_POINT, G1, 2.9), "n must be an integer"),
-    "scaled_threshold-s=nan": (lambda: md.scaled_threshold(G1, math.nan, 100), "s must be finite"),
-    "scaled_threshold-s=inf": (lambda: md.scaled_threshold(G1, math.inf, 100), "s must be finite"),
-    "scaled_threshold-n=inf": (lambda: md.scaled_threshold(G1, 1.0, math.inf), "n must be finite"),
     "truncation_level-delta_hat=nan": (
         lambda: md.truncation_level(G1, 100, math.nan), "delta_hat must be finite"
-    ),
-    "half_index_limit-s=nan": (lambda: md.half_index_limit(G1, math.nan, 100), "s must be finite"),
-    "half_index_limit-t_max=inf": (
-        lambda: md.half_index_limit(G1, 1.0, math.inf), "t_max must be finite"
     ),
     "levy_maximal_check-n=2.5": (
         lambda: S.levy_maximal_check([(-1, F(1, 2)), (1, F(1, 2))], 2.5, 1), "n must be an integer"

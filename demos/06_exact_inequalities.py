@@ -10,7 +10,7 @@ from mdtail import simulate as S
 law = ((F(-1), F(1, 2)), (F(1), F(1, 2)))
 print("median-corrected maximal inequalities for n fair signs, t = 1/2:")
 for n in (2, 3, 4, 5):
-    r = S.levy_maximal_check(law, n=n, t=F(1, 2))
+    (r,) = S.levy_maximal_sweep(law, n=n, thresholds=[F(1, 2)])
     print(f"  n={n}: increment side {r.increment_side} <= {r.increment_bound}"
           f"   prefix side {r.prefix_side} <= {r.prefix_bound}   passed={r.passed}")
 
@@ -20,10 +20,10 @@ for r in S.levy_maximal_sweep(skew, n=4, thresholds=[F(-2), F(0), F(2), F(4)]):
     print(f"  t={str(r.t):>3s}: {str(r.prefix_side):>12s} <= {str(r.prefix_bound):>12s}  passed={r.passed}")
 print()
 
-print("maximum lower bound (1 and n*p)/2 <= 1-(1-p)^n on a few corners:")
+print("maximum lower bound min(1, n*p)/2 <= 1-(1-p)^n on a few corners:")
 for p, n in ((0.0, 10), (1e-9, 10**6), (0.5, 1), (1.0, 3)):
-    r = S.max_lower_bound_check(p=p, n=n)
-    print(f"  p={p:<8g} n={n:<8d} lhs={r.lhs:.6g} rhs={r.rhs:.6g} passed={r.passed}")
+    failures = S.max_lower_bound_sweep([p], [n])
+    print(f"  p={p:<8g} n={n:<8d} failures={failures}")
 failures = S.max_lower_bound_sweep([k / 100 for k in range(101)], range(1, 501))
 print(f"  grid sweep: {failures} failures")
 print()
@@ -37,7 +37,7 @@ print("  so the normalized estimate approaches it from below as n grows.")
 for n in (1_000, 10_000):
     G = math.log(n)
     x_n = math.sqrt(n * G)
-    est = S.bounded_array_mc(arr, g, n=n, r=1.0, reps=400_000, seed=6, workers=4)
+    est = S.bounded_array_mc(arr, g, n=n, r=1.0, reps=400_000, seed=6)
     upper = S.kolmogorov_upper(B_n=float(n), M_n=1.0, x_n=x_n)
     floor = S.kolmogorov_lower(B_n=float(n), x_n=x_n, eps=0.001)
     print(f"  n={n:>6d}: p_hat {est.p_hat:.3e} <= upper {upper:.3e}: {est.p_hat <= upper};"

@@ -357,8 +357,10 @@ def inequality_law_grid() -> list[list[tuple[Fraction, Fraction]]]:
     return laws
 
 
-# Evenly spaced thresholds per (law, n) in the exact sweep, both ends included.
+# Evenly spaced thresholds per (law, n) in the exact sweep, both ends included,
+# and the sweep's largest n.
 _THRESHOLD_COUNT = 21
+_LEVY_N_MAX = 5
 
 
 def _threshold_grid(law, n: int) -> list[Fraction]:
@@ -376,12 +378,13 @@ def _threshold_grid(law, n: int) -> list[Fraction]:
     return [Fraction(lo_num * steps + k * span_num, den * steps) for k in range(_THRESHOLD_COUNT)]
 
 
-def levy_full_sweep(n_max: int = 5) -> tuple[int, int]:
-    """Exact maximal-inequality sweep over the law grid; returns (cases, failures)."""
+def levy_full_sweep() -> tuple[int, int]:
+    """Exact maximal-inequality sweep over the law grid at n = 1.._LEVY_N_MAX; returns
+    (cases, failures)."""
     cases = 0
     failures = 0
     for law in inequality_law_grid():
-        for n in range(1, n_max + 1):
+        for n in range(1, _LEVY_N_MAX + 1):
             for res in levy_maximal_sweep(law, n, _threshold_grid(law, n)):
                 cases += 1
                 if not res.passed:

@@ -7,15 +7,16 @@ chunk order.  Threads run one per core and per span: a span is a run of
 a chunk's rows that reaches its first row's words by jumping the chunk's
 stream ahead, so threads share a chunk and a chunk's pieces are joined in
 row order before it is reduced (see _chunked_sums).  Worker count therefore
-changes wall time only, never output bytes.  The crude estimator reads a
+changes wall time only, never output bytes.  The sign-array estimator is
+the exception: a row is one binomial draw, so it draws every row in order
+from the one stream (seed, 0) on one thread.  The crude estimator reads a
 value's 16-bit cell from a lane of the chunk's raw words and its fine bits
 from the chunk's first child stream (seed, spawn_key=(k, 0)), at a position
 fixed by the row and value.  It screens rows on per-cell bounds whose top
 edge is the largest uniform it builds, 1 - 2^-53, then re-screens the kept
 rows with their loose values (+inf cells and the end cell of u with the
-larger bound) mapped exactly, reading those values' fine bits through a
-second generator on the same child seed; only the rows left are mapped
-whole (see _crude_hits).  The tilted and split estimators draw from
+larger bound) mapped exactly; only the rows left are mapped whole (see
+_crude_hits).  The tilted and split estimators draw from
 an alias table with one gather per draw on interleaved (value, alias value)
 pairs, in a block-sized workspace that each thread keeps and reuses across
 blocks, chunks and estimates (see _alias_sums_above).  _point is the one
@@ -53,7 +54,6 @@ __all__ = [
     "TruncationScheme",
     "TriangularSignArray",
     "LevyCheckResult",
-    "MaxBoundResult",
     "plan_truncation",
     "crude_mc",
     "tilted_mc_truncated",
@@ -62,16 +62,15 @@ __all__ = [
     "unit_sign_array",
     "kolmogorov_upper",
     "kolmogorov_lower",
-    "levy_maximal_check",
     "levy_maximal_sweep",
-    "max_lower_bound_check",
     "max_lower_bound_sweep",
 ]
 
 # A chunk (about CHUNK_TARGET = reps * n elements, one stream (seed, k))
 # fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
 # a cache unit: it takes the chunk's next draws in order (the crude fine bits
-# by position) and a law maps each uniform alone, so it changes nothing.  It
+# by position) and a law maps each uniform alone, so it changes nothing; the
+# sign-array estimator draws its one stream in blocks of _BLOCK_ELEMS rows.  It
 # also sizes the tilted kernel's workspace, which each thread keeps (see
 # _workspace), so sampling allocates no block-sized array once a thread has one.
 # The crude kernel's ceiling table bounds a law's uniform map on _CEILING_CELLS
@@ -180,7 +179,7 @@ def _cores() -> int:
 
 
 def _chunked_sums(
-    draw, reduce, reps: int, n: int, seed: int, workers: int, row_words: int | None
+    draw, reduce, reps: int, n: int, seed: int, workers: int, row_words: int
 ) -> list:
     """Draw every span of every chunk and add the chunks' partial sums in chunk order.
 
@@ -193,9 +192,7 @@ def _chunked_sums(
     draw(rng, first, rows) returns a span's piece, and reduce(pieces) turns a
     chunk's pieces, in row order, into its tuple of partial sums; adding the
     tuples in chunk order keeps the totals independent of the worker count.
-    row_words None (a row takes a varying number of words) keeps each chunk
-    one span.  At most one thread runs per core and per span, since more
-    only contend.
+    At most one thread runs per core and per span, since more only contend.
     """
     workers = _whole(workers, "workers")
     if workers < 1:
@@ -204,7 +201,7 @@ def _chunked_sums(
     threads = min(workers, _cores())
     spans, per_chunk = [], []  # spans (k, first, end) in chunk and row order
     for k, size in enumerate(sizes):
-        cuts = 1 if row_words is None else min(threads, size)
+        cuts = min(threads, size)
         spans += [(k, size * j // cuts, size * (j + 1) // cuts) for j in range(cuts)]
         per_chunk.append(cuts)
 
@@ -267,8 +264,9 @@ def _draw_runs(bits: PCG64DXSM, at: int, items: np.ndarray, width: int) -> tuple
     """Draw items (sorted, distinct) from bits, which stands at word at; return them and the new at.
 
     Item j is the width words from word items[j]*width of the stream.  Each
-    run of consecutive items is reached by one jump ahead and drawn by one
-    call, so dense items cost no Python loop per item.
+    run of consecutive items is reached by one jump, ahead or back (advance
+    takes a negative count), and drawn by one call, so dense items cost no
+    Python loop per item.
     """
     cuts = [0, *(np.flatnonzero(np.diff(items) != 1) + 1).tolist(), items.size]
     words = []
@@ -307,18 +305,18 @@ def _crude_hits(
     ceiling sum >= exact sum.  A kept row's loose values, those in a loose
     cell (see _ceiling_table), then take their exact values as
     bounds (an exact value bounds itself, and a value does not depend on its
-    call-mates), with fine words drawn by a second generator on the same
-    child seed; the row is summed again in the same order and dropped unless
+    call-mates); the row is summed again in the same order and dropped unless
     that sum exceeds threshold.  Only the rows left draw their fine words and
-    are mapped exactly.  Both generators reach their words by jumping ahead,
+    are mapped exactly.  One generator on the child seed reads every fine
+    word, jumping to it (back to a kept row's start after its loose values),
     one draw per run of consecutive positions.
     """
     words_per_row = -(-n // 4)
     block_rows = max(1, _BLOCK_ELEMS // n)
     coarse = rng.bit_generator
     child = coarse.seed_seq.spawn(1)[0]
-    fine, probe = PCG64DXSM(child), PCG64DXSM(child)
-    fine_at = probe_at = 0  # each generator's position, in words
+    fine = PCG64DXSM(child)
+    fine_at = 0  # its position, in words
     loose_cell = np.isinf(ceiling)
     loose_cell[-1 if ceiling[-1] >= ceiling[0] else 0] = True
     # one buffer for every block's ceilings
@@ -342,8 +340,8 @@ def _crude_hits(
         if loose.size:
             row = loose // n
             positions = loose + (r0 + kept[row] - row) * n
-            probe_words, probe_at = _draw_runs(probe, probe_at, positions, 1)
-            exact = from_uniform(_grid_uniform(kept_cells.ravel()[loose], probe_words))
+            loose_words, fine_at = _draw_runs(fine, fine_at, positions, 1)
+            exact = from_uniform(_grid_uniform(kept_cells.ravel()[loose], loose_words))
             tight = bounds[kept]  # a fresh contiguous copy, so ravel() is a view
             tight.ravel()[loose] = exact
             survive = tight.sum(axis=1) > threshold
@@ -385,24 +383,8 @@ def _finish_estimate(
     )
 
 
-def _hit_frequency(
-    count_hits,
-    reps: int,
-    seed: int,
-    workers: int,
-    n: int,
-    x: float,
-    G: float,
-    row_words: int | None,
-) -> Estimate:
-    """Binomial estimate from per-span hit counts: p_hat = hits/reps and its stderr.
-
-    count_hits(rng, first, rows) counts a span's hits (see _chunked_sums);
-    counts are integers, so a chunk's spans add to the chunk's count exactly.
-    """
-    (hits,) = _chunked_sums(
-        count_hits, lambda counts: (sum(counts),), reps, n, seed, workers, row_words
-    )
+def _hit_frequency(hits: int, reps: int, n: int, x: float, G: float) -> Estimate:
+    """Binomial estimate from a hit count: p_hat = hits/reps and its stderr."""
     p_hat = hits / reps
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / reps)
     return _finish_estimate(p_hat, stderr, n, x, G, "crude", reps)
@@ -425,8 +407,12 @@ def crude_mc(
     def count_hits(rng, first: int, rows: int) -> int:
         return _crude_hits(rng, first, rows, n, model.from_uniform, threshold, ceiling)
 
-    # a row's cells take ceil(n/4) words of the chunk's stream
-    return _hit_frequency(count_hits, reps, seed, workers, n, x, G, -(-n // 4))
+    # a row's cells take ceil(n/4) words of the chunk's stream; hit counts are
+    # integers, so a chunk's spans add to the chunk's count exactly
+    (hits,) = _chunked_sums(
+        count_hits, lambda counts: (sum(counts),), reps, n, seed, workers, -(-n // 4)
+    )
+    return _hit_frequency(hits, reps, n, x, G)
 
 
 def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationScheme:
@@ -751,7 +737,6 @@ def bounded_array_mc(
     r: float,
     reps: int,
     seed: int,
-    workers: int = 1,
 ) -> Estimate:
     """Estimate P(sum of row-n signs > r*sqrt(n*g(log n))) for a sign array.
 
@@ -760,9 +745,9 @@ def bounded_array_mc(
     violating it are rejected because the comparison against the quadratic
     rate is only meaningful for negligible summands.
 
-    A row's binomial draw takes a varying number of words of the chunk's
-    stream, so no jump reaches a row's first word and each chunk stays one
-    span, drawn by one thread (see _chunked_sums).
+    Row j's sum is b*(2H_j - n), H_j ~ Bin(n, 1/2) the j-th binomial draw of
+    the one stream (seed, 0).  The draws are taken in order in blocks of
+    _BLOCK_ELEMS, so the block size changes no bit.
     """
     n, reps, G, a_n = _point(g, n, reps, r)
     b = _finite_positive(float(array.magnitude(n)), "magnitude(n)")
@@ -775,12 +760,12 @@ def bounded_array_mc(
     if any(t2 > t1 + 1e-15 for t1, t2 in zip(taus[:-1], taus[1:])) or not taus[-1] < taus[0]:
         raise ValueError("tau must decrease toward zero along growing n")
     threshold = r * a_n
-
-    def count_hits(rng, first: int, rows: int) -> int:
-        heads = rng.binomial(n, 0.5, size=rows)
-        return int(np.count_nonzero(b * (2.0 * heads - n) > threshold))
-
-    return _hit_frequency(count_hits, reps, seed, workers, n, r, G, None)
+    rng = _rng_stream(seed, 0)
+    hits = 0
+    for first in range(0, reps, _BLOCK_ELEMS):
+        heads = rng.binomial(n, 0.5, size=min(_BLOCK_ELEMS, reps - first))
+        hits += int(np.count_nonzero(b * (2.0 * heads - n) > threshold))
+    return _hit_frequency(hits, reps, n, r, G)
 
 
 def kolmogorov_upper(B_n: float, M_n: float, x_n: float) -> float:
@@ -938,33 +923,9 @@ def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     return results
 
 
-def levy_maximal_check(weights, n: int, t) -> LevyCheckResult:
-    return levy_maximal_sweep(weights, n, [t])[0]
-
-
-@dataclass(frozen=True)
-class MaxBoundResult:
-    p: float
-    n: int
-    lhs: float
-    rhs: float
-    passed: bool
-
-
-def max_lower_bound_check(p: float, n: int) -> MaxBoundResult:
-    """Check (1 and n*p)/2 <= 1 - (1-p)^n, the i.i.d. maximum lower bound."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must be a probability")
-    n = _whole(n, "n")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    lhs = min(1.0, n * p) / 2.0
-    rhs = 1.0 if p >= 1.0 else -math.expm1(n * math.log1p(-p))
-    return MaxBoundResult(p=p, n=n, lhs=lhs, rhs=rhs, passed=lhs <= rhs)
-
-
 def max_lower_bound_sweep(p_values, n_values) -> int:
-    """Vectorized grid sweep of max_lower_bound_check; returns the failure count."""
+    """How many cells (p, n) of the grid p_values x n_values fail
+    min(1, n*p)/2 <= 1 - (1-p)^n, the i.i.d. maximum lower bound."""
     p = np.asarray(p_values, dtype=float)[:, None]
     n = np.asarray(n_values, dtype=float)[None, :]
     if not np.all((p >= 0) & (p <= 1)):

@@ -65,10 +65,11 @@ def _rng_stream(seed: int, stream: int) -> Generator:
     """PCG64DXSM generator keyed by SeedSequence(seed, spawn_key=(stream,)).
 
     (seed, stream) fully determines the draws; both are taken mod 2^64, so a
-    negative seed is masked, not rejected.  Tilted, split and sign-array
-    chunks and TailModel.sample draw from the generator; a crude chunk reads
-    its raw words as 16-bit cells and takes its fine bits from the key's
-    first child, SeedSequence(seed, spawn_key=(stream, 0)).
+    negative seed is masked, not rejected.  Tilted and split chunks, the
+    sign-array estimator (its one stream 0) and TailModel.sample draw from
+    the generator; a crude chunk reads its raw words as 16-bit cells and
+    takes its fine bits from the key's first child,
+    SeedSequence(seed, spawn_key=(stream, 0)).
     """
     key = SeedSequence(seed & _MASK64, spawn_key=(stream & _MASK64,))
     return Generator(PCG64DXSM(key))

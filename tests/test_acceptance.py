@@ -158,8 +158,8 @@ def test_a5_sandwich_brackets_crude(a5_crude):
 def test_a6_kolmogorov_envelopes():
     # the criterion of `mdtail verify envelopes`, on twice its 2e5 reps
     g = md.power_scale(1.0)
-    ests = [S.bounded_array_mc(S.unit_sign_array(g), g, n=n, r=1.0, reps=400_000, seed=20260814,
-                               workers=WORKERS) for n in (1000, 10_000)]
+    ests = [S.bounded_array_mc(S.unit_sign_array(g), g, n=n, r=1.0, reps=400_000, seed=20260814)
+            for n in (1000, 10_000)]
     assert _verdict("A6 exponential envelopes", *report._envelope_verdict(g, ests))
 
 

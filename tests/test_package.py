@@ -79,3 +79,8 @@ def test_removed_names_are_gone():
     assert params(tails._LogSurvivalInverse) == {"w_fn", "u_lo"}
     assert params(tails._decay_side) == {"h", "u0", "u_breaks", "what"}
     assert "atom" not in params(tails._assemble_two_sided)
+    # each exact check has one entry, its sweep, and the sign array draws one stream
+    for name in ("levy_maximal_check", "max_lower_bound_check", "MaxBoundResult"):
+        assert not hasattr(simulate, name) and not hasattr(mdtail, name), name
+    assert "workers" not in params(simulate.bounded_array_mc)
+    assert params(report.levy_full_sweep) == set()

@@ -114,10 +114,9 @@ _BAD_POINTS = {
     "truncation_level-delta_hat=nan": (
         lambda: md.truncation_level(G1, 100, math.nan), "delta_hat must be finite"
     ),
-    "levy_maximal_check-n=2.5": (
-        lambda: S.levy_maximal_check([(-1, F(1, 2)), (1, F(1, 2))], 2.5, 1), "n must be an integer"
+    "levy_maximal_sweep-n=2.5": (
+        lambda: S.levy_maximal_sweep([(-1, F(1, 2)), (1, F(1, 2))], 2.5, [1]), "n must be an integer"
     ),
-    "max_lower_bound_check-n=2.5": (lambda: S.max_lower_bound_check(0.3, 2.5), "n must be an integer"),
     "max_lower_bound_sweep-n=2.5": (lambda: S.max_lower_bound_sweep([0.3], [2.5]), "n must be an integer"),
     "sample-n=2.5": (lambda: md.gaussian().sample(1, 2.5), "n must be an integer"),
     "bounded_array_mc-magnitude=nan": (
@@ -770,6 +769,25 @@ def test_sign_array_envelope_rejections():
         S.bounded_array_mc(flat_tau, G1, n=1000, r=1.0, reps=1000, seed=1)
 
 
+def test_sign_array_draws_every_row_from_one_stream(monkeypatch):
+    # row j is the j-th binomial draw of the stream (seed, 0), whatever the block size
+    n, reps, seed = 1000, 20_000, 14
+    heads = S._rng_stream(seed, 0).binomial(n, 0.5, reps)
+    hits = int(np.count_nonzero(2.0 * heads - n > math.sqrt(n * math.log(n))))
+    stream, keys = S._rng_stream, []
+
+    def counted(seed, k):
+        keys.append(k)
+        return stream(seed, k)
+
+    monkeypatch.setattr(S, "_rng_stream", counted)
+    est = S.bounded_array_mc(S.unit_sign_array(G1), G1, n=n, r=1.0, reps=reps, seed=seed)
+    assert est.p_hat == hits / reps and keys == [0]
+    monkeypatch.setattr(S, "_BLOCK_ELEMS", 256)
+    again = S.bounded_array_mc(S.unit_sign_array(G1), G1, n=n, r=1.0, reps=reps, seed=seed)
+    assert (again.p_hat, again.stderr) == (est.p_hat, est.stderr)
+
+
 # --------------------------------------------- exponential tail envelopes
 
 
@@ -882,7 +900,7 @@ ASYM_LAW = ((F(-1), F(1, 2)), (F(0), F(3, 10)), (F(2), F(1, 5)))
     ],
 )
 def test_levy_check_agrees_with_brute_force(law, n, t):
-    res = S.levy_maximal_check(law, n=n, t=t)
+    (res,) = S.levy_maximal_sweep(law, n=n, thresholds=[t])
     want = _oracle_levy(list(law), n, t)
     got = (res.increment_side, res.increment_bound, res.prefix_side, res.prefix_bound)
     assert got == want
@@ -890,11 +908,11 @@ def test_levy_check_agrees_with_brute_force(law, n, t):
 
 
 def test_levy_frozen_values():
-    res = S.levy_maximal_check(SIGN_LAW, n=4, t=F(1, 2))
+    (res,) = S.levy_maximal_sweep(SIGN_LAW, n=4, thresholds=[F(1, 2)])
     assert (res.increment_side, res.increment_bound) == (F(15, 16), F(5, 4))
     assert (res.prefix_side, res.prefix_bound) == (F(5, 8), F(5, 8))
     # equality case: the prefix inequality is tight here and must still pass
-    res = S.levy_maximal_check(SIGN_LAW, n=2, t=F(0))
+    (res,) = S.levy_maximal_sweep(SIGN_LAW, n=2, thresholds=[F(0)])
     assert res.prefix_side == res.prefix_bound == F(1, 2)
     assert res.passed_prefix
 
@@ -904,7 +922,7 @@ def test_levy_sweep_matches_pointwise_checks():
     swept = S.levy_maximal_sweep(SIGN_LAW, n=3, thresholds=thresholds)
     assert [r.t for r in swept] == thresholds
     for r, t in zip(swept, thresholds):
-        single = S.levy_maximal_check(SIGN_LAW, n=3, t=t)
+        (single,) = S.levy_maximal_sweep(SIGN_LAW, n=3, thresholds=[t])
         assert (r.increment_side, r.prefix_side) == (
             single.increment_side,
             single.prefix_side,
@@ -946,7 +964,7 @@ def _levy_cases(draw):
 @given(_levy_cases())
 def test_levy_check_agrees_with_brute_force_on_drawn_laws(case):
     law, n, t = case
-    res = S.levy_maximal_check(law, n=n, t=t)
+    (res,) = S.levy_maximal_sweep(law, n=n, thresholds=[t])
     got = (res.increment_side, res.increment_bound, res.prefix_side, res.prefix_bound)
     assert got == _oracle_levy(law, n, t)
     assert res.t == F(t)
@@ -971,29 +989,25 @@ def test_levy_full_sweep_is_pinned():
 
 def test_levy_validation():
     with pytest.raises(ValueError, match="at most 4"):
-        S.levy_maximal_check(tuple((F(k), F(1, 5)) for k in range(5)), n=2, t=F(0))
+        S.levy_maximal_sweep(tuple((F(k), F(1, 5)) for k in range(5)), 2, [F(0)])
     with pytest.raises(ValueError, match="sum to exactly 1"):
-        S.levy_maximal_check(((F(0), F(1, 2)), (F(1), F(1, 3))), n=2, t=F(0))
+        S.levy_maximal_sweep(((F(0), F(1, 2)), (F(1), F(1, 3))), 2, [F(0)])
     with pytest.raises(ValueError, match="1 <= n <= 6"):
-        S.levy_maximal_check(SIGN_LAW, n=7, t=F(0))
+        S.levy_maximal_sweep(SIGN_LAW, 7, [F(0)])
     with pytest.raises(ValueError, match="positive"):
-        S.levy_maximal_check(((F(0), F(1)), (F(1), F(0))), n=2, t=F(0))
+        S.levy_maximal_sweep(((F(0), F(1)), (F(1), F(0))), 2, [F(0)])
     with pytest.raises(ValueError, match="distinct"):
-        S.levy_maximal_check(((F(0), F(1, 2)), (F(0), F(1, 2))), n=2, t=F(0))
+        S.levy_maximal_sweep(((F(0), F(1, 2)), (F(0), F(1, 2))), 2, [F(0)])
 
 
 def test_max_lower_bound_boundaries():
-    r = S.max_lower_bound_check(p=0.0, n=5)
-    assert r.lhs == 0.0 and r.rhs == 0.0 and r.passed
-    r = S.max_lower_bound_check(p=1.0, n=1)
-    assert r.lhs == 0.5 and r.rhs == 1.0 and r.passed
-    with pytest.raises(ValueError):
-        S.max_lower_bound_check(p=1.5, n=1)
-    with pytest.raises(ValueError):
-        S.max_lower_bound_check(p=0.5, n=0)
-    for n in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="n must"):
-            S.max_lower_bound_check(p=0.5, n=n)
+    # p = 0 meets the bound with equality (0 <= 0) and p = 1 with room (1/2 <= 1)
+    assert S.max_lower_bound_sweep([0.0], [5]) == 0
+    assert S.max_lower_bound_sweep([1.0], [1]) == 0
+    with pytest.raises(ValueError, match="p must"):
+        S.max_lower_bound_sweep([1.5], [1])
+    with pytest.raises(ValueError, match="n must"):
+        S.max_lower_bound_sweep([0.5], [0])
 
 
 def test_max_lower_bound_sweep():
@@ -1011,7 +1025,7 @@ def test_max_lower_bound_sweep():
 @settings(max_examples=200, deadline=None)
 @given(p=st.floats(0.0, 1.0), n=st.integers(1, 10**6))
 def test_max_lower_bound_property(p, n):
-    assert S.max_lower_bound_check(p=p, n=n).passed
+    assert S.max_lower_bound_sweep([p], [n]) == 0
 
 
 # --------------------------------------------------------- trajectories
@@ -1041,9 +1055,6 @@ def test_worker_count_never_changes_results():
         ),
         "tilted": lambda w: S.tilted_mc_truncated(
             TWO_POINT, G1, n=30, x=0.5, reps=50_000, seed=9, workers=w
-        ),
-        "signs": lambda w: S.bounded_array_mc(
-            S.unit_sign_array(G1), G1, n=1000, r=1.0, reps=50_000, seed=9, workers=w
         ),
     }
     for label, fn in runs.items():
@@ -1106,9 +1117,8 @@ def test_spans_give_the_bits_of_one_thread(monkeypatch, threads, n, reps, target
 def test_eight_threads_give_the_bytes_of_one(monkeypatch):
     # the pool is capped at the core count; claim 8 cores so 8 real threads
     # run (every span of the first 8 chunks meets at a barrier, which fewer
-    # threads never pass: 8 spans per chunk for crude and tilted, whose
-    # chunks hold at least 8 rows, and one for the sign array), and use small
-    # chunks so every estimator cuts at least 8
+    # threads never pass: 8 spans per chunk, since every chunk holds at least
+    # 8 rows), and use small chunks so every estimator cuts at least 8
     monkeypatch.setattr(S, "_cores", lambda: 8)
     monkeypatch.setattr(S, "CHUNK_TARGET", 1 << 14)
     stream = S._rng_stream
@@ -1123,9 +1133,6 @@ def test_eight_threads_give_the_bytes_of_one(monkeypatch):
     runs = {
         "crude": lambda w: S.crude_mc(md.pareto(3.0), G1, n=1000, x=1.0, reps=5000, seed=9, workers=w),
         "tilted": lambda w: S.tilted_mc_truncated(TWO_POINT, G1, n=30, x=0.5, reps=5000, seed=9, workers=w),
-        "signs": lambda w: S.bounded_array_mc(
-            S.unit_sign_array(G1), G1, n=1000, r=1.0, reps=5000, seed=9, workers=w
-        ),
     }
     for label, fn in runs.items():
         barrier = None

@@ -194,7 +194,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, and bytes that are not UTF-8
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
@@ -710,7 +710,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run an experiment config and write artifacts")
     p_run.add_argument("config", help="path to a JSON experiment config")
-    p_run.add_argument("--workers", type=int, default=1, help="concurrent chunk workers")
+    p_run.add_argument("--workers", type=int, default=1, help="threads that draw each estimate")
     p_run.add_argument("--out", default=None, help="output directory (overrides config and env)")
     p_verify = sub.add_parser("verify", help="run a bundled verification suite")
     p_verify.add_argument("suite", choices=(*_SUITES, "all"))

@@ -1,29 +1,26 @@
 """Monte Carlo estimators, exponential bounds, and exact inequality verifiers.
 
-Estimators are deterministic for a given seed: replications are cut into
-fixed-size chunks, chunk k draws from its own PCG64DXSM stream keyed by
-SeedSequence(seed, spawn_key=(k,)), and partial results are reduced in
-chunk order.  Threads run one per core and per span: a span is a run of
-a chunk's rows that reaches its first row's words by jumping the chunk's
-stream ahead, so threads share a chunk and a chunk's pieces are joined in
-row order before it is reduced (see _chunked_sums).  Worker count therefore
-changes wall time only, never output bytes.  The sign-array estimator is
-the exception: a row is one binomial draw, so it draws every row in order
-from the one stream (seed, 0) on one thread.  The crude estimator reads a
-value's 16-bit cell from a lane of the chunk's raw words and its fine bits
-from the chunk's first child stream (seed, spawn_key=(k, 0)), at a position
-fixed by the row and value.  It screens rows on per-cell bounds whose top
-edge is the largest uniform it builds, 1 - 2^-53, then re-screens the kept
-rows with their loose values (+inf cells and the end cell of u with the
-larger bound) mapped exactly; only the rows left are mapped whole (see
-_crude_hits).  The tilted and split estimators draw from
-an alias table with one gather per draw on interleaved (value, alias value)
-pairs, in a block-sized workspace that each thread keeps and reuses across
-blocks, chunks and estimates (see _alias_sums_above).  _point is the one
-statement of a point: every estimator and a config's grid check (n, reps,
-x, eps) there, through scale's rules, and get the deviation scale
-sqrt(n * g(log n)); the exact checks, max_lower_bound_sweep's n included,
-take n through scale's _whole, so none rounds or takes a fractional n.
+Estimators are deterministic for a given seed: row r of an estimate reads
+its own run of words of the one PCG64DXSM stream keyed by
+SeedSequence(seed, spawn_key=(0,)).  Threads run one per core and per span:
+a span is a run of rows that reaches its first row's words by jumping the
+stream ahead, and every span's piece is reduced at once, in row order (see
+_span_sums).  Worker count therefore changes wall time only, never output
+bytes.  The crude estimator reads a value's 16-bit cell from a lane of the
+stream's raw words and its fine bits from the stream's first child,
+SeedSequence(seed, spawn_key=(0, 0)), at a position fixed by the row and
+value.  It screens rows on per-cell bounds whose top edge is the largest
+uniform it builds, 1 - 2^-53, then re-screens the kept rows with their loose
+values (+inf cells and the end cell of u with the larger bound) mapped
+exactly; only the rows left are mapped whole (see _crude_hits).  The tilted
+and split estimators draw from an alias table with one gather per draw on
+interleaved (value, alias value) pairs, in a block-sized workspace that each
+thread keeps and reuses across the blocks of its spans, for as long as the
+thread lives (see _alias_sums_above).  _point is the one statement of a
+point: every estimator and a config's grid check (n, reps, x, eps) there,
+through scale's rules, and get the deviation scale sqrt(n * g(log n)); the
+exact checks, max_lower_bound_sweep's n included, take n through scale's
+_whole, so none rounds or takes a fractional n.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -66,13 +63,13 @@ __all__ = [
     "max_lower_bound_sweep",
 ]
 
-# A chunk (about CHUNK_TARGET = reps * n elements, one stream (seed, k))
-# fixes the results.  A block (whole rows, _BLOCK_ELEMS elements or one row) is
-# a cache unit: it takes the chunk's next draws in order (the crude fine bits
-# by position) and a law maps each uniform alone, so it changes nothing; the
-# sign-array estimator draws its one stream in blocks of _BLOCK_ELEMS rows.  It
-# also sizes the tilted kernel's workspace, which each thread keeps (see
-# _workspace), so sampling allocates no block-sized array once a thread has one.
+# A span (at most CHUNK_TARGET = rows * n values) is a thread's unit of work.
+# A block (whole rows, _BLOCK_ELEMS elements or one row) is a cache unit: it
+# takes the span's next draws in order (the crude fine bits by position) and a
+# law maps each uniform alone, so neither changes a bit; the sign-array
+# estimator draws its stream in blocks of _BLOCK_ELEMS rows.  A block also
+# sizes the tilted kernel's workspace, which each thread keeps (see
+# _workspace), so a thread allocates no block-sized array once it has one.
 # The crude kernel's ceiling table bounds a law's uniform map on _CEILING_CELLS
 # equal cells of u in [0, 1), one per value of a 16-bit lane.
 CHUNK_TARGET = 1 << 22
@@ -163,14 +160,6 @@ def _point(g: ScaleFunction, n: int, reps: int, x: float, eps: float | None = No
     return n, reps, G, math.sqrt(n * G)
 
 
-def _chunk_sizes(reps: int, n: int) -> list[int]:
-    per = max(1, CHUNK_TARGET // max(n, 1))
-    sizes = [per] * (reps // per)
-    if reps % per:
-        sizes.append(reps % per)
-    return sizes
-
-
 def _cores() -> int:
     """CPUs this process may run on (all of the machine's where affinity is unknown)."""
     if hasattr(os, "sched_getaffinity"):
@@ -178,53 +167,39 @@ def _cores() -> int:
     return os.cpu_count() or 1
 
 
-def _chunked_sums(
-    draw, reduce, reps: int, n: int, seed: int, workers: int, row_words: int
-) -> list:
-    """Draw every span of every chunk and add the chunks' partial sums in chunk order.
+def _span_sums(draw, reduce, reps: int, n: int, seed: int, workers: int, row_words: int):
+    """Draw the reps rows of n values in spans and reduce every piece at once.
 
-    Chunk k holds sizes[k] of the reps rows of n values and draws them from
-    its own stream (seed, k).  When more than one thread runs, each chunk's
-    rows are cut into near-equal spans, one per thread: the span of rows
-    [first, first + rows) builds the chunk's stream and jumps it ahead by
-    first * row_words words (PCG jump-ahead), so each row reads the words it
-    reads when the chunk is drawn whole, and threads share a chunk.
-    draw(rng, first, rows) returns a span's piece, and reduce(pieces) turns a
-    chunk's pieces, in row order, into its tuple of partial sums; adding the
-    tuples in chunk order keeps the totals independent of the worker count.
-    At most one thread runs per core and per span, since more only contend.
+    Row r reads words [r * row_words, (r + 1) * row_words) of the one stream
+    (seed, 0).  The rows are cut into balanced spans of at most CHUNK_TARGET
+    values, as many as a multiple of the threads that run; the span of rows
+    [first, first + rows) builds the stream and jumps it ahead by
+    first * row_words words (PCG jump-ahead), so each row reads its own words
+    whatever the spans.  draw(rng, first, rows) returns a span's piece, and
+    reduce(pieces) is called once, on every piece in row order, so the result
+    is independent of the worker count.  At most one thread runs per core and
+    per span, since more only contend.
     """
     workers = _whole(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1; got {workers!r}")
-    sizes = _chunk_sizes(reps, n)
     threads = min(workers, _cores())
-    spans, per_chunk = [], []  # spans (k, first, end) in chunk and row order
-    for k, size in enumerate(sizes):
-        cuts = min(threads, size)
-        spans += [(k, size * j // cuts, size * (j + 1) // cuts) for j in range(cuts)]
-        per_chunk.append(cuts)
+    per = max(1, CHUNK_TARGET // max(n, 1))
+    count = min(reps, threads * -(-reps // (per * threads)))
+    spans = [(reps * j // count, reps * (j + 1) // count) for j in range(count)]
 
     def one_span(span):
-        k, first, end = span
-        rng = _rng_stream(seed, k)
+        first, end = span
+        rng = _rng_stream(seed)
         if first:
             rng.bit_generator.advance(first * row_words)
         return draw(rng, first, end - first)
 
-    def add_in_chunk_order(pieces) -> list:
-        pieces = iter(pieces)
-        totals = None
-        for cuts in per_chunk:
-            part = reduce(list(islice(pieces, cuts)))
-            totals = part if totals is None else [t + v for t, v in zip(totals, part)]
-        return list(totals)
-
-    pool_size = min(threads, len(spans))
+    pool_size = min(threads, count)
     if pool_size <= 1:
-        return add_in_chunk_order(map(one_span, spans))
+        return reduce(list(map(one_span, spans)))
     with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        return add_in_chunk_order(pool.map(one_span, spans))
+        return reduce(list(pool.map(one_span, spans)))
 
 
 def _ceiling_table(model: TailModel) -> np.ndarray:
@@ -286,17 +261,17 @@ def _grid_uniform(cells: np.ndarray, fine: np.ndarray) -> np.ndarray:
 def _crude_hits(
     rng, first: int, rows: int, n: int, from_uniform, threshold: float, ceiling: np.ndarray
 ) -> int:
-    """How many of the rows [first, first + rows) of a chunk have a sum above threshold.
+    """How many of the rows [first, first + rows) have a sum above threshold.
 
-    rng is the chunk's stream jumped ahead to row first.  Row r of the chunk
-    reads W = ceil(n/4) raw words of the stream, and value i of the row takes
+    rng is the stream (seed, 0) jumped ahead to row first.  Row r reads
+    W = ceil(n/4) raw words of the stream, and value i of the row takes
     as its cell the 16-bit lane i % 4 of word r*W + i//4 (lane j is bits
     16j..16j+15 on every platform); the unused lanes of a row's last word
     are dropped.  A value's fine word is word r*n + i of the stream's
-    first child, SeedSequence(seed, spawn_key=(k, 0)), and its uniform
+    first child, SeedSequence(seed, spawn_key=(0, 0)), and its uniform
     u = (cell*2^37 + (fine >> 27)) * 2^-53 lies on Generator.random's 53-bit
     grid, at most 1 - 2^-53, and in its own cell, so every u is fixed by
-    (seed, k, r, i) whatever the block size or the screens.
+    (seed, r, i) whatever the spans, the block size or the screens.
 
     Each row is summed over its cells' ceilings (see _ceiling_table), and
     only rows whose ceiling sum exceeds threshold are kept.  The others
@@ -407,11 +382,8 @@ def crude_mc(
     def count_hits(rng, first: int, rows: int) -> int:
         return _crude_hits(rng, first, rows, n, model.from_uniform, threshold, ceiling)
 
-    # a row's cells take ceil(n/4) words of the chunk's stream; hit counts are
-    # integers, so a chunk's spans add to the chunk's count exactly
-    (hits,) = _chunked_sums(
-        count_hits, lambda counts: (sum(counts),), reps, n, seed, workers, -(-n // 4)
-    )
+    # a row's cells take ceil(n/4) words of the stream
+    hits = _span_sums(count_hits, sum, reps, n, seed, workers, -(-n // 4))
     return _hit_frequency(hits, reps, n, x, G)
 
 
@@ -541,8 +513,10 @@ def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     """Buffers (uniforms, columns, probabilities, coins) of at least size elements each.
 
     Up to _BLOCK_ELEMS elements the calling thread gets the one set it keeps
-    (about 1.6 MiB), so its blocks, chunks and estimates fault no fresh
-    pages in; a row longer than a block gets a set that is not kept.
+    (about 1.6 MiB), so the blocks of every span it draws fault no fresh
+    pages in; a row longer than a block gets a set that is not kept.  A
+    thread of _span_sums's pool lives for one estimate, so only a serial
+    estimate's main thread keeps its set across estimates.
     """
     kept = getattr(_local, "workspace", None)
     # a kept set sized for another _BLOCK_ELEMS (tests patch it) is replaced
@@ -613,15 +587,15 @@ def _tilted_sum_estimate(
         return _alias_sums_above(rng, rows, n, prob, pairs, target_sum)
 
     def weight_sums(found: list[np.ndarray]) -> tuple[float, float]:
-        # a chunk's row sums joined in row order, so the float sums below
-        # add the same array whatever the spans
+        # every row sum above the target, in row order, so the float sums
+        # below add the same array whatever the spans
         T = found[0] if len(found) == 1 else np.concatenate(found)
         # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
         w = np.exp(n * K - theta * T)
         return float(w.sum()), float((w * w).sum())
 
     # Generator.random takes one word per double, so a row takes n words
-    s1, s2 = _chunked_sums(sums_above, weight_sums, reps, n, seed, workers, n)
+    s1, s2 = _span_sums(sums_above, weight_sums, reps, n, seed, workers, n)
     p_hat = s1 / reps
     var = max(s2 - reps * p_hat * p_hat, 0.0) / max(reps - 1, 1)
     return p_hat, math.sqrt(var / reps)
@@ -760,7 +734,7 @@ def bounded_array_mc(
     if any(t2 > t1 + 1e-15 for t1, t2 in zip(taus[:-1], taus[1:])) or not taus[-1] < taus[0]:
         raise ValueError("tau must decrease toward zero along growing n")
     threshold = r * a_n
-    rng = _rng_stream(seed, 0)
+    rng = _rng_stream(seed)
     hits = 0
     for first in range(0, reps, _BLOCK_ELEMS):
         heads = rng.binomial(n, 0.5, size=min(_BLOCK_ELEMS, reps - first))

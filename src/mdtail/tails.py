@@ -61,17 +61,17 @@ _GL_NODES = np.concatenate((_GL48_NODES, _GL24_NODES))
 _MAX_HALVINGS = 50
 
 
-def _rng_stream(seed: int, stream: int) -> Generator:
-    """PCG64DXSM generator keyed by SeedSequence(seed, spawn_key=(stream,)).
+def _rng_stream(seed: int) -> Generator:
+    """PCG64DXSM generator keyed by SeedSequence(seed, spawn_key=(0,)).
 
-    (seed, stream) fully determines the draws; both are taken mod 2^64, so a
-    negative seed is masked, not rejected.  Tilted and split chunks, the
-    sign-array estimator (its one stream 0) and TailModel.sample draw from
-    the generator; a crude chunk reads its raw words as 16-bit cells and
-    takes its fine bits from the key's first child,
-    SeedSequence(seed, spawn_key=(stream, 0)).
+    seed fully determines the draws; it is taken mod 2^64, so a negative
+    seed is masked, not rejected.  Every estimate and TailModel.sample draw
+    from this one stream: the tilted and split estimates and the sign-array
+    estimator through the generator, crude through its raw words as 16-bit
+    cells, with its fine bits from the key's first child,
+    SeedSequence(seed, spawn_key=(0, 0)).
     """
-    key = SeedSequence(seed & _MASK64, spawn_key=(stream & _MASK64,))
+    key = SeedSequence(seed & _MASK64, spawn_key=(0,))
     return Generator(PCG64DXSM(key))
 
 
@@ -123,13 +123,13 @@ class TailModel:
     u alone (the map of a subset or a reordering of u is the same subset or
     reordering of the values, bit for bit).  uniform_breaks lists the u where
     the map jumps or changes direction; between two breaks it is monotone.
-    The estimators draw a chunk's uniforms in order, in blocks of whole rows,
-    and map each block; sample(seed, n) maps the first n uniforms of stream
-    (seed, 0).  The crude estimator relies on both halves of the contract:
-    it bounds the map on each cell of a fixed grid of u by its larger edge
-    value (+inf on a cell that meets a break), drops the rows whose bounded
-    sum cannot pass the threshold, and maps only the other rows' uniforms
-    exactly.
+    The estimators draw a span's uniforms in order, in blocks of whole rows,
+    and map each block; sample(seed, n) maps the first n uniforms of the
+    stream _rng_stream(seed).  The crude estimator relies on both halves of
+    the contract: it bounds the map on each cell of a fixed grid of u by its
+    larger edge value (+inf on a cell that meets a break), drops the rows
+    whose bounded sum cannot pass the threshold, and maps only the other
+    rows' uniforms exactly.
     """
 
     label: str
@@ -181,7 +181,7 @@ class TailModel:
         n = _whole(n, "n")
         if n < 1:
             raise ValueError("need n >= 1 samples")
-        return self.from_uniform(_rng_stream(seed, 0).random(n))
+        return self.from_uniform(_rng_stream(seed).random(n))
 
 
 def _tail_from_log_u(log_tail_u, t):

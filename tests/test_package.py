@@ -83,4 +83,7 @@ def test_removed_names_are_gone():
     for name in ("levy_maximal_check", "max_lower_bound_check", "MaxBoundResult"):
         assert not hasattr(simulate, name) and not hasattr(mdtail, name), name
     assert "workers" not in params(simulate.bounded_array_mc)
+    # every estimate draws from the one stream (seed, 0), cut into spans, not chunks
+    assert not hasattr(simulate, "_chunk_sizes") and not hasattr(simulate, "_chunked_sums")
+    assert params(tails._rng_stream) == {"seed"}
     assert params(report.levy_full_sweep) == set()

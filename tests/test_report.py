@@ -355,6 +355,18 @@ def test_cli_validation_failures(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "crude" / "trajectory.csv").exists()
 
 
+def test_cli_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    # bytes that do not decode are a config error, not a UnicodeDecodeError traceback
+    cfg_path = tmp_path / "utf16.json"
+    cfg_path.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "out"
+    assert report.main(["run", str(cfg_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert [line.startswith("error:") for line in err.splitlines()] == [True]
+    payload = json.loads((out / "error.json").read_text())
+    assert payload["error"] == "ConfigError" and "not valid JSON" in payload["message"]
+
+
 @pytest.mark.parametrize(
     "model_text",
     [

@@ -251,20 +251,20 @@ def test_results_do_not_depend_on_the_block_size(monkeypatch):
 
 
 def _crude_from_the_layout(model, n, x, reps, seed):
-    # every value of every row, from the stated layout: row r of chunk k has
-    # as cell of value i the 16-bit lane i % 4 of raw word r*ceil(n/4) + i//4
-    # of stream (seed, k), and as fine word the word r*n + i of the child
-    # stream (seed, (k, 0))
+    # every value of every row, from the stated layout: row r has as cell of
+    # value i the 16-bit lane i % 4 of raw word r*ceil(n/4) + i//4 of the
+    # stream (seed, (0,)), and as fine word the word r*n + i of its child
+    # stream (seed, (0, 0)); both streams are read in order, 1000 rows at a time
     threshold = n * model.mu + x * math.sqrt(n * math.log(n))
-    per = S.CHUNK_TARGET // n
     words = -(-n // 4)
+    coarse = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(0,)))
+    fine_bits = np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(0, 0)))
     hits = 0
-    for k, r0 in enumerate(range(0, reps, per)):
-        rows = min(per, reps - r0)
-        raw = S._rng_stream(seed, k).bit_generator.random_raw(rows * words).astype("<u8")
+    for r0 in range(0, reps, 1000):
+        rows = min(1000, reps - r0)
+        raw = coarse.random_raw(rows * words).astype("<u8")
         cells = raw.view("<u2").reshape(rows, 4 * words)[:, :n].astype(np.uint64)
-        child = np.random.SeedSequence(seed, spawn_key=(k, 0))
-        fine = np.random.PCG64DXSM(child).random_raw(rows * n).reshape(rows, n)
+        fine = fine_bits.random_raw(rows * n).reshape(rows, n)
         u = ((cells << 37) + (fine >> 27)).astype(np.float64) * 2.0**-53
         sums = model.from_uniform(u.ravel()).reshape(rows, n).sum(axis=1)
         hits += int(np.count_nonzero(sums > threshold))
@@ -274,18 +274,24 @@ def _crude_from_the_layout(model, n, x, reps, seed):
 
 @pytest.mark.parametrize("model", [md.gaussian(), md.pareto(3.0)], ids=lambda m: m.label)
 def test_crude_estimate_is_rebuilt_from_the_stated_layout(model, monkeypatch):
-    # n = 37 leaves three unused lanes in each row's last word; small chunks
-    # give it ten, and n = 300 spans two chunks at the shipped chunk target
+    # n = 37 leaves three unused lanes in each row's last word; small spans
+    # cut it into ten, and n = 300 takes two spans at the shipped target.
+    # Each span builds the stream once, so the calls count the spans
+    stream, spans = S._rng_stream, []
+
+    def counted(seed):
+        spans.append(seed)
+        return stream(seed)
+
+    monkeypatch.setattr(S, "_rng_stream", counted)
     with monkeypatch.context() as patch:
         patch.setattr(S, "CHUNK_TARGET", 1 << 14)
-        assert len(S._chunk_sizes(4000, 37)) == 10
         hits, *want = _crude_from_the_layout(model, 37, 1.0, 4000, 5)
         est = S.crude_mc(model, G1, n=37, x=1.0, reps=4000, seed=5)
-        assert hits > 0 and [est.p_hat, est.stderr] == want
-    assert len(S._chunk_sizes(15_000, 300)) == 2
+        assert hits > 0 and [est.p_hat, est.stderr] == want and spans == [5] * 10
     hits, *want = _crude_from_the_layout(model, 300, 0.7, 15_000, 6)
     est = S.crude_mc(model, G1, n=300, x=0.7, reps=15_000, seed=6)
-    assert hits > 0 and [est.p_hat, est.stderr] == want
+    assert hits > 0 and [est.p_hat, est.stderr] == want and spans[10:] == [6, 6]
 
 
 # designed laws with an infinite lambda have a Gaussian side, whose quantile
@@ -321,14 +327,15 @@ def test_the_ceiling_screen_maps_few_values_exactly(monkeypatch):
     # at the crude_kernel reference point (p about 1e-4) and at the A5 point
     # (p about 3e-6) nearly every row is dropped on its ceiling sum, or on its
     # loose values' exact values, so beyond the table build (2^16 + 1 values)
-    # almost nothing is mapped.  The designed and oscillating laws put their
-    # right tail's end in cell 0, which is loose: the rows that hit (a few
-    # percent) are mapped whole, and at most one more percent of the values.
+    # and the rows that hit, which any exact estimate maps whole, almost
+    # nothing is mapped.  The designed and oscillating laws put their right
+    # tail's end in cell 0, which is loose: the rows that hit (a few percent)
+    # are mapped whole, and at most one more percent of the values.
     # Each estimate is the one that maps every value (all ceilings +inf)
     laws = {e.model.label: e.model for e in md.catalog()}
     points = [
-        (md.gaussian(), 1000, math.sqrt(2.0), 20_000, lambda p: 1e-4),
-        (md.pareto(3.0), 10_000, 5.0, 2000, lambda p: 1e-4),
+        (md.gaussian(), 1000, math.sqrt(2.0), 20_000, lambda p: p + 1e-4),
+        (md.pareto(3.0), 10_000, 5.0, 2000, lambda p: p + 1e-4),
         (laws["designed(0.5,2;t)"], 1000, 1.0, 4000, lambda p: p + 0.01),
         (laws["oscillating(0.5,2;t;x3)"], 1000, 1.0, 4000, lambda p: p + 0.01),
     ]
@@ -408,13 +415,13 @@ CRUDE_PINS = {
 
 
 def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
-    # each point is one chunk; two workers cut it into two spans, and eight
-    # (eight claimed cores) into eight.  The block size moves no bit, so the
+    # each point's reps * n fits one span, so one worker draws it in one span;
+    # two workers cut it into two spans, and eight (eight claimed cores) into eight.  The block size moves no bit, so the
     # span legs run the second point at the shipped block size (spans in
     # 256-value blocks: test_spans_give_the_bits_of_one_thread)
     entries = (*md.catalog(), *GAUSSIAN_SIDED)
     assert [e.model.label for e in entries] == list(CRUDE_PINS)
-    assert len(S._chunk_sizes(4000, 37)) == 1 and len(S._chunk_sizes(2000, 300)) == 1
+    assert 4000 * 37 <= S.CHUNK_TARGET and 2000 * 300 <= S.CHUNK_TARGET
 
     def pinned(m, g, workers, block):
         first = S.crude_mc(m, g, n=37, x=1.0, reps=4000, seed=5, workers=workers)
@@ -433,9 +440,10 @@ def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
 
 
 # tilted_mc_truncated's (p_hat, stderr), then split_estimate's upper and lower
-# brackets, as float.hex, at (n=100, x=1, reps=2000, seed=7), one chunk, and
-# at (n=1000, x=1, reps=4500, seed=8), whose reps span two chunks; both n lie
-# above every law's smallest n with a tilt root (62 for the designed law)
+# brackets, as float.hex, at (n=100, x=1, reps=2000, seed=7), one span at one
+# worker, and at (n=1000, x=1, reps=4500, seed=8), two spans at one worker;
+# both n lie above every law's smallest n with a tilt root (62 for the
+# designed law)
 TILTED_PINS = {
     "gaussian": (
         (
@@ -444,9 +452,9 @@ TILTED_PINS = {
             ("0x1.d0cc91dcfaa8ap-8", "0x1.1cef28d3ff2bbp-12"),
         ),
         (
-            ("0x1.27350b3a8cb1cp-7", "0x1.d160bdf0a0234p-13"),
-            ("0x1.742b87e4d296fp-7", "0x1.d160bdf0a0234p-13"),
-            ("0x1.f6c86f631e965p-10", "0x1.ae3adaf69d144p-15"),
+            ("0x1.2679f98c26323p-7", "0x1.d2b16f7d26a2ap-13"),
+            ("0x1.737076366c176p-7", "0x1.d2b16f7d26a2ap-13"),
+            ("0x1.f5b82b9f0859ap-10", "0x1.ae4918949dbb5p-15"),
         ),
     ),
     "two_point": (
@@ -456,9 +464,9 @@ TILTED_PINS = {
             ("0x1.69943f1f3dd42p-7", "0x1.8ffcf8a7893e6p-12"),
         ),
         (
-            ("0x1.19fabaa432ffcp-7", "0x1.c481a4d310baep-13"),
-            ("0x1.19fabaa432ffcp-7", "0x1.c481a4d310baep-13"),
-            ("0x1.052fc770fb109p-9", "0x1.c3c04d8974c95p-15"),
+            ("0x1.1983304912786p-7", "0x1.c48438e89b4f5p-13"),
+            ("0x1.1983304912786p-7", "0x1.c48438e89b4f5p-13"),
+            ("0x1.064fb12bc3d19p-9", "0x1.c69549202aaaap-15"),
         ),
     ),
     "pareto(3)": (
@@ -468,9 +476,9 @@ TILTED_PINS = {
             ("0x1.dec7dc8cf4bc0p-44", "0x1.014ee51ee1196p-47"),
         ),
         (
-            ("0x1.41fad1650d0d9p-12", "0x1.361376c8d2041p-17"),
-            ("0x1.0000000000000p+0", "0x1.361376c8d2041p-17"),
-            ("0x1.a391f5e8f6083p-27", "0x1.fe815050b0aeep-32"),
+            ("0x1.450ddced5d17bp-12", "0x1.35f48763fd66ep-17"),
+            ("0x1.0000000000000p+0", "0x1.35f48763fd66ep-17"),
+            ("0x1.a4c26e6010352p-27", "0x1.faf716cb74d77p-32"),
         ),
     ),
     "designed(0.5,2;t)": (
@@ -480,9 +488,9 @@ TILTED_PINS = {
             ("0x1.7a35301f6d973p-42", "0x1.724273db2d2d7p-46"),
         ),
         (
-            ("0x1.e3c7cd66a10d1p-6", "0x1.60621143b47f4p-11"),
-            ("0x1.0000000000000p+0", "0x1.60621143b47f4p-11"),
-            ("0x1.08e3c14cccbeap-26", "0x1.1720ac193c047p-31"),
+            ("0x1.dd0d4ccf8fdbdp-6", "0x1.5e0c354680438p-11"),
+            ("0x1.0000000000000p+0", "0x1.5e0c354680438p-11"),
+            ("0x1.0893da641f240p-26", "0x1.168dc602a57bap-31"),
         ),
     ),
     "oscillating(0.5,2;t;x3)": (
@@ -492,9 +500,9 @@ TILTED_PINS = {
             ("0x1.6dc829171db40p-20", "0x1.cdc18d1158b51p-25"),
         ),
         (
-            ("0x1.70589057921e1p-5", "0x1.f8f6408383455p-11"),
-            ("0x1.0000000000000p+0", "0x1.f8f6408383455p-11"),
-            ("0x1.3f4139385b33bp-8", "0x1.d748ba76ad992p-14"),
+            ("0x1.7086638894535p-5", "0x1.f86e88974d999p-11"),
+            ("0x1.0000000000000p+0", "0x1.f86e88974d999p-11"),
+            ("0x1.3eeb0087b3d08p-8", "0x1.d932fd1aa52e8p-14"),
         ),
     ),
 }
@@ -513,21 +521,21 @@ def test_tilted_bits_are_pinned(monkeypatch):
             got.append(tuple((e.p_hat.hex(), e.stderr.hex()) for e in (t, s.upper, s.lower)))
         return tuple(got)
 
-    assert len(S._chunk_sizes(2000, 100)) == 1 and len(S._chunk_sizes(4500, 1000)) == 2
+    assert 2000 * 100 <= S.CHUNK_TARGET < 4500 * 1000 <= 2 * S.CHUNK_TARGET
     for label, pins in TILTED_PINS.items():
         assert pinned(label, 1) == pins, label
         assert pinned(label, 2) == pins, label
         with monkeypatch.context() as patch:
             patch.setattr(S, "_BLOCK_ELEMS", 256)
             assert pinned(label, 1) == pins, label
-        # eight claimed cores cut every chunk into eight spans
+        # eight claimed cores cut each point into eight spans
         with monkeypatch.context() as patch:
             patch.setattr(S, "_cores", lambda: 8)
             assert pinned(label, 8) == pins, label
 
 
 def test_crude_chunk_memory_stays_bounded():
-    # a chunk is drawn in cache-sized blocks, never as one reps * n array
+    # an estimate is drawn in cache-sized blocks, never as one reps * n array
     def run():
         return S.crude_mc(md.gaussian(), G1, n=1000, x=1.0, reps=5000, seed=1)
 
@@ -650,7 +658,7 @@ def test_the_tilted_kernel_allocates_nothing_per_block():
     pairs = np.stack((values, values[alias]), axis=1).ravel()
 
     def run():
-        return S._alias_sums_above(S._rng_stream(1, 0), 130, 1000, prob, pairs, 30.0)
+        return S._alias_sums_above(S._rng_stream(1), 130, 1000, prob, pairs, 30.0)
 
     first = run()  # the thread's workspace is made here, and kept
     tracemalloc.start()
@@ -772,17 +780,17 @@ def test_sign_array_envelope_rejections():
 def test_sign_array_draws_every_row_from_one_stream(monkeypatch):
     # row j is the j-th binomial draw of the stream (seed, 0), whatever the block size
     n, reps, seed = 1000, 20_000, 14
-    heads = S._rng_stream(seed, 0).binomial(n, 0.5, reps)
+    heads = S._rng_stream(seed).binomial(n, 0.5, reps)
     hits = int(np.count_nonzero(2.0 * heads - n > math.sqrt(n * math.log(n))))
-    stream, keys = S._rng_stream, []
+    stream, seeds = S._rng_stream, []
 
-    def counted(seed, k):
-        keys.append(k)
-        return stream(seed, k)
+    def counted(seed):
+        seeds.append(seed)
+        return stream(seed)
 
     monkeypatch.setattr(S, "_rng_stream", counted)
     est = S.bounded_array_mc(S.unit_sign_array(G1), G1, n=n, r=1.0, reps=reps, seed=seed)
-    assert est.p_hat == hits / reps and keys == [0]
+    assert est.p_hat == hits / reps and seeds == [seed]
     monkeypatch.setattr(S, "_BLOCK_ELEMS", 256)
     again = S.bounded_array_mc(S.unit_sign_array(G1), G1, n=n, r=1.0, reps=reps, seed=seed)
     assert (again.p_hat, again.stderr) == (est.p_hat, est.stderr)
@@ -1065,22 +1073,22 @@ def test_worker_count_never_changes_results():
 
 
 def test_one_chunk_is_shared_by_two_threads(monkeypatch):
-    # a point whose rows fit one chunk draws them on two threads: the chunk's
-    # two spans each build its stream (seed, 0) and meet at a barrier that
+    # a point whose rows fit one span at one worker draws them on two threads:
+    # its two spans each build the stream (seed, 0) and meet at a barrier that
     # one thread alone never passes; the bits are the pinned ones
     monkeypatch.setattr(S, "_cores", lambda: 2)
     stream = S._rng_stream
     barrier, seen = threading.Barrier(2, timeout=30), []
 
-    def meeting(seed, k):
-        seen.append((k, threading.get_ident()))
+    def meeting(seed):
+        seen.append((seed, threading.get_ident()))
         barrier.wait()
-        return stream(seed, k)
+        return stream(seed)
 
     monkeypatch.setattr(S, "_rng_stream", meeting)
-    assert len(S._chunk_sizes(2000, 100)) == 1
+    assert 2000 * 100 <= S.CHUNK_TARGET
     est = S.tilted_mc_truncated(TWO_POINT, G1, n=100, x=1.0, reps=2000, seed=7, workers=2)
-    assert sorted(k for k, _ in seen) == [0, 0] and len({t for _, t in seen}) == 2
+    assert [s for s, _ in seen] == [7, 7] and len({t for _, t in seen}) == 2
     assert (est.p_hat.hex(), est.stderr.hex()) == TILTED_PINS["two_point"][0][0]
 
 
@@ -1091,11 +1099,10 @@ def test_one_chunk_is_shared_by_two_threads(monkeypatch):
         (3, 100, 2000, S.CHUNK_TARGET, S._BLOCK_ELEMS),
         # one-row blocks of 256 values: every row outgrows its block
         (2, 300, 2000, S.CHUNK_TARGET, 256),
-        # chunks of 54 rows cut into 8 spans of 6 or 7 rows, and a last
-        # chunk of 3 rows cut into 3 spans of one row
+        # spans of at most 54 rows: 24 spans of 42 or 43 rows, three per thread
         (8, 300, 1029, 1 << 14, 256),
     ],
-    ids=["mid-block", "rows-outgrow-blocks", "fewer-rows-than-threads"],
+    ids=["mid-block", "rows-outgrow-blocks", "more-spans-than-threads"],
 )
 def test_spans_give_the_bits_of_one_thread(monkeypatch, threads, n, reps, target, block):
     designed = md.make_designed_tail(0.5, 2.0, G1)
@@ -1116,18 +1123,21 @@ def test_spans_give_the_bits_of_one_thread(monkeypatch, threads, n, reps, target
 
 def test_eight_threads_give_the_bytes_of_one(monkeypatch):
     # the pool is capped at the core count; claim 8 cores so 8 real threads
-    # run (every span of the first 8 chunks meets at a barrier, which fewer
-    # threads never pass: 8 spans per chunk, since every chunk holds at least
-    # 8 rows), and use small chunks so every estimator cuts at least 8
+    # run (the first 8 spans meet at a barrier, which fewer threads never
+    # pass), and use small spans so every estimator cuts many more than 8
     monkeypatch.setattr(S, "_cores", lambda: 8)
     monkeypatch.setattr(S, "CHUNK_TARGET", 1 << 14)
-    stream = S._rng_stream
+    stream, lock = S._rng_stream, threading.Lock()
 
-    def meeting(seed, k):
-        if barrier is not None and k < 8:
-            threads.add(threading.get_ident())
-            barrier.wait()
-        return stream(seed, k)
+    def meeting(seed):
+        if barrier is not None:
+            with lock:
+                spans.append(seed)
+                first_eight = len(spans) <= 8
+            if first_eight:
+                threads.add(threading.get_ident())
+                barrier.wait()
+        return stream(seed)
 
     monkeypatch.setattr(S, "_rng_stream", meeting)
     runs = {
@@ -1137,7 +1147,7 @@ def test_eight_threads_give_the_bytes_of_one(monkeypatch):
     for label, fn in runs.items():
         barrier = None
         serial = fn(1)
-        barrier, threads = threading.Barrier(8, timeout=30), set()
+        barrier, threads, spans = threading.Barrier(8, timeout=30), set(), []
         threaded = fn(8)
         assert len(threads) == 8, label
         assert (serial.p_hat, serial.stderr) == (threaded.p_hat, threaded.stderr), label

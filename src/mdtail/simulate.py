@@ -13,14 +13,16 @@ value.  It screens rows on per-cell bounds whose top edge is the largest
 uniform it builds, 1 - 2^-53, then re-screens the kept rows with their loose
 values (+inf cells and the end cell of u with the larger bound) mapped
 exactly; only the rows left are mapped whole (see _crude_hits).  The tilted
-and split estimators draw from an alias table with one gather per draw on
-interleaved (value, alias value) pairs, in a block-sized workspace that each
-thread keeps and reuses across the blocks of its spans, for as long as the
-thread lives (see _alias_sums_above).  _point is the one statement of a
-point: every estimator and a config's grid check (n, reps, x, eps) there,
-through scale's rules, and get the deviation scale sqrt(n * g(log n)); the
-exact checks, max_lower_bound_sweep's n included, take n through scale's
-_whole, so none rounds or takes a fractional n.
+and split estimators tilt the law by a safeguarded Newton solve of
+K'(theta) = target on K''(theta), with K, K' and K'' from one pass over a
+scratch buffer (see _solve_tilt).  They draw from an alias table with one
+gather per draw on interleaved (value, alias value) pairs, in a block-sized
+workspace that each thread keeps and reuses across the blocks of its spans,
+for as long as the thread lives (see _alias_sums_above).  _point is the one
+statement of a point: every estimator and a config's grid check (n, reps,
+x, eps) there, through scale's rules, and get the deviation scale
+sqrt(n * g(log n)); the exact checks, max_lower_bound_sweep's n included,
+take n through scale's _whole, so none rounds or takes a fractional n.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.random import PCG64DXSM
-from scipy.optimize import brentq
 
 from .scale import ScaleFunction, _finite_positive, _g_log_n, _whole, truncation_level
 from .tails import TailModel, _rng_stream, _tail_mean_u
@@ -437,38 +438,93 @@ def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray,
     return values, masses, float(masses.sum())
 
 
-def _cumulant(values: np.ndarray, log_masses: np.ndarray, theta: float) -> tuple[float, float, np.ndarray]:
-    """(K(theta), K'(theta), w) of the discrete law; w = the tilted masses over their largest."""
-    z = theta * values + log_masses
-    m = float(z.max())
-    w = np.exp(z - m)
+def _cumulant(
+    values: np.ndarray, log_masses: np.ndarray, theta: float, scratch: np.ndarray
+) -> tuple[float, float, float, np.ndarray]:
+    """(K(theta), K'(theta), K''(theta), w) of the discrete law, from one pass.
+
+    scratch is a (2, cells) array that the pass writes into; w, the tilted
+    masses over their largest, is its first row and holds until the next call.
+    """
+    w, spread = scratch
+    np.multiply(values, theta, out=w)
+    w += log_masses
+    m = float(w.max())
+    w -= m
+    np.exp(w, out=w)
     s = float(w.sum())
-    K = m + math.log(s)
-    Kp = float((values * w).sum()) / s
-    return K, Kp, w
+    np.multiply(values, w, out=spread)
+    Kp = float(spread.sum()) / s
+    # K'' as the mean square about K', which cancels nothing
+    np.subtract(values, Kp, out=spread)
+    np.square(spread, out=spread)
+    spread *= w
+    return m + math.log(s), Kp, float(spread.sum()) / s, w
 
 
-def _solve_tilt(values: np.ndarray, log_masses: np.ndarray, target: float) -> float:
-    mean0 = _cumulant(values, log_masses, 0.0)[1]
-    if target <= mean0:
-        return 0.0
-    v_max = float(values.max())
-    if target >= v_max:
+# A tilt root above this is refused: the target sits too close to the support maximum.
+_THETA_MAX = 2.0**26
+
+
+def _solve_tilt(
+    values: np.ndarray, log_masses: np.ndarray, target: float
+) -> tuple[float, float, np.ndarray]:
+    """(theta, K(theta), w) with K'(theta) = target; K and w are those of the solve's last pass.
+
+    Every pass writes into one (2, cells) scratch array, whose first row is
+    the w returned.  The passes take the law of X - target, so K' - target is summed
+    directly, not found by cancelling target against K'.  Newton steps on
+    K'', the tilted variance, stay inside the bracket [lo, hi] that the sign
+    of K' - target updates (rtsafe, Numerical Recipes 9.4).  A step that
+    leaves the bracket bisects it, in log scale while hi > 4*max(lo, 1), or
+    doubles theta while there is no upper end; once there is one, a step
+    that fails to halve the step before bisects too, or ends the solve if
+    K' - target is within its rounding of 0.  The solve stops when a step
+    is within brentq's tolerance, 1e-14 + 8.9e-16*theta, or the bracket is.
+    No pass runs beyond _THETA_MAX, so a root there is refused exactly when
+    K'(_THETA_MAX) < target.
+    """
+    centred = values - target
+    scratch = np.empty((2, len(values)))
+    K, Kp, Kpp, w = _cumulant(centred, log_masses, 0.0, scratch)
+    if Kp >= 0.0:
+        return 0.0, K, w
+    if centred.max() <= 0.0:
         raise TiltingError(
-            f"per-summand target {target:g} is at or beyond the support maximum {v_max:g}"
+            f"per-summand target {target:g} is at or beyond the support maximum {values.max():g}"
         )
-    hi = 1.0
-    while _cumulant(values, log_masses, hi)[1] < target:
-        hi *= 2.0
-        if hi > 1e8:
-            raise TiltingError("tilting parameter exceeds 1e8; target too close to boundary")
-    return brentq(
-        lambda th: _cumulant(values, log_masses, th)[1] - target,
-        0.0,
-        hi,
-        xtol=1e-14,
-        rtol=8.9e-16,
-    )
+    rounding = 64.0 * np.finfo(float).eps * max(float(centred.max()), -float(centred.min()))
+    theta, lo, hi, last = 0.0, 0.0, math.inf, math.inf
+    while True:
+        step = Kp / Kpp if Kpp > 0.0 else math.inf
+        tol = 1e-14 + 8.9e-16 * theta
+        # the stop rule comes first: a step that rounds to nothing must not bisect
+        if abs(step) <= tol or hi - lo <= tol:
+            break
+        new = theta - step
+        if not lo < new < hi or (hi < math.inf and abs(step) > 0.5 * last):
+            if lo < new < hi and abs(Kp) <= rounding:
+                break
+            base = max(lo, 1.0)
+            if hi == math.inf:
+                new = max(2.0 * lo, 1.0)
+            elif hi > 4.0 * base:
+                new = math.sqrt(base * hi)
+            else:
+                new = 0.5 * (lo + hi)
+        new = min(new, _THETA_MAX)
+        last = abs(new - theta)
+        theta = new
+        K, Kp, Kpp, w = _cumulant(centred, log_masses, theta, scratch)
+        if Kp >= 0.0:
+            hi = theta
+        elif theta < _THETA_MAX:
+            lo = theta
+        else:
+            raise TiltingError(
+                "tilting parameter exceeds 2^26 = 67108864; target too close to boundary"
+            )
+    return theta, K + theta * target, w
 
 
 def _alias_table(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -578,8 +634,7 @@ def _tilted_sum_estimate(
     values = values[keep]
     masses = masses[keep] / masses[keep].sum()
     log_masses = np.log(masses)
-    theta = _solve_tilt(values, log_masses, target_sum / n)
-    K, _, tilted = _cumulant(values, log_masses, theta)
+    theta, K, tilted = _solve_tilt(values, log_masses, target_sum / n)
     prob, alias = _alias_table(tilted)
     pairs = np.stack((values, values[alias]), axis=1).ravel()
 

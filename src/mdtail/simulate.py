@@ -15,10 +15,14 @@ values (+inf cells and the end cell of u with the larger bound) mapped
 exactly; only the rows left are mapped whole (see _crude_hits).  The tilted
 and split estimators tilt the law by a safeguarded Newton solve of
 K'(theta) = target on K''(theta), with K, K' and K'' from one pass over a
-scratch buffer (see _solve_tilt).  They draw from an alias table with one
-gather per draw on interleaved (value, alias value) pairs, in a block-sized
-workspace that each thread keeps and reuses across the blocks of its spans,
-for as long as the thread lives (see _alias_sums_above).  _point is the one
+scratch buffer that each thread keeps (see _solve_tilt).  They draw from an
+alias table with one gather per draw on interleaved (value, alias value)
+pairs, in a block-sized workspace that each thread keeps and reuses across
+the blocks of its spans, for as long as the thread lives (see
+_alias_row_sums).  A row draws n - 1 values and integrates the last one out
+exactly, through the discretized law's survival (see _tilted_sum_estimate):
+conditional Monte Carlo on the last summand, the light-tailed counterpart of
+conditioning on the largest summand in the single-jump regime.  _point is the one
 statement of a point: every estimator and a config's grid check (n, reps,
 x, eps) there, through scale's rules, and get the deviation scale
 sqrt(n * g(log n)); the exact checks, max_lower_bound_sweep's n included,
@@ -413,29 +417,49 @@ def plan_truncation(model: TailModel, g: ScaleFunction, n: int) -> TruncationSch
 _CELLS = 1 << 15
 
 
-def _restricted_law(model: TailModel, c: float) -> tuple[np.ndarray, np.ndarray, float]:
+def _restricted_law(
+    model: TailModel, c: float
+) -> tuple[np.ndarray, np.ndarray, float, Callable[[np.ndarray], np.ndarray]]:
     """Discrete approximation of X restricted to [-c, c] on _CELLS cells.
 
     Continuous mass goes to cell midpoints; known atoms keep their exact
-    locations and masses.  Returns (values, masses, restricted_mass).
+    locations and masses.  Returns (values, masses, restricted_mass,
+    survival): survival(y), for an array y, is the masses' sum over the
+    values above y, the law's strict survival.  It is read from the edge
+    survivals sf the cells are cut from: the cells from j, the first whose
+    midpoint lies above y, hold sf[j] - sf[C] less the atoms folded into
+    them, and each atom above y adds its mass.  The regular grid gives j to
+    within one and one comparison with the midpoints fixes it, so a y costs
+    two gathers and two comparisons per atom, and no table is built.
     """
     edges = np.linspace(-c, c, _CELLS + 1)
     sf = model.prob_greater(edges)
     cell_mass = sf[:-1] - sf[1:]
-    atom_locs, atom_masses = [], []
+    atoms = []  # (location, mass, cell that holds it or -1 at -c)
     for a, m in model.atoms:
         if not (-c <= a <= c):
             continue
         idx = int(np.searchsorted(edges, a, side="left")) - 1
         if idx >= 0:
             cell_mass[idx] -= m
-        atom_locs.append(a)
-        atom_masses.append(m)
+        atoms.append((a, m, idx))
     mids = 0.5 * (edges[:-1] + edges[1:])
     keep = cell_mass > 0.0
-    values = np.concatenate((mids[keep], atom_locs))
-    masses = np.concatenate((cell_mass[keep], atom_masses))
-    return values, masses, float(masses.sum())
+    values = np.concatenate((mids[keep], [a for a, _, _ in atoms]))
+    masses = np.concatenate((cell_mass[keep], [m for _, m, _ in atoms]))
+    cells_per_unit = _CELLS / (2.0 * c)
+
+    def survival(y: np.ndarray) -> np.ndarray:
+        # mids[k] = -c + (k + 1/2) * 2c/C, so the grid's count of midpoints at
+        # or below y, taken a quarter cell low, is that count or one less
+        j = np.clip((y + c) * cells_per_unit + 0.25, 0.0, _CELLS - 1.0).astype(np.intp)
+        j += mids[j] <= y
+        out = sf[j] - sf[-1]
+        for a, m, idx in atoms:
+            out += m * ((a > y).astype(np.int8) - (idx >= j))
+        return out
+
+    return values, masses, float(masses.sum()), survival
 
 
 def _cumulant(
@@ -462,6 +486,22 @@ def _cumulant(
     return m + math.log(s), Kp, float(spread.sum()) / s, w
 
 
+# each thread's kept tilt scratch and tilted-kernel buffers (see _tilt_scratch, _workspace)
+_local = threading.local()
+
+
+def _tilt_scratch(size: int) -> np.ndarray:
+    """A (3, size) view of the calling thread's kept scratch: centred values, w and a spread row.
+
+    The thread keeps the largest it has been asked for; an estimate's solve
+    asks for its discretized law's cells and atoms.
+    """
+    kept = getattr(_local, "tilt", None)
+    if kept is None or kept.shape[1] < size:
+        kept = _local.tilt = np.empty((3, size))
+    return kept[:, :size]
+
+
 # A tilt root above this is refused: the target sits too close to the support maximum.
 _THETA_MAX = 2.0**26
 
@@ -471,8 +511,11 @@ def _solve_tilt(
 ) -> tuple[float, float, np.ndarray]:
     """(theta, K(theta), w) with K'(theta) = target; K and w are those of the solve's last pass.
 
-    Every pass writes into one (2, cells) scratch array, whose first row is
-    the w returned.  The passes take the law of X - target, so K' - target is summed
+    The centred values and every pass write into the scratch the calling
+    thread keeps (see _tilt_scratch), so a thread's solves allocate no
+    cells-sized array once one as large has run; the w returned aliases
+    that scratch until the thread's next solve.  The passes take the law of
+    X - target, so K' - target is summed
     directly, not found by cancelling target against K'.  Newton steps on
     K'', the tilted variance, stay inside the bracket [lo, hi] that the sign
     of K' - target updates (rtsafe, Numerical Recipes 9.4).  A step that
@@ -484,8 +527,9 @@ def _solve_tilt(
     No pass runs beyond _THETA_MAX, so a root there is refused exactly when
     K'(_THETA_MAX) < target.
     """
-    centred = values - target
-    scratch = np.empty((2, len(values)))
+    buffers = _tilt_scratch(len(values))
+    centred, scratch = buffers[0], buffers[1:]
+    np.subtract(values, target, out=centred)
     K, Kp, Kpp, w = _cumulant(centred, log_masses, 0.0, scratch)
     if Kp >= 0.0:
         return 0.0, K, w
@@ -561,10 +605,6 @@ def _alias_table(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return prob, alias
 
 
-# each thread's kept tilted-kernel buffers (see _workspace)
-_local = threading.local()
-
-
 def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Buffers (uniforms, columns, probabilities, coins) of at least size elements each.
 
@@ -585,10 +625,8 @@ def _workspace(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return buffers
 
 
-def _alias_sums_above(
-    rng, rows: int, n: int, prob: np.ndarray, pairs: np.ndarray, threshold: float
-) -> np.ndarray:
-    """The row sums above threshold, in row order, of rows x n draws from an alias table.
+def _alias_row_sums(rng, rows: int, n: int, prob: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The sums, in row order, of rows x n draws from an alias table.
 
     pairs interleaves each column's own value with its alias's value.  The
     uniform u picks column c = floor(u*K), and its fraction u*K - c is the
@@ -596,12 +634,16 @@ def _alias_sums_above(
     pairs[2c + 1] otherwise, one gather.  u <= 1 - 2**-53 and K < 2**53, so
     u*K rounds below K and c stays in range.  The uniforms are drawn in
     blocks of whole rows, and every step of a block writes into the
-    thread's workspace.
+    thread's workspace.  A row of n = 0 draws reads no uniform and sums to 0.
+    Every row counts, since the tilted estimator integrates the last summand
+    out of each (see _tilted_sum_estimate).
     """
+    if not n:
+        return np.zeros(rows)
     cells = len(prob)
     block_rows = max(1, _BLOCK_ELEMS // n)
     workspace = _workspace(min(block_rows, rows) * n)
-    found = []
+    sums = np.empty(rows)
     for r0 in range(0, rows, block_rows):
         size = min(block_rows, rows - r0) * n
         u, c, p, coins = (buf[:size] for buf in workspace)
@@ -615,45 +657,65 @@ def _alias_sums_above(
         c <<= 1
         c += coins
         np.take(pairs, c, out=u, mode="wrap")
-        sums = u.reshape(-1, n).sum(axis=1)
-        found.append(sums[sums > threshold])
-    return np.concatenate(found)
+        u.reshape(-1, n).sum(axis=1, out=sums[r0 : r0 + size // n])
+    return sums
 
 
 def _tilted_sum_estimate(
     values: np.ndarray,
     masses: np.ndarray,
+    survival: Callable[[np.ndarray], np.ndarray],
     n: int,
     target_sum: float,
     reps: int,
     seed: int,
     workers: int,
 ) -> tuple[float, float]:
-    """Importance-sampled P(sum of n i.i.d. draws > target_sum) and its stderr."""
+    """Importance-sampled P(sum of n i.i.d. draws > target_sum) and its stderr.
+
+    survival(y) is, for an array y, the masses' sum over the values above y.
+    A row draws only n - 1 values, from the law tilted by theta; with S
+    their sum and t = target_sum it returns the conditional mean, given
+    those draws, of the full row's weight e^{nK - theta*T} 1{T > t}:
+    Z = e^{(n-1)K - theta*S} * F(t - S), F the law's survival.  Z is
+    unbiased for the same probability and its variance is never larger
+    (conditional Monte Carlo); it integrates out the last summand, where the
+    single-jump conditioning of a heavy tail integrates out the largest.
+    """
     keep = masses > 0.0
     values = values[keep]
-    masses = masses[keep] / masses[keep].sum()
+    total = masses[keep].sum()
+    masses = masses[keep] / total
     log_masses = np.log(masses)
     theta, K, tilted = _solve_tilt(values, log_masses, target_sum / n)
     prob, alias = _alias_table(tilted)
     pairs = np.stack((values, values[alias]), axis=1).ravel()
+    draws = n - 1
 
-    def sums_above(rng, first: int, rows: int) -> np.ndarray:
-        return _alias_sums_above(rng, rows, n, prob, pairs, target_sum)
+    def row_sums(rng, first: int, rows: int) -> np.ndarray:
+        return _alias_row_sums(rng, rows, draws, prob, pairs)
 
-    def weight_sums(found: list[np.ndarray]) -> tuple[float, float]:
-        # every row sum above the target, in row order, so the float sums
-        # below add the same array whatever the spans
-        T = found[0] if len(found) == 1 else np.concatenate(found)
-        # on hits log_w = nK(theta) - theta*T <= n(K - theta*K') <= 0 (convexity, K(0) = 0)
-        w = np.exp(n * K - theta * T)
-        return float(w.sum()), float((w * w).sum())
+    def mean_and_stderr(pieces: list[np.ndarray]) -> tuple[float, float]:
+        # every row's sum, in row order, so the float sums below add the
+        # same array whatever the spans
+        S = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        tail = survival(target_sum - S) / total
+        # Z = 0 where the tail is 0; elsewhere log Z <= nK - theta*t <= 0, by
+        # the Chernoff bound F(y) <= e^{K - theta*y}, so nothing overflows
+        log_z = np.log(tail, out=np.full_like(tail, -np.inf), where=tail > 0.0)
+        Z = np.exp(draws * K - theta * S + log_z)
+        # sums of the deviations from the first row's Z: a constant Z (n = 1
+        # draws nothing) is returned exactly, with stderr 0
+        d = Z - Z[0]
+        s1 = float(d.sum())
+        # squared in place, not by a BLAS dot: OpenBLAS's threads spin on
+        # after a call and slowed the next estimate's span threads
+        s2 = float(np.square(d, out=d).sum())
+        var = max(s2 - s1 * s1 / reps, 0.0) / (reps - 1)
+        return float(Z[0]) + s1 / reps, math.sqrt(var / reps)
 
-    # Generator.random takes one word per double, so a row takes n words
-    s1, s2 = _span_sums(sums_above, weight_sums, reps, n, seed, workers, n)
-    p_hat = s1 / reps
-    var = max(s2 - reps * p_hat * p_hat, 0.0) / max(reps - 1, 1)
-    return p_hat, math.sqrt(var / reps)
+    # Generator.random takes one word per double, so a row takes n - 1 words
+    return _span_sums(row_sums, mean_and_stderr, reps, draws, seed, workers, draws)
 
 
 def _truncated_sum(
@@ -672,17 +734,25 @@ def _truncated_sum(
     discretizes the law restricted to [-c_n, c_n], adds the exceedance mass
     at 0, recenters by mu_n, and estimates by tilting the probability that
     n such summands exceed (x - eps)*sqrt(n*g(log n)).  Returns ((n, reps,
-    G, a_n), eps, scheme, (values, masses, restricted_mass), p_hat, stderr).
+    G, a_n), eps, scheme, (values, masses, restricted_mass, survival),
+    p_hat, stderr).
     """
     if eps is None:
         eps = x / 10.0
     point = n, reps, _, a_n = _point(g, n, reps, x, eps)
     scheme = plan_truncation(model, g, n)
     law = _restricted_law(model, scheme.c_n)
-    values, masses, restricted = law
+    values, masses, restricted, survival = law
+    exceed = max(1.0 - restricted, 0.0)
+
+    def shifted_survival(y: np.ndarray) -> np.ndarray:
+        z = y + scheme.mu_n
+        return survival(z) + np.where(z < 0.0, exceed, 0.0)
+
     p_hat, stderr = _tilted_sum_estimate(
         np.append(values, 0.0) - scheme.mu_n,
-        np.append(masses, max(1.0 - restricted, 0.0)),
+        np.append(masses, exceed),
+        shifted_survival,
         n,
         (x - eps) * a_n,
         reps,
@@ -707,7 +777,11 @@ def tilted_mc_truncated(
     The truncated law is discretized on a regular grid (atoms kept exact),
     exponentially tilted so the target becomes typical, sampled from an
     alias table in O(1) per draw, and reweighted by the likelihood ratio,
-    which keeps the estimator unbiased.
+    which keeps the estimator unbiased.  Each row draws n - 1 summands and
+    takes, in place of a hit indicator, the exact probability that the last
+    summand carries the sum past the target (conditional Monte Carlo): the
+    light-tailed counterpart of conditioning on the largest summand in the
+    single-jump regime.
     """
     (n, reps, G, _), _, _, _, p_hat, stderr = _truncated_sum(model, g, n, x, reps, seed, eps, workers)
     return _finish_estimate(p_hat, stderr, n, x, G, "tilted", reps)
@@ -728,12 +802,15 @@ def split_estimate(
     Upper: truncated-sum estimate at threshold (x - eps) plus the analytic
     union term n * P(X > sqrt(n)/g(log n)), clipped to 1.  Lower: estimate
     under the law conditioned on no exceedance, at threshold (x + eps),
-    times the exact no-exceedance probability (1 - p_n)^n.
+    times the exact no-exceedance probability (1 - p_n)^n.  Both brackets'
+    estimates integrate each row's last summand out exactly, as
+    tilted_mc_truncated does: the truncated laws have no big jump to
+    condition on, so the last summand takes that place.
     """
     (n, reps, G, a_n), eps, scheme, law, p_trunc, se_trunc = _truncated_sum(
         model, g, n, x, reps, seed, eps, workers
     )
-    values, masses, restricted = law
+    values, masses, restricted, survival = law
     max_term = n * model.right_tail(math.sqrt(n) / G)
     upper_flags: tuple[str, ...] = ()
     if max_term >= 1.0:
@@ -750,7 +827,14 @@ def split_estimate(
         lower_flags += ("mu_shift_exceeds_eps",)
     target_cond = n * model.mu + (x + eps) * a_n
     p_cond, se_cond = _tilted_sum_estimate(
-        values, cond_masses, n, target_cond, reps, seed + 1, workers
+        values,
+        cond_masses,
+        lambda y: survival(y) / restricted,
+        n,
+        target_cond,
+        reps,
+        seed + 1,
+        workers,
     )
     no_jump = math.exp(n * math.log1p(-scheme.p_n)) if scheme.p_n < 1.0 else 0.0
     lower = _finish_estimate(

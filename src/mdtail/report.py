@@ -645,8 +645,10 @@ def _check_rates() -> list[tuple[str, bool, str]]:
         )
     )
 
-    # imported here: at the top of this module, scipy.special would load before
-    # scipy.optimize, and the package import took about 45 ms longer on a 2-core machine
+    # scipy.special is already loaded by tails, which imports it before
+    # scipy.optimize on purpose (see its imports), so this import costs nothing;
+    # it stays here because moving an import can move glibc heap placement and
+    # with it the package's import time
     from scipy.special import ndtr
 
     # the exact gaussian tail at x = sqrt(2) on g(t) = t, where the limit is -x^2/2 = -1

@@ -36,7 +36,7 @@ import os
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
@@ -906,20 +906,42 @@ def kolmogorov_lower(B_n: float, x_n: float, eps: float) -> float:
     return math.exp(-(x_n * x_n / (2.0 * B_n)) * (1.0 - eps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevyCheckResult:
+    """Both maximal inequalities of n draws at the threshold t.
+
+    The four sides and bounds are exact Fractions built when read from
+    integer numerators over one denominator, Dw**n; the verdicts were
+    compared in integers.  Two results are equal when n, t and the four
+    values are, whatever their denominators.
+    """
+
     n: int
     t: Fraction
-    increment_side: Fraction
-    increment_bound: Fraction
-    prefix_side: Fraction
-    prefix_bound: Fraction
     passed_increment: bool
     passed_prefix: bool
+    _numerators: tuple[int, int, int, int] = field(repr=False)
+    _total: int = field(repr=False)
+
+    increment_side = property(lambda self: Fraction(self._numerators[0], self._total))
+    increment_bound = property(lambda self: Fraction(self._numerators[1], self._total))
+    prefix_side = property(lambda self: Fraction(self._numerators[2], self._total))
+    prefix_bound = property(lambda self: Fraction(self._numerators[3], self._total))
 
     @property
     def passed(self) -> bool:
         return self.passed_increment and self.passed_prefix
+
+    def _values(self) -> tuple:
+        return (self.n, self.t, *(Fraction(k, self._total) for k in self._numerators))
+
+    def __eq__(self, other):
+        if not isinstance(other, LevyCheckResult):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _as_law(weights) -> list[tuple[Fraction, Fraction]]:
@@ -981,13 +1003,16 @@ def _mass_above(stats, probs) -> tuple[list[int], list[int]]:
 def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     """Exact check of both maximal inequalities at several thresholds.
 
-    All outcome tuples of n i.i.d. draws are enumerated in integers: with Dv
-    and Dw the lcm of the support and of the weight denominators, values,
-    partial sums and medians count units of 1/(2*Dv) and probabilities are
-    numerators over Dw**n.  Medians follow the midpoint convention (so
-    negating the law negates them).  Each outcome extends an enumerated
-    prefix by one draw, and each threshold is answered from suffix sums of
-    the sorted statistics; only the results are built as Fractions.
+    The law of n i.i.d. draws is swept in integers: with Dv and Dw the lcm
+    of the support and of the weight denominators, values, partial sums and
+    medians count units of 1/(2*Dv) and probabilities are numerators over
+    Dw**n.  Medians follow the midpoint convention (so negating the law
+    negates them).  A prefix of k draws is carried as its state (T_k, max
+    increment stat, max prefix stat, max T_j) with the summed mass of every
+    prefix that reaches it: each continuation moves them alike, so merging
+    them is exact.  Each threshold is answered from suffix sums of the
+    sorted final statistics, and a result builds its Fractions only when
+    they are read.
     """
     law = _as_law(weights)
     n = _whole(n, "n")
@@ -1000,38 +1025,44 @@ def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     ]
     med = [_median(d, dw**k) for k, d in enumerate(_partial_sum_dists(scaled, n))]
     steps = [(2 * v, pv) for v, pv in scaled]
-    # per prefix of k draws: (prob, T_k, max increment stat, max prefix stat, max T_j)
-    states = [(pv, v, v + med[0], v + med[n - 1], v) for v, pv in steps]
+    # state of a prefix of k draws -> its mass over Dw**k
+    states = {(v, v + med[0], v + med[n - 1], v): pv for v, pv in steps}
     for k in range(2, n + 1):
-        m_incr, m_pref = med[k - 1], med[n - k]
-        nxt = []
-        for prob, T, b_incr, b_pref, b_T in states:
-            for v, pv in steps:
+        m_pref = med[n - k]
+        incr_steps = [(v, pv, v + med[k - 1]) for v, pv in steps]
+        nxt: dict[tuple[int, int, int, int], int] = {}
+        # conditional expressions, not max(): this loop is the sweep's cost
+        for (T, b_incr, b_pref, b_T), prob in states.items():
+            for v, pv, inc in incr_steps:
                 S = T + v
-                nxt.append(
-                    (prob * pv, S, max(b_incr, v + m_incr), max(b_pref, S + m_pref), max(b_T, S))
+                pre = S + m_pref
+                key = (
+                    S,
+                    inc if inc > b_incr else b_incr,
+                    pre if pre > b_pref else b_pref,
+                    S if S > b_T else b_T,
                 )
+                nxt[key] = nxt.get(key, 0) + prob * pv
         states = nxt
-    probs, T_n, incr, pref, max_T = zip(*states)
-    tables = [_mass_above(stat, probs) for stat in (incr, pref, max_T, T_n)]
+    T_n, incr, pref, max_T = zip(*states.keys())
+    probs = states.values()
+    (i_vals, i_above), (m_vals, m_above), (p_vals, p_above), (t_vals, t_above) = (
+        _mass_above(stat, probs) for stat in (incr, max_T, pref, T_n)
+    )
     total = dw**n
     results = []
     for t in thresholds:
-        tf = Fraction(t)
+        tf = t if isinstance(t, Fraction) else Fraction(t)
         # the statistics are integers, so stat > t exactly when stat > floor(t)
         cut = tf.numerator * 2 * dv // tf.denominator
-        lhs1, lhs2, half1, half2 = (above[bisect_right(vals, cut)] for vals, above in tables)
+        sides = (
+            i_above[bisect_right(i_vals, cut)],
+            2 * m_above[bisect_right(m_vals, cut)],
+            p_above[bisect_right(p_vals, cut)],
+            2 * t_above[bisect_right(t_vals, cut)],
+        )
         results.append(
-            LevyCheckResult(
-                n=n,
-                t=tf,
-                increment_side=Fraction(lhs1, total),
-                increment_bound=Fraction(2 * half1, total),
-                prefix_side=Fraction(lhs2, total),
-                prefix_bound=Fraction(2 * half2, total),
-                passed_increment=lhs1 <= 2 * half1,
-                passed_prefix=lhs2 <= 2 * half2,
-            )
+            LevyCheckResult(n, tf, sides[0] <= sides[1], sides[2] <= sides[3], sides, total)
         )
     return results
 

@@ -1081,9 +1081,11 @@ def _oracle_statistics(law, n):
     return rows
 
 
-def _oracle_levy(law, n, t):
+def _oracle_levy(law, n, t, rows=None):
+    """(increment side, increment bound, prefix side, prefix bound) at t, from
+    rows of _oracle_statistics(law, n), computed here when not given."""
     p_incr = p_pref = p_maxT = p_Tn = F(0)
-    for prob, incr_stat, pref_stat, max_t, t_n in _oracle_statistics(law, n):
+    for prob, incr_stat, pref_stat, max_t, t_n in rows or _oracle_statistics(law, n):
         if incr_stat > t:
             p_incr += prob
         if pref_stat > t:
@@ -1097,6 +1099,13 @@ def _oracle_levy(law, n, t):
 
 SIGN_LAW = ((F(-1), F(1, 2)), (F(1), F(1, 2)))
 ASYM_LAW = ((F(-1), F(1, 2)), (F(0), F(3, 10)), (F(2), F(1, 5)))
+# four atoms with unequal weights over 999997
+QUAD_LAW = (
+    (F(-2), F(400003, 999997)),
+    (F(-1, 3), F(250001, 999997)),
+    (F(1, 2), F(200000, 999997)),
+    (F(3), F(149993, 999997)),
+)
 
 
 @pytest.mark.parametrize(
@@ -1115,6 +1124,52 @@ def test_levy_check_agrees_with_brute_force(law, n, t):
     got = (res.increment_side, res.increment_bound, res.prefix_side, res.prefix_bound)
     assert got == want
     assert res.passed_increment and res.passed_prefix and res.passed
+
+
+@pytest.mark.parametrize("law", [SIGN_LAW, ASYM_LAW, QUAD_LAW], ids=["sign", "asym", "quad"])
+@pytest.mark.parametrize("n", [5, 6])
+def test_levy_check_agrees_with_brute_force_at_the_largest_n(law, n):
+    """n = 5 and 6, where merged prefix states and outcome paths differ most,
+    at thresholds on, a hair off, and a float near a value each statistic
+    takes."""
+    rows = _oracle_statistics(list(law), n)
+    thresholds = []
+    for column in range(1, 5):
+        values = sorted({row[column] for row in rows})
+        on = values[len(values) // 2]
+        thresholds += [on, on - F(1, 10**12), on + F(1, 10**12), float(on)]
+    for t, res in zip(thresholds, S.levy_maximal_sweep(law, n, thresholds)):
+        got = (res.increment_side, res.increment_bound, res.prefix_side, res.prefix_bound)
+        assert got == _oracle_levy(law, n, t, rows), t
+        assert res.passed
+
+
+def test_levy_result_contract():
+    """What callers see: frozen results, exact Fraction sides and bounds equal
+    to the oracle's, bool verdicts that agree with them, and equality by
+    value whatever the common denominator."""
+    thresholds = [*report._threshold_grid(ASYM_LAW, 4), 1, 0.75]
+    results = S.levy_maximal_sweep(ASYM_LAW, 4, thresholds)
+    assert results == S.levy_maximal_sweep(ASYM_LAW, 4, thresholds)
+    rows = _oracle_statistics(list(ASYM_LAW), 4)
+    for t, res in zip(thresholds, results):
+        sides = (res.increment_side, res.increment_bound, res.prefix_side, res.prefix_bound)
+        assert all(type(f) is F for f in (res.t, *sides))
+        assert sides == _oracle_levy(ASYM_LAW, 4, t, rows)
+        assert type(res.passed_increment) is bool and type(res.passed_prefix) is bool
+        assert res.passed_increment == (res.increment_side <= res.increment_bound)
+        assert res.passed_prefix == (res.prefix_side <= res.prefix_bound)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        results[0].passed_prefix = False
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        results[0].increment_side = F(0)
+    # all four values are 0 over Dw = 2 on one side and over Dw = 4 on the other
+    wide = ((F(-1), F(1, 2)), (F(1), F(1, 4)), (F(3), F(1, 4)))
+    (a,) = S.levy_maximal_sweep(SIGN_LAW, 1, [F(5)])
+    (b,) = S.levy_maximal_sweep(wide, 1, [F(5)])
+    assert a == b and hash(a) == hash(b)
+    (c,) = S.levy_maximal_sweep(SIGN_LAW, 1, [F(0)])
+    assert a != c
 
 
 def test_levy_frozen_values():

@@ -29,12 +29,15 @@ from .rate import RateSpec, Regime, _fmt, classify, rate_liminf, rate_limsup
 from .scale import _SCALE_PRESETS, _g_log_n, _json_real, power_scale, scale_from_spec
 from .simulate import (
     EstimatorError,
+    _levy_numerators,
+    _levy_tables,
     _point,
+    _scaled_law,
+    _sum_medians,
     bounded_array_mc,
     crude_mc,
     kolmogorov_lower,
     kolmogorov_upper,
-    levy_maximal_sweep,
     max_lower_bound_sweep,
     split_estimate,
     tilted_mc_truncated,
@@ -363,32 +366,56 @@ _THRESHOLD_COUNT = 21
 _LEVY_N_MAX = 5
 
 
-def _threshold_grid(law, n: int) -> list[Fraction]:
-    """Evenly spaced thresholds from n min - 1/2 to n max + 1/2, both included.
-
-    Both ends are integer numerators over one common denominator, so each
-    threshold is one Fraction built from ints, with no Fraction arithmetic.
-    """
-    values = [Fraction(v) for v, _ in law]
-    v_lo, v_hi = min(values), max(values)
-    den = 2 * v_lo.denominator * v_hi.denominator
-    lo_num = (2 * n * v_lo.numerator - v_lo.denominator) * v_hi.denominator
-    span_num = (2 * n * v_hi.numerator + v_hi.denominator) * v_lo.denominator - lo_num
+def _threshold_numerators(values: list[int], dv: int, n: int) -> list[int]:
+    """Evenly spaced thresholds from n min - 1/2 to n max + 1/2, both included,
+    as numerators over 2*Dv*(_THRESHOLD_COUNT - 1), for support values in
+    units of 1/Dv."""
     steps = _THRESHOLD_COUNT - 1
-    return [Fraction(lo_num * steps + k * span_num, den * steps) for k in range(_THRESHOLD_COUNT)]
+    lo = 2 * n * min(values) - dv
+    hi = 2 * n * max(values) + dv
+    return [lo * steps + k * (hi - lo) for k in range(_THRESHOLD_COUNT)]
+
+
+def _threshold_grid(law, n: int) -> list[Fraction]:
+    """The thresholds of _threshold_numerators as Fractions, for a law given
+    as (value, weight) pairs."""
+    scaled, dv, _ = _scaled_law(law)
+    den = 2 * dv * (_THRESHOLD_COUNT - 1)
+    return [Fraction(k, den) for k in _threshold_numerators([v for v, _ in scaled], dv, n)]
+
+
+def _levy_grid_cases():
+    """Each (law, n) of the A3 sweep as (law, n, cuts, sides): for each of its
+    thresholds t, the cut floor(2*Dv*t) and the four numerators over Dw**n.
+    A threshold k/(2*Dv*steps) of _threshold_numerators has the cut k // steps.
+    """
+    steps = _THRESHOLD_COUNT - 1
+    for law in inequality_law_grid():
+        scaled, dv, dw = _scaled_law(law)
+        med = _sum_medians(scaled, dw, _LEVY_N_MAX - 1)
+        values = [v for v, _ in scaled]
+        for n in range(1, _LEVY_N_MAX + 1):
+            tables = _levy_tables(scaled, med, n)
+            cuts = [k // steps for k in _threshold_numerators(values, dv, n)]
+            yield law, n, cuts, [_levy_numerators(tables, cut) for cut in cuts]
 
 
 def levy_full_sweep() -> tuple[int, int]:
     """Exact maximal-inequality sweep over the law grid at n = 1.._LEVY_N_MAX; returns
-    (cases, failures)."""
+    (cases, failures).
+
+    It runs the private sweep that simulate.levy_maximal_sweep wraps
+    (_levy_tables), in integers end to end: each law is validated and scaled
+    once, n = 1.._LEVY_N_MAX share the medians of its partial sums, each
+    threshold is answered at its integer cut, and the verdicts are counted
+    from the integer numerators, with no threshold Fraction and no
+    LevyCheckResult built.
+    """
     cases = 0
     failures = 0
-    for law in inequality_law_grid():
-        for n in range(1, _LEVY_N_MAX + 1):
-            for res in levy_maximal_sweep(law, n, _threshold_grid(law, n)):
-                cases += 1
-                if not res.passed:
-                    failures += 1
+    for _, _, _, sides in _levy_grid_cases():
+        cases += len(sides)
+        failures += sum(i > i_bound or p > p_bound for i, i_bound, p, p_bound in sides)
     return cases, failures
 
 

@@ -32,6 +32,7 @@ take n through scale's _whole, so none rounds or takes a fractional n.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import threading
 from bisect import bisect_right
@@ -944,7 +945,9 @@ class LevyCheckResult:
         return hash(self._values())
 
 
-def _as_law(weights) -> list[tuple[Fraction, Fraction]]:
+def _scaled_law(weights) -> tuple[list[tuple[int, int]], int, int]:
+    """A validated law in integers: (value in units of 1/Dv, weight over Dw)
+    pairs, Dv and Dw, the lcm of the support and of the weight denominators."""
     law = [(Fraction(v), Fraction(p)) for v, p in weights]
     if len(law) > 4:
         raise ValueError("discrete support must have at most 4 points")
@@ -954,7 +957,12 @@ def _as_law(weights) -> list[tuple[Fraction, Fraction]]:
         raise ValueError("probabilities must sum to exactly 1")
     if len({v for v, _ in law}) != len(law):
         raise ValueError("support points must be distinct")
-    return law
+    dv = math.lcm(*(v.denominator for v, _ in law))
+    dw = math.lcm(*(p.denominator for _, p in law))
+    scaled = [
+        (v.numerator * dv // v.denominator, p.numerator * dw // p.denominator) for v, p in law
+    ]
+    return scaled, dv, dw
 
 
 def _median(dist: dict[int, int], total: int) -> int:
@@ -976,17 +984,19 @@ def _median(dist: dict[int, int], total: int) -> int:
     return lo + hi
 
 
-def _partial_sum_dists(law: list[tuple[int, int]], n: int) -> list[dict[int, int]]:
-    """Laws of S_0..S_n for integer values and integer weights over Dw; S_k's
-    masses are numerators over Dw**k."""
-    dists = [{0: 1}]
-    for _ in range(n):
+def _sum_medians(law: list[tuple[int, int]], dw: int, n: int) -> list[int]:
+    """Midpoint medians of S_0..S_n in units of 1/(2*Dv), for integer values
+    in units of 1/Dv and integer weights over Dw."""
+    dist = {0: 1}
+    medians = [0]
+    for k in range(1, n + 1):
         nxt: dict[int, int] = {}
-        for s, ps in dists[-1].items():
+        for s, ps in dist.items():
             for v, pv in law:
                 nxt[s + v] = nxt.get(s + v, 0) + ps * pv
-        dists.append(nxt)
-    return dists
+        dist = nxt
+        medians.append(_median(dist, dw**k))
+    return medians
 
 
 def _mass_above(stats, probs) -> tuple[list[int], list[int]]:
@@ -1000,31 +1010,17 @@ def _mass_above(stats, probs) -> tuple[list[int], list[int]]:
     return values, above[::-1]
 
 
-def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
-    """Exact check of both maximal inequalities at several thresholds.
+def _levy_tables(law: list[tuple[int, int]], med: list[int], n: int) -> tuple:
+    """The sweep of n draws of a scaled law (values in units of 1/Dv, weights
+    over Dw), given med[k], the midpoint median of S_k, for k < n: the suffix
+    tables of _mass_above for the increment statistic, max T_j, the prefix
+    statistic and T_n, all in units of 1/(2*Dv) with masses over Dw**n.
 
-    The law of n i.i.d. draws is swept in integers: with Dv and Dw the lcm
-    of the support and of the weight denominators, values, partial sums and
-    medians count units of 1/(2*Dv) and probabilities are numerators over
-    Dw**n.  Medians follow the midpoint convention (so negating the law
-    negates them).  A prefix of k draws is carried as its state (T_k, max
-    increment stat, max prefix stat, max T_j) with the summed mass of every
-    prefix that reaches it: each continuation moves them alike, so merging
-    them is exact.  Each threshold is answered from suffix sums of the
-    sorted final statistics, and a result builds its Fractions only when
-    they are read.
+    A prefix of k draws is carried as its state (T_k, max increment stat,
+    max prefix stat, max T_j) with the summed mass of every prefix that
+    reaches it: each continuation moves them alike, so merging them is exact.
     """
-    law = _as_law(weights)
-    n = _whole(n, "n")
-    if not 1 <= n <= 6:
-        raise ValueError("enumeration supports 1 <= n <= 6")
-    dv = math.lcm(*(v.denominator for v, _ in law))
-    dw = math.lcm(*(p.denominator for _, p in law))
-    scaled = [
-        (v.numerator * dv // v.denominator, p.numerator * dw // p.denominator) for v, p in law
-    ]
-    med = [_median(d, dw**k) for k, d in enumerate(_partial_sum_dists(scaled, n))]
-    steps = [(2 * v, pv) for v, pv in scaled]
+    steps = [(2 * v, pv) for v, pv in law]
     # state of a prefix of k draws -> its mass over Dw**k
     states = {(v, v + med[0], v + med[n - 1], v): pv for v, pv in steps}
     for k in range(2, n + 1):
@@ -1046,21 +1042,50 @@ def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
         states = nxt
     T_n, incr, pref, max_T = zip(*states.keys())
     probs = states.values()
-    (i_vals, i_above), (m_vals, m_above), (p_vals, p_above), (t_vals, t_above) = (
-        _mass_above(stat, probs) for stat in (incr, max_T, pref, T_n)
+    return tuple(_mass_above(stat, probs) for stat in (incr, max_T, pref, T_n))
+
+
+def _levy_numerators(tables, cut: int) -> tuple[int, int, int, int]:
+    """(increment side, increment bound, prefix side, prefix bound) over
+    Dw**n at any threshold t with floor(2*Dv*t) = cut: the statistics are
+    integers, so stat > 2*Dv*t exactly when stat > cut."""
+    (i_vals, i_above), (m_vals, m_above), (p_vals, p_above), (t_vals, t_above) = tables
+    return (
+        i_above[bisect_right(i_vals, cut)],
+        2 * m_above[bisect_right(m_vals, cut)],
+        p_above[bisect_right(p_vals, cut)],
+        2 * t_above[bisect_right(t_vals, cut)],
     )
+
+
+def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
+    """Exact check of both maximal inequalities at several thresholds.
+
+    The law of n draws is swept in integers: with Dv and Dw the lcm of the
+    support and of the weight denominators, values, partial sums and medians
+    count units of 1/(2*Dv) and probabilities are numerators over Dw**n.
+    Medians follow the midpoint convention (so negating the law negates
+    them).  A threshold is a rational number or a finite float.  This
+    wrapper validates and scales the law, takes the medians of S_0..S_{n-1}
+    and runs the private sweep (_levy_tables, which merges prefixes that
+    share their state); each threshold is then answered from the sweep's
+    suffix tables at its integer cut (_levy_numerators), and a result builds
+    its Fractions only when they are read.  report.levy_full_sweep calls the
+    same sweep on each law of the A3 grid, scaled once, with the medians
+    shared by n = 1..5.
+    """
+    law, dv, dw = _scaled_law(weights)
+    n = _whole(n, "n")
+    if not 1 <= n <= 6:
+        raise ValueError("enumeration supports 1 <= n <= 6")
+    tables = _levy_tables(law, _sum_medians(law, dw, n - 1), n)
     total = dw**n
     results = []
     for t in thresholds:
+        if not (isinstance(t, numbers.Rational) or (isinstance(t, float) and math.isfinite(t))):
+            raise ValueError(f"threshold must be a rational number or a finite float; got {t!r}")
         tf = t if isinstance(t, Fraction) else Fraction(t)
-        # the statistics are integers, so stat > t exactly when stat > floor(t)
-        cut = tf.numerator * 2 * dv // tf.denominator
-        sides = (
-            i_above[bisect_right(i_vals, cut)],
-            2 * m_above[bisect_right(m_vals, cut)],
-            p_above[bisect_right(p_vals, cut)],
-            2 * t_above[bisect_right(t_vals, cut)],
-        )
+        sides = _levy_numerators(tables, tf.numerator * 2 * dv // tf.denominator)
         results.append(
             LevyCheckResult(n, tf, sides[0] <= sides[1], sides[2] <= sides[3], sides, total)
         )

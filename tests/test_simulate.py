@@ -6,6 +6,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from decimal import Decimal
 from fractions import Fraction as F
 from itertools import product
 
@@ -248,6 +249,21 @@ def test_split_stderr_is_calibrated_over_seeds():
     # variance of 1.0772e-3 for the upper bracket at these seeds
     relvar = np.mean([(s.upper.stderr / s.upper.p_hat) ** 2 for s in splits])
     assert relvar <= 1.0772e-3 / 1.2, relvar
+
+
+def test_crude_stderr_is_calibrated_over_seeds():
+    # the split test's bands on crude at two_point n = 100, x = 1 (about 35
+    # hits a seed): sd(z) in [0.85, 1.15] and a share of |z| <= 2 in
+    # [0.91, 0.99].  Measured: sd 1.06, share 0.945, and every miss falls
+    # below (z < -2 in 5.5% of seeds, z > 2 in none).  That is the skew of
+    # a binomial count of a few dozen hits, which a Wald stderr does not
+    # carry and a Clopper-Pearson interval would.
+    n, x, seeds = 100, 1.0, range(1, 201)
+    p = _two_point_tail(n, x * math.sqrt(n * math.log(n)))
+    ests = [S.crude_mc(TWO_POINT, G1, n=n, x=x, reps=2000, seed=s) for s in seeds]
+    z = np.array([(e.p_hat - p) / e.stderr for e in ests])
+    assert 0.85 <= z.std(ddof=1) <= 1.15, z.std(ddof=1)
+    assert 0.91 <= np.mean(np.abs(z) <= 2.0) <= 0.99, np.mean(np.abs(z) <= 2.0)
 
 
 def test_rows_of_no_draws_give_the_exact_tail():
@@ -1237,19 +1253,42 @@ def test_levy_check_agrees_with_brute_force_on_drawn_laws(case):
     assert res.passed_prefix == (res.prefix_side <= res.prefix_bound)
 
 
-def test_levy_full_sweep_is_pinned():
-    """Every (law, n, threshold) case of the A3 sweep, hashed with its
-    fractions written num/den.  The digest was read from the earlier
-    all-Fraction enumeration; any change of a side, a bound or a verdict
-    moves it."""
+def test_levy_full_sweep_is_pinned(monkeypatch):
+    """Every (law, n, threshold) case of the A3 sweep through the public
+    levy_maximal_sweep, hashed with its fractions written num/den, and
+    compared case by case with the integer path that levy_full_sweep counts
+    (report._levy_grid_cases): the cut floor(2*Dv*t), the four numerators and
+    both verdicts.  The digest was read from the earlier all-Fraction
+    enumeration; any change of a side, a bound or a verdict moves it.  Levy's
+    inequalities never fail, so (23100, 0) alone would not see a failure
+    count that missed a failure; the per-case comparison and the count on
+    swapped sides below are the only tests of it."""
     digest = hashlib.sha256()
+    cases = list(report._levy_grid_cases())
+    flipped = 0
     for i, law in enumerate(report.inequality_law_grid()):
+        _, dv, _ = S._scaled_law(law)
         for n in range(1, 6):
-            for r in S.levy_maximal_sweep(law, n, report._threshold_grid(law, n)):
+            case_law, case_n, cuts, sides = cases[5 * i + n - 1]
+            assert (case_law, case_n) == (law, n)
+            thresholds = report._threshold_grid(law, n)
+            results = S.levy_maximal_sweep(law, n, thresholds)
+            for t, r, cut, got in zip(thresholds, results, cuts, sides, strict=True):
                 fields = (r.t, r.increment_side, r.increment_bound, r.prefix_side, r.prefix_bound)
                 text = ",".join(f"{f.numerator}/{f.denominator}" for f in fields)
                 digest.update(f"{i},{n},{text},{r.passed_increment},{r.passed_prefix}\n".encode())
+                assert cut == math.floor(2 * dv * t), (i, n, t)
+                assert got == r._numerators, (i, n, t)
+                assert (got[0] <= got[1], got[2] <= got[3]) == (r.passed_increment, r.passed_prefix)
+                flipped += r.increment_bound > r.increment_side or r.prefix_bound > r.prefix_side
     assert digest.hexdigest() == "72ea60a0a8c2f1da19c8955fea2fed42e811180041a8aab89541fb52146e50f7"
+    assert len(cases) == 5 * (i + 1)
+    assert report.levy_full_sweep() == (23100, 0)
+    # sides and bounds swapped: a case fails where either bound exceeds its side
+    swapped = [(law, n, cuts, [(b, a, d, c) for a, b, c, d in s]) for law, n, cuts, s in cases]
+    monkeypatch.setattr(report, "_levy_grid_cases", lambda: iter(swapped))
+    assert 0 < flipped < 23100
+    assert report.levy_full_sweep() == (23100, flipped)
 
 
 def test_levy_validation():
@@ -1263,6 +1302,12 @@ def test_levy_validation():
         S.levy_maximal_sweep(((F(0), F(1)), (F(1), F(0))), 2, [F(0)])
     with pytest.raises(ValueError, match="distinct"):
         S.levy_maximal_sweep(((F(0), F(1, 2)), (F(0), F(1, 2))), 2, [F(0)])
+    for bad in (math.inf, -math.inf, math.nan, None, "1/2", 1j, Decimal("0.5")):
+        with pytest.raises(ValueError, match="threshold must be"):
+            S.levy_maximal_sweep(SIGN_LAW, 2, [F(0), bad])
+    # a Rational or a finite float is taken exactly
+    got = S.levy_maximal_sweep(SIGN_LAW, 2, [F(1, 2), 0.5, 1, True, np.int64(1), np.float64(0.5)])
+    assert [r.t for r in got] == [F(1, 2), F(1, 2), F(1), F(1), F(1), F(1, 2)]
 
 
 def test_max_lower_bound_boundaries():

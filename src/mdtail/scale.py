@@ -14,6 +14,7 @@ is not finite and >= 2 and a g(log n) that is not positive (NaN included).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,7 +157,10 @@ def scale_from_spec(spec: dict) -> ScaleFunction:
 
 
 def _whole(value, name: str, error: type[ValueError] = ValueError) -> int:
-    """value as an int; raises error unless it is integral, where int() would round 2.9 down to 2."""
+    """value as an int; raises error unless it is integral, where int() would round 2.9 down to 2.
+    An Integral passes at any size, also beyond float range."""
+    if isinstance(value, numbers.Integral):
+        return int(value)
     if not float(value).is_integer():
         raise error(f"{name} must be an integer; got {value!r}")
     return int(value)

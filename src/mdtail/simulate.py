@@ -37,7 +37,7 @@ import os
 import threading
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable
@@ -66,6 +66,8 @@ __all__ = [
     "kolmogorov_upper",
     "kolmogorov_lower",
     "levy_maximal_sweep",
+    "inequality_law_grid",
+    "levy_full_sweep",
     "max_lower_bound_sweep",
 ]
 
@@ -907,48 +909,41 @@ def kolmogorov_lower(B_n: float, x_n: float, eps: float) -> float:
     return math.exp(-(x_n * x_n / (2.0 * B_n)) * (1.0 - eps))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class LevyCheckResult:
-    """Both maximal inequalities of n draws at the threshold t.
-
-    The four sides and bounds are exact Fractions built when read from
-    integer numerators over one denominator, Dw**n; the verdicts were
-    compared in integers.  Two results are equal when n, t and the four
-    values are, whatever their denominators.
-    """
+    """Both maximal inequalities of n draws at the threshold t, with exact sides and bounds."""
 
     n: int
     t: Fraction
-    passed_increment: bool
-    passed_prefix: bool
-    _numerators: tuple[int, int, int, int] = field(repr=False)
-    _total: int = field(repr=False)
+    increment_side: Fraction
+    increment_bound: Fraction
+    prefix_side: Fraction
+    prefix_bound: Fraction
 
-    increment_side = property(lambda self: Fraction(self._numerators[0], self._total))
-    increment_bound = property(lambda self: Fraction(self._numerators[1], self._total))
-    prefix_side = property(lambda self: Fraction(self._numerators[2], self._total))
-    prefix_bound = property(lambda self: Fraction(self._numerators[3], self._total))
+    @property
+    def passed_increment(self) -> bool:
+        return self.increment_side <= self.increment_bound
+
+    @property
+    def passed_prefix(self) -> bool:
+        return self.prefix_side <= self.prefix_bound
 
     @property
     def passed(self) -> bool:
         return self.passed_increment and self.passed_prefix
 
-    def _values(self) -> tuple:
-        return (self.n, self.t, *(Fraction(k, self._total) for k in self._numerators))
 
-    def __eq__(self, other):
-        if not isinstance(other, LevyCheckResult):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
+def _exact(value, name: str) -> Fraction:
+    """value as a Fraction; raises ValueError unless it is a numbers.Rational or a finite float."""
+    if isinstance(value, numbers.Rational) or (isinstance(value, float) and math.isfinite(value)):
+        return Fraction(value)
+    raise ValueError(f"{name} must be a rational number or a finite float; got {value!r}")
 
 
 def _scaled_law(weights) -> tuple[list[tuple[int, int]], int, int]:
     """A validated law in integers: (value in units of 1/Dv, weight over Dw)
     pairs, Dv and Dw, the lcm of the support and of the weight denominators."""
-    law = [(Fraction(v), Fraction(p)) for v, p in weights]
+    law = [(_exact(v, "support point"), _exact(p, "probability")) for v, p in weights]
     if len(law) > 4:
         raise ValueError("discrete support must have at most 4 points")
     if any(p <= 0 for _, p in law):
@@ -1065,14 +1060,8 @@ def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     support and of the weight denominators, values, partial sums and medians
     count units of 1/(2*Dv) and probabilities are numerators over Dw**n.
     Medians follow the midpoint convention (so negating the law negates
-    them).  A threshold is a rational number or a finite float.  This
-    wrapper validates and scales the law, takes the medians of S_0..S_{n-1}
-    and runs the private sweep (_levy_tables, which merges prefixes that
-    share their state); each threshold is then answered from the sweep's
-    suffix tables at its integer cut (_levy_numerators), and a result builds
-    its Fractions only when they are read.  report.levy_full_sweep calls the
-    same sweep on each law of the A3 grid, scaled once, with the medians
-    shared by n = 1..5.
+    them).  Support points, weights and thresholds are rational numbers or
+    finite floats, taken exactly.
     """
     law, dv, dw = _scaled_law(weights)
     n = _whole(n, "n")
@@ -1082,14 +1071,73 @@ def levy_maximal_sweep(weights, n: int, thresholds) -> list[LevyCheckResult]:
     total = dw**n
     results = []
     for t in thresholds:
-        if not (isinstance(t, numbers.Rational) or (isinstance(t, float) and math.isfinite(t))):
-            raise ValueError(f"threshold must be a rational number or a finite float; got {t!r}")
-        tf = t if isinstance(t, Fraction) else Fraction(t)
+        tf = _exact(t, "threshold")
         sides = _levy_numerators(tables, tf.numerator * 2 * dv // tf.denominator)
-        results.append(
-            LevyCheckResult(n, tf, sides[0] <= sides[1], sides[2] <= sides[3], sides, total)
-        )
+        results.append(LevyCheckResult(n, tf, *(Fraction(k, total) for k in sides)))
     return results
+
+
+def inequality_law_grid() -> list[list[tuple[Fraction, Fraction]]]:
+    """Deterministic grid of 220 two- and three-point laws with exact weights."""
+    laws: list[list[tuple[Fraction, Fraction]]] = []
+    two_point_supports = [
+        (Fraction(-1), Fraction(1)),
+        (Fraction(-2), Fraction(1)),
+        (Fraction(-1), Fraction(3)),
+        (Fraction(-1, 2), Fraction(2)),
+    ]
+    for lo, hi in two_point_supports:
+        for k in range(1, 20):
+            p = Fraction(k, 20)
+            laws.append([(lo, 1 - p), (hi, p)])
+    three_point_supports = [
+        (Fraction(-1), Fraction(0), Fraction(1)),
+        (Fraction(-2), Fraction(0), Fraction(1)),
+        (Fraction(-1), Fraction(1), Fraction(2)),
+        (Fraction(-3), Fraction(-1), Fraction(2)),
+    ]
+    for a, b, c in three_point_supports:
+        for i in range(1, 10):
+            for j in range(1, 10 - i):
+                pa = Fraction(i, 10)
+                pb = Fraction(j, 10)
+                laws.append([(a, pa), (b, pb), (c, 1 - pa - pb)])
+    return laws
+
+
+# The A3 sweep's largest n, and its evenly spaced thresholds per (law, n).
+_LEVY_N_MAX = 5
+_THRESHOLD_COUNT = 21
+
+
+def levy_full_sweep() -> tuple[int, int]:
+    """Both maximal inequalities over inequality_law_grid() at n = 1.._LEVY_N_MAX,
+    each at _THRESHOLD_COUNT thresholds from n*min - 1/2 to n*max + 1/2, both
+    included; returns (cases, failures).
+
+    Each law is scaled once and n = 1.._LEVY_N_MAX share its medians.  With
+    lo and hi the ends in units of 1/(2*Dv) and steps = _THRESHOLD_COUNT - 1,
+    the k-th threshold (lo*steps + k*(hi - lo)) / (2*Dv*steps) is answered at
+    its integer cut (lo*steps + k*(hi - lo)) // steps, and the verdicts are
+    counted from the integer numerators.
+    """
+    steps = _THRESHOLD_COUNT - 1
+    cases = failures = 0
+    for weights in inequality_law_grid():
+        law, dv, dw = _scaled_law(weights)
+        med = _sum_medians(law, dw, _LEVY_N_MAX - 1)
+        least = min(v for v, _ in law)
+        most = max(v for v, _ in law)
+        for n in range(1, _LEVY_N_MAX + 1):
+            tables = _levy_tables(law, med, n)
+            lo = 2 * n * least - dv
+            hi = 2 * n * most + dv
+            for k in range(_THRESHOLD_COUNT):
+                cut = (lo * steps + k * (hi - lo)) // steps
+                i, i_bound, p, p_bound = _levy_numerators(tables, cut)
+                failures += i > i_bound or p > p_bound
+            cases += _THRESHOLD_COUNT
+    return cases, failures
 
 
 def max_lower_bound_sweep(p_values, n_values) -> int:

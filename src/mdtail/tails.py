@@ -67,14 +67,14 @@ _MAX_HALVINGS = 50
 def _rng_stream(seed: int) -> Generator:
     """PCG64DXSM generator keyed by SeedSequence(seed, spawn_key=(0,)).
 
-    seed fully determines the draws; it is taken mod 2^64, so a negative
-    seed is masked, not rejected.  Every estimate and TailModel.sample draw
-    from this one stream: the tilted and split estimates and the sign-array
-    estimator through the generator, crude through its raw words as 16-bit
-    cells, with its fine bits from the key's first child,
-    SeedSequence(seed, spawn_key=(0, 0)).
+    seed fully determines the draws.  It must be an integer (scale._whole)
+    and is taken mod 2^64, so a negative seed is masked, not rejected.
+    Every estimate and TailModel.sample draw from this one stream: the
+    tilted and split estimates and the sign-array estimator through the
+    generator, crude through its raw words as 16-bit cells, with its fine
+    bits from the key's first child, SeedSequence(seed, spawn_key=(0, 0)).
     """
-    key = SeedSequence(seed & _MASK64, spawn_key=(0,))
+    key = SeedSequence(_whole(seed, "seed") & _MASK64, spawn_key=(0,))
     return Generator(PCG64DXSM(key))
 
 

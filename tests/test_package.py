@@ -86,4 +86,16 @@ def test_removed_names_are_gone():
     # every estimate draws from the one stream (seed, 0), cut into spans, not chunks
     assert not hasattr(simulate, "_chunk_sizes") and not hasattr(simulate, "_chunked_sums")
     assert params(tails._rng_stream) == {"seed"}
-    assert params(report.levy_full_sweep) == set()
+    assert params(simulate.levy_full_sweep) == set()
+    # simulate alone holds the A3 sweep in its scaled integers; report calls it, and a
+    # result holds its six exact fields, with the verdicts read from them
+    for name in ("_threshold_numerators", "_threshold_grid", "_levy_grid_cases",
+                 "_THRESHOLD_COUNT", "_LEVY_N_MAX", "_levy_tables", "_levy_numerators",
+                 "_scaled_law", "_sum_medians"):
+        assert not hasattr(report, name), name
+    assert report.inequality_law_grid is simulate.inequality_law_grid
+    assert report.levy_full_sweep is simulate.levy_full_sweep
+    levy_fields = simulate.LevyCheckResult.__dataclass_fields__
+    assert list(levy_fields) == ["n", "t", "increment_side", "increment_bound",
+                                 "prefix_side", "prefix_bound"]
+    assert not hasattr(simulate.LevyCheckResult, "_values")

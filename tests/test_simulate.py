@@ -128,6 +128,13 @@ _BAD_POINTS = {
         ),
         r"magnitude\(n\) must be finite and positive",
     ),
+    "crude_mc-seed=1.5": (
+        lambda: S.crude_mc(TWO_POINT, G1, 100, 1.0, 2000, 1.5), "seed must be an integer; got 1.5"
+    ),
+    "bounded_array_mc-seed=1.5": (
+        lambda: S.bounded_array_mc(S.unit_sign_array(G1), G1, 100, 1.0, 2000, 1.5),
+        "seed must be an integer; got 1.5",
+    ),
     "crude_mc-workers=0": (
         lambda: S.crude_mc(TWO_POINT, G1, 100, 1.0, 2000, 0, workers=0), "workers must be >= 1"
     ),
@@ -142,6 +149,14 @@ _BAD_POINTS = {
 def test_a_point_input_out_of_range_is_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_an_integral_float_seed_draws_as_its_int():
+    array = S.unit_sign_array(G1)
+    assert S.crude_mc(TWO_POINT, G1, 100, 1.0, 2000, 2.0) == S.crude_mc(TWO_POINT, G1, 100, 1.0, 2000, 2)
+    assert S.bounded_array_mc(array, G1, 100, 1.0, 2000, 2.0) == S.bounded_array_mc(
+        array, G1, 100, 1.0, 2000, 2
+    )
 
 
 # ---------------------------------------------------------- truncation plan
@@ -1160,11 +1175,18 @@ def test_levy_check_agrees_with_brute_force_at_the_largest_n(law, n):
         assert res.passed
 
 
+def _grid_thresholds(law, n):
+    """The A3 sweep's 21 evenly spaced thresholds from n*min - 1/2 to n*max + 1/2."""
+    values = [F(v) for v, _ in law]
+    lo, hi = n * min(values) - F(1, 2), n * max(values) + F(1, 2)
+    return [lo + k * (hi - lo) / 20 for k in range(21)]
+
+
 def test_levy_result_contract():
     """What callers see: frozen results, exact Fraction sides and bounds equal
     to the oracle's, bool verdicts that agree with them, and equality by
     value whatever the common denominator."""
-    thresholds = [*report._threshold_grid(ASYM_LAW, 4), 1, 0.75]
+    thresholds = [*_grid_thresholds(ASYM_LAW, 4), 1, 0.75]
     results = S.levy_maximal_sweep(ASYM_LAW, 4, thresholds)
     assert results == S.levy_maximal_sweep(ASYM_LAW, 4, thresholds)
     rows = _oracle_statistics(list(ASYM_LAW), 4)
@@ -1256,39 +1278,61 @@ def test_levy_check_agrees_with_brute_force_on_drawn_laws(case):
 def test_levy_full_sweep_is_pinned(monkeypatch):
     """Every (law, n, threshold) case of the A3 sweep through the public
     levy_maximal_sweep, hashed with its fractions written num/den, and
-    compared case by case with the integer path that levy_full_sweep counts
-    (report._levy_grid_cases): the cut floor(2*Dv*t), the four numerators and
-    both verdicts.  The digest was read from the earlier all-Fraction
-    enumeration; any change of a side, a bound or a verdict moves it.  Levy's
-    inequalities never fail, so (23100, 0) alone would not see a failure
-    count that missed a failure; the per-case comparison and the count on
-    swapped sides below are the only tests of it."""
+    compared case by case with what levy_full_sweep counts, recorded from
+    simulate._levy_numerators: the cut floor(2*Dv*t), the four numerators
+    over Dw**n and both verdicts.  The digest was read from the earlier
+    all-Fraction enumeration; any change of a side, a bound or a verdict
+    moves it.  Levy's inequalities never fail, so (23100, 0) alone would not
+    see a failure count that missed a failure; the per-case comparison and
+    the counts on swapped sides below, one inequality at a time and both,
+    are the only tests of it."""
+    numerators = S._levy_numerators
+    recorded = []
+
+    def record(tables, cut):
+        sides = numerators(tables, cut)
+        recorded.append((cut, sides))
+        return sides
+
+    monkeypatch.setattr(S, "_levy_numerators", record)
+    assert S.levy_full_sweep() == (23100, 0)
+    monkeypatch.setattr(S, "_levy_numerators", numerators)
     digest = hashlib.sha256()
-    cases = list(report._levy_grid_cases())
-    flipped = 0
-    for i, law in enumerate(report.inequality_law_grid()):
-        _, dv, _ = S._scaled_law(law)
+    cases = iter(recorded)
+    flipped = {(True, False): 0, (False, True): 0, (True, True): 0}
+    for i, law in enumerate(S.inequality_law_grid()):
+        dv = math.lcm(*(F(v).denominator for v, _ in law))
+        dw = math.lcm(*(F(p).denominator for _, p in law))
         for n in range(1, 6):
-            case_law, case_n, cuts, sides = cases[5 * i + n - 1]
-            assert (case_law, case_n) == (law, n)
-            thresholds = report._threshold_grid(law, n)
-            results = S.levy_maximal_sweep(law, n, thresholds)
-            for t, r, cut, got in zip(thresholds, results, cuts, sides, strict=True):
+            thresholds = _grid_thresholds(law, n)
+            for t, r in zip(thresholds, S.levy_maximal_sweep(law, n, thresholds), strict=True):
                 fields = (r.t, r.increment_side, r.increment_bound, r.prefix_side, r.prefix_bound)
                 text = ",".join(f"{f.numerator}/{f.denominator}" for f in fields)
                 digest.update(f"{i},{n},{text},{r.passed_increment},{r.passed_prefix}\n".encode())
+                cut, got = next(cases)
                 assert cut == math.floor(2 * dv * t), (i, n, t)
-                assert got == r._numerators, (i, n, t)
+                assert tuple(F(k, dw**n) for k in got) == fields[1:], (i, n, t)
                 assert (got[0] <= got[1], got[2] <= got[3]) == (r.passed_increment, r.passed_prefix)
-                flipped += r.increment_bound > r.increment_side or r.prefix_bound > r.prefix_side
+                for incr, pref in flipped:
+                    flipped[incr, pref] += (incr and r.increment_bound > r.increment_side) or (
+                        pref and r.prefix_bound > r.prefix_side
+                    )
     assert digest.hexdigest() == "72ea60a0a8c2f1da19c8955fea2fed42e811180041a8aab89541fb52146e50f7"
-    assert len(cases) == 5 * (i + 1)
-    assert report.levy_full_sweep() == (23100, 0)
-    # sides and bounds swapped: a case fails where either bound exceeds its side
-    swapped = [(law, n, cuts, [(b, a, d, c) for a, b, c, d in s]) for law, n, cuts, s in cases]
-    monkeypatch.setattr(report, "_levy_grid_cases", lambda: iter(swapped))
-    assert 0 < flipped < 23100
-    assert report.levy_full_sweep() == (23100, flipped)
+    assert next(cases, None) is None
+    # a side swapped with its bound: a case fails where a swapped bound exceeds its side
+    for (incr, pref), count in flipped.items():
+
+        def swapped(tables, cut, incr=incr, pref=pref):
+            i, i_bound, p, p_bound = numerators(tables, cut)
+            if incr:
+                i, i_bound = i_bound, i
+            if pref:
+                p, p_bound = p_bound, p
+            return i, i_bound, p, p_bound
+
+        monkeypatch.setattr(S, "_levy_numerators", swapped)
+        assert 0 < count < 23100
+        assert S.levy_full_sweep() == (23100, count), (incr, pref)
 
 
 def test_levy_validation():
@@ -1305,6 +1349,11 @@ def test_levy_validation():
     for bad in (math.inf, -math.inf, math.nan, None, "1/2", 1j, Decimal("0.5")):
         with pytest.raises(ValueError, match="threshold must be"):
             S.levy_maximal_sweep(SIGN_LAW, 2, [F(0), bad])
+        # a law entry follows the same rule, support point and weight alike
+        for law, name in ([(bad, F(1, 2)), (1, F(1, 2))], "support point"), ([(0, bad)], "probability"):
+            with pytest.raises(ValueError, match=f"{name} must be a rational") as refusal:
+                S.levy_maximal_sweep(law, 2, [0])
+            assert str(refusal.value).endswith(f"got {bad!r}")
     # a Rational or a finite float is taken exactly
     got = S.levy_maximal_sweep(SIGN_LAW, 2, [F(1, 2), 0.5, 1, True, np.int64(1), np.float64(0.5)])
     assert [r.t for r in got] == [F(1, 2), F(1, 2), F(1), F(1), F(1), F(1, 2)]

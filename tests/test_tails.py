@@ -140,9 +140,11 @@ def test_rng_stream_is_pcg64dxsm_keyed_by_seed_sequence():
     for seed in (0, 5, 2**64 - 1):
         stated = Generator(PCG64DXSM(SeedSequence(seed, spawn_key=(0,))))
         assert tails._rng_stream(seed).random(64).tobytes() == stated.random(64).tobytes()
-    # the seed is taken mod 2^64, so a negative seed is masked
+    # the seed is taken mod 2^64, so a negative seed is masked, and so is an int
+    # beyond float range
     masked = tails._rng_stream(2**64 - 5).random(64)
     assert tails._rng_stream(-5).random(64).tobytes() == masked.tobytes()
+    assert tails._rng_stream(2**64 * 10**400 - 5).random(64).tobytes() == masked.tobytes()
     firsts = {tails._rng_stream(s).random(8).tobytes() for s in (9, 10, 11)}
     assert len(firsts) == 3
 

@@ -19,10 +19,20 @@ scratch buffer that each thread keeps (see _solve_tilt).  They draw from an
 alias table with one gather per draw on interleaved (value, alias value)
 pairs, in a block-sized workspace that each thread keeps and reuses across
 the blocks of its spans, for as long as the thread lives (see
-_alias_row_sums).  A row draws n - 1 values and integrates the last one out
-exactly, through the discretized law's survival (see _tilted_sum_estimate):
-conditional Monte Carlo on the last summand, the light-tailed counterpart of
-conditioning on the largest summand in the single-jump regime.  _point is the one
+_alias_row_sums).  A row draws n - k values and integrates the last k out
+exactly (see _tilted_sum_estimate): conditional Monte Carlo on the last
+summands, the light-tailed counterpart of conditioning on the largest summand
+in the single-jump regime.  At k = 1 the last summand's tail is the
+discretized law's own survival and needs no table; at k > 1 it is read from
+a tilted-frame k-fold tail table on the lattice the discretized law lies on
+(see _restricted_law, _tilted_tail_table).  k is the largest power of two
+below n whose table work, lattice points * k, is at most 1/200 of the row
+draws reps * (n - k), within a 2^20-point table (see _summands_integrated);
+it is 1 without a lattice (designed(0.5,2;t), and designed(1,0.5;t^2) once
+cells carry mass: an atom of each lies off the grid) and never depends on
+the worker count.  The other catalog laws have one: two_point's two atoms
+(step 2), and the half-cell grid of the 2^15-cell laws, which at a thousand
+reps and n of a few hundred stays at k = 1.  _point is the one
 statement of a point: every estimator and a config's grid check (n, reps,
 x, eps) there, through scale's rules, and get the deviation scale
 sqrt(n * g(log n)); the exact checks, max_lower_bound_sweep's n included,
@@ -319,7 +329,8 @@ def _crude_hits(
         # flat indices f of the loose values in the kept rows, in stream order:
         # f is value f % n of row r0 + kept[f // n], so its fine word is word
         # f + (r0 + kept[f // n] - f // n) * n
-        loose = np.flatnonzero(loose_cell[kept_cells])
+        # a gather, not a boolean fancy index: the same booleans at a third of the cost
+        loose = np.flatnonzero(np.take(loose_cell, kept_cells, mode="wrap"))
         if loose.size:
             row = loose // n
             positions = loose + (r0 + kept[row] - row) * n
@@ -422,18 +433,27 @@ _CELLS = 1 << 15
 
 def _restricted_law(
     model: TailModel, c: float
-) -> tuple[np.ndarray, np.ndarray, float, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, float, Callable[[np.ndarray], np.ndarray], tuple[float, float] | None]:
     """Discrete approximation of X restricted to [-c, c] on _CELLS cells.
 
     Continuous mass goes to cell midpoints; known atoms keep their exact
     locations and masses.  Returns (values, masses, restricted_mass,
-    survival): survival(y), for an array y, is the masses' sum over the
-    values above y, the law's strict survival.  It is read from the edge
+    survival, lattice): survival(y), for an array y, is the masses' sum over
+    the values above y, the law's strict survival.  It is read from the edge
     survivals sf the cells are cut from: the cells from j, the first whose
     midpoint lies above y, hold sf[j] - sf[C] less the atoms folded into
     them, and each atom above y adds its mass.  The regular grid gives j to
     within one and one comparison with the midpoints fixes it, so a y costs
     two gathers and two comparisons per atom, and no table is built.
+
+    lattice is (origin, step) with every value, and the exceedance atom at 0
+    if any mass lies beyond [-c, c], on origin + i*step; no value or mass is
+    moved to make it so.  When a cell carries mass it is the half-cell grid
+    -c + i*c/_CELLS (every midpoint and 0 lie on it); for a law of atoms
+    alone it is the lattice of their smallest gap (two_point: step 2).  It
+    is None when an atom lies off that lattice (designed(0.5,2;t) and
+    designed(1,0.5;t^2) once cells carry mass) or a law of atoms alone has
+    fewer than two points.
     """
     edges = np.linspace(-c, c, _CELLS + 1)
     sf = model.prob_greater(edges)
@@ -462,7 +482,16 @@ def _restricted_law(
             out += m * ((a > y).astype(np.int8) - (idx >= j))
         return out
 
-    return values, masses, float(masses.sum()), survival
+    restricted = float(masses.sum())
+    points = np.unique([a for a, _, _ in atoms] + ([0.0] if restricted < 1.0 else []))
+    lattice = None
+    if keep.any() or len(points) > 1:
+        origin, step = (-c, c / _CELLS) if keep.any() else (points[0], np.diff(points).min())
+        # on the lattice to 1e-9 of a step, far above the grid's rounding
+        offsets = (points - origin) / step
+        if np.all(np.abs(offsets - np.rint(offsets)) <= 1e-9):
+            lattice = (float(origin), float(step))
+    return values, masses, restricted, survival, lattice
 
 
 def _cumulant(
@@ -664,6 +693,88 @@ def _alias_row_sums(rng, rows: int, n: int, prob: np.ndarray, pairs: np.ndarray)
     return sums
 
 
+# k, the summands a tilted row integrates out, is the largest power of two
+# below n whose tail table's work, lattice points * k, is at most
+# _TABLE_SHARE of the row draws reps * (n - k), and whose table holds at most
+# _TABLE_POINTS points; without a lattice k is 1.  A table cost 37-61 ns per
+# point * k on a 2^16-point lattice and an alias draw 7-11 ns (2-core x86
+# host), so at 1/200 a table takes at most about a twentieth of its
+# estimate's draw time, below a point's run-to-run spread: the 2^15-cell
+# laws gain only where reps * n is large, and two_point, whose lattice has
+# two points, gains everywhere.  8 MiB a float array keeps a table, with the
+# FFT's own buffers, within about 50 MB of a process's peak however many reps
+# are asked for.
+_TABLE_SHARE = 1.0 / 200.0
+_TABLE_POINTS = 1 << 20
+
+
+def _summands_integrated(points: int, n: int, reps: int) -> int:
+    """k for a law on a lattice of points points (0 without one), n summands and reps rows."""
+    k = 1
+    while points and 2 * k < n and (
+        points * 2 * k <= _TABLE_SHARE * reps * (n - 2 * k)
+        and 2 * k * (points - 1) + 1 <= _TABLE_POINTS
+    ):
+        k *= 2
+    return k
+
+
+def _decayed_tail_sums(p: np.ndarray, decay: float) -> np.ndarray:
+    """D_0..D_size with D_j = p_j + e^{-decay} D_{j+1} and D_size = 0, for p >= 0 and decay >= 0.
+
+    Summed in place in blocks of at most 32/decay points, over which
+    up_i = e^{-decay*i} falls by at most e^{-32}: a block's own tail sums
+    times up are one reversed cumsum of p * up, and the tail beyond each
+    block is carried down from the top block, so every term is positive and
+    nothing over- or underflows.
+    """
+    size = len(p)
+    block = size if decay * size <= 32.0 else max(1, int(32.0 / decay))
+    rows = -(-size // block)
+    up = np.exp(-decay * np.arange(block))
+    fall = math.exp(-decay * block)
+    tails = np.zeros(rows * block + 1)
+    tails[:size] = p
+    grid = tails[:-1].reshape(rows, block)
+    grid *= up
+    np.cumsum(grid[:, ::-1], axis=1, out=grid[:, ::-1])
+    # D at each block's start, top block first; block b then adds the tail
+    # beyond it, D at block b + 1's start, decayed across the block
+    starts = list(accumulate(reversed(grid[:, 0].tolist()), lambda d, x: x + fall * d))
+    grid += fall * np.array([*starts[-2::-1], 0.0])[:, None]
+    grid /= up
+    return tails[: size + 1]
+
+
+def _tilted_tail_table(tilted: np.ndarray, k: int, decay: float) -> np.ndarray:
+    """log D over the k-fold sum of a lattice pmf, tilted, with -inf appended.
+
+    tilted is the tilted law's pmf on consecutive lattice points.  Its k-fold
+    convolution p_k comes from one rfft/irfft, with the small negative values
+    FFT rounding leaves clipped to 0, and D_j = p_k(j) + e^{-decay} D_{j+1},
+    decay = theta * step, is summed in that tilted frame: nothing is
+    untilted before the tail sum, so tails far below the float FFT's floor
+    keep their precision wherever the tilt puts the table's mass (Keich
+    2005).  Each step works in place, so a table of M points peaks at about
+    three float arrays of M.
+    """
+    # imported where a table is built: a run of k = 1 alone needs no scipy.fft
+    from scipy import fft
+
+    size = k * (len(tilted) - 1) + 1
+    fft_size = fft.next_fast_len(size, real=True)
+    spectrum = fft.rfft(tilted, fft_size)
+    spectrum **= k
+    p_k = fft.irfft(spectrum, fft_size, overwrite_x=True)[:size]
+    del spectrum
+    tails = _decayed_tail_sums(np.maximum(p_k, 0.0, out=p_k), decay)
+    del p_k
+    positive = tails > 0.0
+    np.log(tails, out=tails, where=positive)
+    tails[~positive] = -np.inf
+    return tails
+
+
 def _tilted_sum_estimate(
     values: np.ndarray,
     masses: np.ndarray,
@@ -673,17 +784,25 @@ def _tilted_sum_estimate(
     reps: int,
     seed: int,
     workers: int,
+    lattice: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Importance-sampled P(sum of n i.i.d. draws > target_sum) and its stderr.
 
-    survival(y) is, for an array y, the masses' sum over the values above y.
-    A row draws only n - 1 values, from the law tilted by theta; with S
-    their sum and t = target_sum it returns the conditional mean, given
-    those draws, of the full row's weight e^{nK - theta*T} 1{T > t}:
-    Z = e^{(n-1)K - theta*S} * F(t - S), F the law's survival.  Z is
-    unbiased for the same probability and its variance is never larger
-    (conditional Monte Carlo); it integrates out the last summand, where the
-    single-jump conditioning of a heavy tail integrates out the largest.
+    survival(y) is, for an array y, the masses' sum over the values above y,
+    and lattice, if given, is (origin, step) with every value on origin +
+    i*step.  A row draws only n - k values, from the law tilted by theta;
+    with S their sum and t = target_sum it returns the conditional mean,
+    given those draws, of the full row's weight e^{nK - theta*T} 1{T > t}.
+    At k = 1 that is Z = e^{(n-1)K - theta*S} * F(t - S), F the law's
+    survival, and needs no table.  At k > 1 it is Z = e^{nK - theta*t} *
+    R_k(t - S), with R_k(y) = E_theta[e^{-theta(S_k - y)}; S_k > y] read from
+    the tilted k-fold tail table (see _tilted_tail_table): for s_j the
+    least lattice sum of k values above y, R_k(y) = e^{-theta(s_j - y)} D_j.
+    k follows one rule on the lattice's points, n and reps (see
+    _summands_integrated), never on workers.  Z is unbiased for the same
+    probability and its variance is never larger (conditional Monte Carlo);
+    it integrates out the last summands, where the single-jump conditioning
+    of a heavy tail integrates out the largest.
     """
     keep = masses > 0.0
     values = values[keep]
@@ -691,22 +810,41 @@ def _tilted_sum_estimate(
     masses = masses[keep] / total
     log_masses = np.log(masses)
     theta, K, tilted = _solve_tilt(values, log_masses, target_sum / n)
+    points = 0
+    if lattice is not None:
+        origin, step = lattice
+        low = round((float(values.min()) - origin) / step)
+        points = round((float(values.max()) - origin) / step) - low + 1
+    k = _summands_integrated(points, n, reps)
+    if k > 1:
+        index = np.rint((values - origin) / step).astype(np.intp) - low
+        pmf = np.bincount(index, weights=tilted, minlength=points)
+        log_tails = _tilted_tail_table(pmf / pmf.sum(), k, theta * step)
+        least = k * (origin + low * step)  # the least lattice sum of k values
     prob, alias = _alias_table(tilted)
     pairs = np.stack((values, values[alias]), axis=1).ravel()
-    draws = n - 1
+    draws = n - k
 
     def row_sums(rng, first: int, rows: int) -> np.ndarray:
         return _alias_row_sums(rng, rows, draws, prob, pairs)
 
-    def mean_and_stderr(pieces: list[np.ndarray]) -> tuple[float, float]:
-        # every row's sum, in row order, so the float sums below add the
-        # same array whatever the spans
-        S = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+    def weights(S: np.ndarray) -> np.ndarray:
+        if k > 1:
+            # j indexes s_j = least + j*step, the least lattice sum above t - S
+            j = np.floor((target_sum - S - least) / step) + 1.0
+            j = np.clip(j, 0.0, len(log_tails) - 1.0).astype(np.intp)
+            # log Z <= nK - theta*t <= 0 wherever D_j > 0, and Z = 0 elsewhere
+            return np.exp(n * K - theta * (S + least + j * step) + log_tails[j])
         tail = survival(target_sum - S) / total
         # Z = 0 where the tail is 0; elsewhere log Z <= nK - theta*t <= 0, by
         # the Chernoff bound F(y) <= e^{K - theta*y}, so nothing overflows
         log_z = np.log(tail, out=np.full_like(tail, -np.inf), where=tail > 0.0)
-        Z = np.exp(draws * K - theta * S + log_z)
+        return np.exp(draws * K - theta * S + log_z)
+
+    def mean_and_stderr(pieces: list[np.ndarray]) -> tuple[float, float]:
+        # every row's sum, in row order, so the float sums below add the
+        # same array whatever the spans
+        Z = weights(pieces[0] if len(pieces) == 1 else np.concatenate(pieces))
         # sums of the deviations from the first row's Z: a constant Z (n = 1
         # draws nothing) is returned exactly, with stderr 0
         d = Z - Z[0]
@@ -717,7 +855,7 @@ def _tilted_sum_estimate(
         var = max(s2 - s1 * s1 / reps, 0.0) / (reps - 1)
         return float(Z[0]) + s1 / reps, math.sqrt(var / reps)
 
-    # Generator.random takes one word per double, so a row takes n - 1 words
+    # Generator.random takes one word per double, so a row takes n - k words
     return _span_sums(row_sums, mean_and_stderr, reps, draws, seed, workers, draws)
 
 
@@ -737,15 +875,15 @@ def _truncated_sum(
     discretizes the law restricted to [-c_n, c_n], adds the exceedance mass
     at 0, recenters by mu_n, and estimates by tilting the probability that
     n such summands exceed (x - eps)*sqrt(n*g(log n)).  Returns ((n, reps,
-    G, a_n), eps, scheme, (values, masses, restricted_mass, survival),
-    p_hat, stderr).
+    G, a_n), eps, scheme, (values, masses, restricted_mass, survival,
+    lattice), p_hat, stderr); the lattice passed on is shifted by -mu_n.
     """
     if eps is None:
         eps = x / 10.0
     point = n, reps, _, a_n = _point(g, n, reps, x, eps)
     scheme = plan_truncation(model, g, n)
     law = _restricted_law(model, scheme.c_n)
-    values, masses, restricted, survival = law
+    values, masses, restricted, survival, lattice = law
     exceed = max(1.0 - restricted, 0.0)
 
     def shifted_survival(y: np.ndarray) -> np.ndarray:
@@ -761,6 +899,7 @@ def _truncated_sum(
         reps,
         seed,
         workers,
+        None if lattice is None else (lattice[0] - scheme.mu_n, lattice[1]),
     )
     return point, eps, scheme, law, p_hat, stderr
 
@@ -780,11 +919,18 @@ def tilted_mc_truncated(
     The truncated law is discretized on a regular grid (atoms kept exact),
     exponentially tilted so the target becomes typical, sampled from an
     alias table in O(1) per draw, and reweighted by the likelihood ratio,
-    which keeps the estimator unbiased.  Each row draws n - 1 summands and
-    takes, in place of a hit indicator, the exact probability that the last
-    summand carries the sum past the target (conditional Monte Carlo): the
-    light-tailed counterpart of conditioning on the largest summand in the
-    single-jump regime.
+    which keeps the estimator unbiased.  Each row draws n - k summands and
+    takes, in place of a hit indicator, the exact conditional mean of the
+    weighted hit given them: the last k summands are integrated out
+    (conditional Monte Carlo), the light-tailed counterpart of conditioning
+    on the largest summand in the single-jump regime.  k = 1 reads the
+    discretized law's survival and needs no table; k > 1, for a law on a
+    lattice (two_point, gaussian, the Pareto laws, designed(1,1;t),
+    oscillating(0.5,2;t;x3); not designed(0.5,2;t), nor designed(1,0.5;t^2)
+    once cells carry mass), reads a tilted-frame k-fold tail table.  k is
+    the largest power of two below n whose table work, lattice points * k,
+    is at most 1/200 of the draws reps * (n - k), within a 2^20-point table;
+    it never depends on workers.
     """
     (n, reps, G, _), _, _, _, p_hat, stderr = _truncated_sum(model, g, n, x, reps, seed, eps, workers)
     return _finish_estimate(p_hat, stderr, n, x, G, "tilted", reps)
@@ -806,14 +952,15 @@ def split_estimate(
     union term n * P(X > sqrt(n)/g(log n)), clipped to 1.  Lower: estimate
     under the law conditioned on no exceedance, at threshold (x + eps),
     times the exact no-exceedance probability (1 - p_n)^n.  Both brackets'
-    estimates integrate each row's last summand out exactly, as
-    tilted_mc_truncated does: the truncated laws have no big jump to
-    condition on, so the last summand takes that place.
+    estimates integrate each row's last k summands out exactly, as
+    tilted_mc_truncated does and by its rule for k (1 needs no table; the
+    lower bracket's law keeps the upper's lattice): the truncated laws have
+    no big jump to condition on, so the last summands take that place.
     """
     (n, reps, G, a_n), eps, scheme, law, p_trunc, se_trunc = _truncated_sum(
         model, g, n, x, reps, seed, eps, workers
     )
-    values, masses, restricted, survival = law
+    values, masses, restricted, survival, lattice = law
     max_term = n * model.right_tail(math.sqrt(n) / G)
     upper_flags: tuple[str, ...] = ()
     if max_term >= 1.0:
@@ -838,6 +985,7 @@ def split_estimate(
         reps,
         seed + 1,
         workers,
+        lattice,
     )
     no_jump = math.exp(n * math.log1p(-scheme.p_n)) if scheme.p_n < 1.0 else 0.0
     lower = _finish_estimate(
@@ -1140,9 +1288,16 @@ def levy_full_sweep() -> tuple[int, int]:
     return cases, failures
 
 
+# Cells per block of max_lower_bound_sweep: 512 KiB a float temporary.
+_SWEEP_CELLS = 1 << 16
+
+
 def max_lower_bound_sweep(p_values, n_values) -> int:
     """How many cells (p, n) of the grid p_values x n_values fail
-    min(1, n*p)/2 <= 1 - (1-p)^n, the i.i.d. maximum lower bound."""
+    min(1, n*p)/2 <= 1 - (1-p)^n, the i.i.d. maximum lower bound.
+
+    The grid is evaluated in blocks of whole n columns of about _SWEEP_CELLS
+    cells, so its temporaries stay near 512 KiB each whatever the grid's size."""
     p = np.asarray(p_values, dtype=float)[:, None]
     n = np.asarray(n_values, dtype=float)[None, :]
     if not np.all((p >= 0) & (p <= 1)):
@@ -1151,7 +1306,13 @@ def max_lower_bound_sweep(p_values, n_values) -> int:
         raise ValueError("n must be finite and at least 1")
     for v in n.ravel().tolist():
         _whole(v, "n")
-    lhs = np.minimum(1.0, n * p) / 2.0
     with np.errstate(divide="ignore"):
-        rhs = np.where(p >= 1.0, 1.0, -np.expm1(n * np.log1p(-p)))
-    return int(np.count_nonzero(lhs > rhs))
+        log_q = np.log1p(-p)
+    cols = max(1, _SWEEP_CELLS // max(p.size, 1))
+    failures = 0
+    for j in range(0, n.shape[1], cols):
+        block = n[:, j : j + cols]
+        lhs = np.minimum(1.0, block * p) / 2.0
+        rhs = np.where(p >= 1.0, 1.0, -np.expm1(block * log_q))
+        failures += int(np.count_nonzero(lhs > rhs))
+    return failures

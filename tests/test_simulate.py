@@ -247,6 +247,106 @@ def test_split_brackets_match_exact_binomial_tails():
         assert abs(est.p_hat - p) <= 4.0 * est.stderr, (est.method, est.p_hat, p, est.stderr)
 
 
+def test_two_point_estimates_match_exact_binomial_tails_at_each_k(monkeypatch):
+    # k summands of each row integrated out, k forced; bounds stated before
+    # measuring: every estimate (tilted, upper, lower) within 4 stderr of its
+    # exact binomial tail, and at n = 100 the tilted relative variance at
+    # k = 64 at most a quarter of that at k = 1
+    relvar = {}
+    for k in (1, 16, 64):
+        monkeypatch.setattr(S, "_summands_integrated", lambda points, n, reps: k)
+        for n, x in ((100, 1.0), (400, 2.5)):
+            a = math.sqrt(n * math.log(n))
+            t = S.tilted_mc_truncated(TWO_POINT, G1, n=n, x=x, reps=4000, seed=13)
+            s = S.split_estimate(TWO_POINT, G1, n=n, x=x, reps=4000, seed=13)
+            upper, lower = _two_point_tail(n, 0.9 * x * a), _two_point_tail(n, 1.1 * x * a)
+            for est, p in ((t, upper), (s.upper, upper), (s.lower, lower)):
+                assert abs(est.p_hat - p) <= 4.0 * est.stderr, (k, n, est.method, est.p_hat, p)
+            relvar[k, n] = (t.stderr / t.p_hat) ** 2
+    assert relvar[64, 100] <= relvar[1, 100] / 4.0, relvar
+
+
+def test_the_tilted_tail_table_matches_a_direct_convolution():
+    # a law on 0..4 whose masses fall by about e^-115 a step, tilted by
+    # theta = 115 to weights of order one; the table's untilted tails
+    # P(S_k > m) = e^{kK - theta(m + 1)} D_{m+1} agree with an exact
+    # convolution of the same masses wherever that tail is at least 1e-250
+    theta, weights = 115.0, np.array([1.0, 0.5, 2.0, 0.7, 1.3])
+    masses = weights * np.exp(-theta * np.arange(5.0))
+    masses /= masses.sum()
+    K = math.log(float(np.sum(masses * np.exp(theta * np.arange(5.0)))))
+    tilted = weights / weights.sum()
+    for k in (2, 3):
+        log_tails = S._tilted_tail_table(tilted, k, theta)
+        assert len(log_tails) == 4 * k + 2 and log_tails[-1] == -math.inf
+        exact = [F(1)]
+        for _ in range(k):
+            exact = [sum(exact[i - j] * F(masses[j]) for j in range(5) if 0 <= i - j < len(exact))
+                     for i in range(len(exact) + 4)]
+        compared = []
+        for m in range(4 * k + 1):
+            want = float(sum(exact[m + 1 :]))
+            got = math.exp(k * K - theta * (m + 1) + log_tails[m + 1])
+            if want >= 1e-250:
+                compared.append(want)
+                assert math.isclose(got, want, rel_tol=1e-12), (k, m, got, want)
+            elif want == 0.0:
+                assert got == 0.0, (k, m, got)
+        assert len(compared) == 5 and min(compared) < 1e-248, compared
+
+
+def test_values_within_rounding_of_a_shifted_lattice_give_its_exact_tail(monkeypatch):
+    # four values a few 1e-12 steps off 0.0877 + 0.3 i, as a grid shifted by
+    # mu_n is, and n = 4: each value is tabulated at its nearest lattice point,
+    # so at k = 1, 2 and 3 the estimate lies within 4 stderr of the exact tail
+    # P(i_1 + ... + i_4 >= 8)
+    origin, step = 0.1 - 0.0123, 0.3
+    values = origin + step * (np.arange(4.0) + np.array([0.0, -3e-12, 3e-12, -3e-12]))
+    masses = np.array([0.4, 0.3, 0.2, 0.1])
+    exact = sum(np.prod(masses[list(c)]) for c in product(range(4), repeat=4) if sum(c) >= 8)
+
+    def survival(y):
+        return sum(np.where(y < v, m, 0.0) for v, m in zip(values, masses))
+
+    for k in (1, 2, 3):
+        monkeypatch.setattr(S, "_summands_integrated", lambda points, n, reps: k)
+        target = 4 * origin + 7.5 * step
+        p, se = S._tilted_sum_estimate(values, masses, survival, 4, target, 4000, 5, 1, (origin, step))
+        assert abs(p - exact) <= 4.0 * se, (k, p, exact, se)
+
+
+def test_k_follows_one_rule_on_the_lattice_and_the_row_draws(monkeypatch):
+    # k is the largest power of two below n whose table work, lattice points
+    # * k, is at most 1/200 of the draws reps * (n - k) and whose table holds
+    # at most 2^20 points; 1 without a lattice, whatever the workers; a row
+    # draws n - k values, one word each
+    rule, span_sums, seen, words = S._summands_integrated, S._span_sums, [], []
+
+    def recording_rule(*args):
+        seen.append(rule(*args))
+        return seen[-1]
+
+    def recording_spans(draw, reduce, reps, n, seed, workers, row_words):
+        words.append(row_words)
+        return span_sums(draw, reduce, reps, n, seed, workers, row_words)
+
+    monkeypatch.setattr(S, "_summands_integrated", recording_rule)
+    monkeypatch.setattr(S, "_span_sums", recording_spans)
+    monkeypatch.setattr(S, "_cores", lambda: 8)
+    for workers in (1, 2, 8):
+        S.tilted_mc_truncated(TWO_POINT, G1, n=100, x=1.0, reps=2000, seed=7, workers=workers)
+    designed = md.make_designed_tail(0.5, 2.0, G1)
+    S.split_estimate(designed, G1, n=100, x=1.0, reps=100_000, seed=7)
+    assert seen == [64, 64, 64, 1, 1] and words == [36, 36, 36, 99, 99]
+    assert S._restricted_law(designed, S.plan_truncation(designed, G1, 100).c_n)[4] is None
+    assert rule(0, 10**6, 10**9) == 1
+    assert rule(2, 100, 1000) == 64 and rule(2, 65, 1000) == 32 and rule(2, 2, 10**6) == 1
+    # a 2^16-point lattice at n = 1000: 2 * 65535 > 5000 * 998 / 200
+    assert rule(65535, 1000, 5000) == 1 and rule(65535, 1000, 27_000) == 2
+    # the table's size caps k at 16 on a 2^16-point lattice
+    assert rule(65535, 10**4, 10**6) == 16
+
+
 def test_split_stderr_is_calibrated_over_seeds():
     # z = (p_hat - exact)/stderr over 200 seeds of both brackets at the point
     # above, against bands stated before measuring: sd(z) in [0.85, 1.15] and
@@ -676,7 +776,8 @@ def test_crude_bits_are_pinned_across_the_catalog(monkeypatch):
 # brackets, as float.hex, at (n=100, x=1, reps=2000, seed=7), one span at one
 # worker, and at (n=1000, x=1, reps=4500, seed=8), two spans at one worker;
 # both n lie above every law's smallest n with a tilt root (62 for the
-# designed law)
+# designed law).  two_point integrates k = 64 and 512 summands out; every
+# other entry k = 1
 TILTED_PINS = {
     "gaussian": (
         (
@@ -692,14 +793,14 @@ TILTED_PINS = {
     ),
     "two_point": (
         (
-            ("0x1.e64af5d8ab099p-6", "0x1.ac5440b8f9cb8p-11"),
-            ("0x1.e64af5d8ab099p-6", "0x1.ac5440b8f9cb8p-11"),
-            ("0x1.572bef9945078p-7", "0x1.513bf212edcf3p-12"),
+            ("0x1.d12f81e3ba1e0p-6", "0x1.94bfa2bafe47dp-13"),
+            ("0x1.d12f81e3ba1e0p-6", "0x1.94bfa2bafe47dp-13"),
+            ("0x1.588c1bebf2d89p-7", "0x1.14b8611bc1257p-14"),
         ),
         (
-            ("0x1.243312f163808p-7", "0x1.b75e60d3db877p-13"),
-            ("0x1.243312f163808p-7", "0x1.b75e60d3db877p-13"),
-            ("0x1.fad3e94519638p-10", "0x1.9d70c5990ca54p-15"),
+            ("0x1.1fd6cf7ed381fp-7", "0x1.bc223930e0b70p-15"),
+            ("0x1.1fd6cf7ed381fp-7", "0x1.bc223930e0b70p-15"),
+            ("0x1.04b685f88829ap-9", "0x1.8255f6dc5eedcp-17"),
         ),
     ),
     "pareto(3)": (
